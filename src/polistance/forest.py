@@ -2,19 +2,18 @@
 
 Trees are grown CART-style on bootstrap samples (drawn with replacement,
 sample size = row count) using Gini impurity and axis-aligned midpoint
-thresholds. Each tree consumes its own RNG stream seeded by
-(rng_seed, tree_index), so results are bit-identical for a given seed no
-matter how many worker threads train the forest. All ties break the same
-way every run: equal-gain splits prefer the lowest attribute index and
-threshold, and equal vote counts prefer the lexicographically smallest
-class name.
+thresholds. Training is single-threaded, and each tree consumes its own
+RNG stream seeded by (rng_seed, tree_index), so a forest is bit-identical
+for a given seed and no tree's draws depend on another's. All ties break
+the same way every run: equal-gain splits prefer the lowest attribute
+index and threshold, and equal vote counts prefer the lexicographically
+smallest class name.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -111,62 +110,53 @@ class Forest:
     trees: tuple[Tree, ...] = field(repr=False)
 
 
-def _node_scores(class_counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sum over classes of count^2/size; maximizing this minimizes Gini."""
-    return (class_counts.astype(np.float64) ** 2).sum(axis=-1) / sizes
-
-
 def _best_split(
     rows: np.ndarray,
-    y: np.ndarray,
+    onehot: np.ndarray,
     node_idx: np.ndarray,
     features: np.ndarray,
-    n_classes: int,
+    class_counts: np.ndarray,
     min_leaf: int,
 ) -> tuple[int, float] | None:
     """Best (feature, threshold) by Gini gain over the candidate features.
 
-    Ties prefer the smallest feature index, then the smallest threshold.
-    Returns None when no split improves on the parent node.
+    All candidates are searched in one pass: the node's (n, f) value block
+    is sorted column by column, and one cumulative sum over the sorted
+    (n, f, C) one-hot block gives the class counts left of every cut. A cut
+    scores sum(count^2)/size over both children (maximizing it minimizes
+    Gini); counts and squares are exact integers in float64, so scores
+    compare exactly. ``onehot[i]`` is the class indicator row of training
+    row ``i``, and ``class_counts`` is the node's class histogram.
+    ``features`` must be ascending: ties prefer the smallest feature index,
+    then the smallest threshold. Returns None when no cut beats the parent
+    node's score.
     """
     n = len(node_idx)
-    node_y = y[node_idx]
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), node_y] = 1
-    parent_score = _node_scores(onehot.sum(axis=0), np.array([n]))[0]
-
-    best: tuple[float, int, float] | None = None
-    left_sizes = np.arange(1, n, dtype=np.float64)
-    right_sizes = n - left_sizes
-    for feature in features:
-        values = rows[node_idx, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        boundaries = sorted_values[1:] != sorted_values[:-1]
-        if not boundaries.any():
-            continue
-        left_counts = np.cumsum(onehot[order], axis=0)[:-1]
-        right_counts = left_counts[-1] + onehot[order[-1]] - left_counts
-        scores = (
-            _node_scores(left_counts, left_sizes)
-            + _node_scores(right_counts, right_sizes)
-        )
-        valid = boundaries & (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
-        if not valid.any():
-            continue
-        scores = np.where(valid, scores, -np.inf)
-        pos = int(np.argmax(scores))
-        if scores[pos] <= parent_score:
-            continue
-        lo, hi = float(sorted_values[pos]), float(sorted_values[pos + 1])
-        threshold = (lo + hi) / 2.0
-        if threshold == hi:  # midpoint rounded up; keep training rows apart
-            threshold = lo
-        if best is None or scores[pos] > best[0]:
-            best = (float(scores[pos]), int(feature), threshold)
-    if best is None:
+    values = rows[node_idx[:, None], features]
+    order = np.argsort(values, axis=0, kind="stable")
+    sorted_values = values[order, np.arange(len(features))]
+    cut = sorted_values[1:] != sorted_values[:-1]
+    cut[: min_leaf - 1] = False
+    cut[n - min_leaf:] = False
+    # feature-major, so the first maximum is the smallest feature and threshold
+    col, pos = np.nonzero(cut.T)
+    if not len(pos):
         return None
-    return best[1], best[2]
+    left_counts = np.cumsum(onehot[node_idx[order]], axis=0)[pos, col]
+    left_sizes = pos + 1.0
+    scores = (
+        (left_counts**2).sum(axis=1) / left_sizes
+        + ((class_counts - left_counts) ** 2).sum(axis=1) / (n - left_sizes)
+    )
+    best = int(np.argmax(scores))
+    if not scores[best] > float((class_counts**2).sum()) / n:
+        return None
+    lo = float(sorted_values[pos[best], col[best]])
+    hi = float(sorted_values[pos[best] + 1, col[best]])
+    threshold = (lo + hi) / 2.0
+    if threshold == hi:  # midpoint rounded up; keep training rows apart
+        threshold = lo
+    return int(features[col[best]]), threshold
 
 
 def _grow_tree(
@@ -180,6 +170,7 @@ def _grow_tree(
     rng = np.random.default_rng((params.rng_seed & _SEED_MASK, tree_index))
     n = len(rows)
     bootstrap = rng.integers(0, n, size=n)
+    onehot = np.eye(n_classes, dtype=np.int64)[y]
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -210,7 +201,7 @@ def _grow_tree(
         split = None
         if not (pure or depth_capped or too_small):
             candidates = np.sort(rng.choice(d, size=mtry, replace=False))
-            split = _best_split(rows, y, node_idx, candidates, n_classes,
+            split = _best_split(rows, onehot, node_idx, candidates, counts,
                                 params.min_leaf)
         if split is None:
             leaf_class[node] = majority
@@ -247,13 +238,12 @@ def train_forest(
     rows,
     labels: Sequence[str],
     params: ForestParams | None = None,
-    n_jobs: int = 1,
 ) -> Forest:
     """Train a forest on a dense matrix (or anything ndarray-like).
 
-    Training is deterministic for a given (data, params) regardless of
-    ``n_jobs``: every tree draws from its own (rng_seed, tree_index)
-    stream, and thread scheduling only changes wall time.
+    Trees are grown one after another on the calling thread. Training is
+    deterministic for a given (data, params): every tree draws from its
+    own (rng_seed, tree_index) stream.
     """
     params = params or ForestParams()
     matrix = _as_matrix(rows)
@@ -273,15 +263,10 @@ def train_forest(
     if mtry > d:
         raise ForestError(f"features_per_split {mtry} exceeds feature count {d}")
 
-    def build(tree_index: int) -> Tree:
-        return _grow_tree(matrix, y, len(classes), params, mtry, tree_index)
-
-    if n_jobs <= 1 or params.n_trees == 1:
-        trees = tuple(build(t) for t in range(params.n_trees))
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            trees = tuple(pool.map(build, range(params.n_trees)))
-
+    trees = tuple(
+        _grow_tree(matrix, y, len(classes), params, mtry, t)
+        for t in range(params.n_trees)
+    )
     return Forest(params=params, classes=classes, n_features=d, trees=trees)
 
 
@@ -389,7 +374,6 @@ def cross_validate(
     k: int = 10,
     mode: str = "kfold",
     rng_seed: int = 0,
-    n_jobs: int = 1,
 ) -> EvalReport:
     """Cross-validated evaluation; returns metrics over pooled confusions.
 
@@ -417,10 +401,7 @@ def cross_validate(
 
     def run_split(train_idx: np.ndarray, test_idx: np.ndarray) -> None:
         forest = train_forest(
-            matrix[train_idx],
-            [labels[i] for i in train_idx],
-            params,
-            n_jobs=n_jobs,
+            matrix[train_idx], [labels[i] for i in train_idx], params
         )
         predicted = predict_many(forest, matrix[test_idx])
         for i, guess in zip(test_idx, predicted):

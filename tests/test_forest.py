@@ -1,15 +1,20 @@
 """Tests for forest training, prediction, balancing, and cross-validation."""
 
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polistance.forest import (
     Forest,
     ForestError,
     ForestParams,
     Tree,
+    _best_split,
     balance_classes,
     cross_validate,
     forest_to_dict,
@@ -48,6 +53,33 @@ def nearest_centroid_accuracy(rows, labels, means):
     return hits / len(labels)
 
 
+def sparse_wide():
+    """120 x 90 Poisson counts, about 73% zeros, scaled per column."""
+    rng = np.random.default_rng(2024)
+    labels = ["AAP"] * 40 + ["BJP"] * 40 + ["CONG"] * 40
+    rates = rng.uniform(0.05, 0.6, size=(3, 90))
+    counts = np.vstack([rng.poisson(rates[c], size=(40, 90)) for c in range(3)])
+    return counts * rng.uniform(0.5, 2.0, size=90), labels
+
+
+def tall_narrow():
+    """600 x 11: six Gaussian, four small-integer and one constant column."""
+    rng = np.random.default_rng(611)
+    rows = np.column_stack([
+        rng.normal(size=(600, 6)),
+        rng.integers(0, 5, size=(600, 4)).astype(float),
+        np.zeros(600),
+    ])
+    score = rows[:, 0] + 0.5 * rows[:, 6] + rng.normal(0.0, 1.0, size=600)
+    labels = ["BJP" if s > 1.0 else "INC" for s in score]
+    return rows, labels
+
+
+def forest_digest(forest):
+    dump = json.dumps(forest_to_dict(forest), sort_keys=True)
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
 def leaf_tree(class_index):
     return Tree(
         feature=np.array([-1]),
@@ -78,12 +110,25 @@ class TestTrain:
         assert forest_to_dict(first) == forest_to_dict(second)
         assert predict_many(first, rows) == predict_many(second, rows)
 
-    def test_thread_count_is_invisible(self):
+    def test_repeat_runs_match_golden_digest(self):
         rows, labels, _ = make_blobs(per_class=15)
         params = ForestParams(n_trees=16, rng_seed=5)
-        serial = train_forest(rows, labels, params, n_jobs=1)
-        threaded = train_forest(rows, labels, params, n_jobs=4)
-        assert forest_to_dict(serial) == forest_to_dict(threaded)
+        first = train_forest(rows, labels, params)
+        second = train_forest(rows, labels, params)
+        assert forest_to_dict(first) == forest_to_dict(second)
+        assert forest_digest(first) == (
+            "7c9c800a800f174f8990c7762112b9b0dbdccada159effecdcee108ae88032bf"
+        )
+
+    @pytest.mark.parametrize("make, params, digest", [
+        (sparse_wide, ForestParams(n_trees=20, rng_seed=3),
+         "06b9b06f17d02ac44cdb77ed1ecfb6a952b309c99089dc52cb58070198caeb75"),
+        (tall_narrow, ForestParams(n_trees=20, min_leaf=2, max_depth=6, rng_seed=4),
+         "190226b8ac86fc4719cad7dad2f3c0c409493498e6bcf4f61e39ed074de4ec0d"),
+    ], ids=["sparse_wide", "tall_narrow"])
+    def test_golden_forest_digest(self, make, params, digest):
+        rows, labels = make()
+        assert forest_digest(train_forest(rows, labels, params)) == digest
 
     def test_errors(self):
         with pytest.raises(ForestError):
@@ -236,13 +281,13 @@ class TestCrossValidate:
         assert report.accuracy == 1.0
         assert report.classes == ("BJP",)
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_matches_golden_confusion(self):
         rows, labels, _ = make_blobs(per_class=12, rng_seed=21)
         params = ForestParams(n_trees=10, rng_seed=5)
         a = cross_validate(rows, labels, params, k=4, rng_seed=17)
         b = cross_validate(rows, labels, params, k=4, rng_seed=17)
-        c = cross_validate(rows, labels, params, k=4, rng_seed=17, n_jobs=3)
-        assert a == b == c
+        assert a == b
+        assert a.confusion == ((12, 0, 0), (0, 12, 0), (0, 0, 12))
 
     def test_holdout_mode_pools_k_test_sets(self):
         rows, labels, _ = make_blobs(per_class=15, rng_seed=2)
@@ -280,3 +325,90 @@ class TestModelFile:
         path.write_text('{"format_version": 99}', encoding="utf-8")
         with pytest.raises(ForestError):
             load_forest(path)
+
+
+# Heavy ties: few distinct values. 1 + 2**-52 and 1 + 2**-51 are adjacent
+# floats whose midpoint rounds up to the larger one.
+SPLIT_VALUES = (0.0, 1.0, 2.0, 3.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51)
+
+
+@st.composite
+def split_problems(draw):
+    n_classes = draw(st.integers(2, 4))
+    n_rows = draw(st.integers(2, 10))
+    d = draw(st.integers(1, 5))
+    column = st.lists(st.sampled_from(SPLIT_VALUES), min_size=n_rows, max_size=n_rows)
+    columns = []
+    for _ in range(d):
+        if draw(st.booleans()):
+            columns.append([draw(st.sampled_from(SPLIT_VALUES))] * n_rows)
+        else:
+            columns.append(draw(column))
+    labels = draw(st.lists(st.integers(0, n_classes - 1),
+                           min_size=n_rows, max_size=n_rows))
+    node_idx = draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=16))
+    features = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    min_leaf = draw(st.integers(1, 3))
+    return columns, labels, n_classes, node_idx, features, min_leaf
+
+
+def brute_force_split(columns, labels, n_classes, node_idx, features, min_leaf):
+    """Oracle: try every (feature, midpoint) pair with plain Python loops.
+
+    A split's score is the sum over both children of sum(count^2)/size, the
+    Gini gain up to a constant, written with the same float operations as
+    the implementation so exact ties stay ties.
+    """
+    def score(members):
+        counts = [0] * n_classes
+        for i in members:
+            counts[labels[i]] += 1
+        return sum(c * c for c in counts) / len(members)
+
+    parent = score(node_idx)
+    best = None
+    for feature in features:
+        values = sorted({columns[feature][i] for i in node_idx})
+        for lo, hi in zip(values, values[1:]):
+            threshold = (lo + hi) / 2.0
+            if threshold == hi:
+                threshold = lo
+            left = [i for i in node_idx if columns[feature][i] <= threshold]
+            right = [i for i in node_idx if columns[feature][i] > threshold]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            gain = score(left) + score(right)
+            if gain > parent and (best is None or gain > best[0]):
+                best = (gain, feature, threshold)
+    return None if best is None else (best[1], best[2])
+
+
+def vectorized_split(columns, labels, n_classes, node_idx, features, min_leaf):
+    y = np.array(labels, dtype=np.int64)
+    node = np.array(node_idx, dtype=np.int64)
+    return _best_split(
+        np.array(columns, dtype=np.float64).T,
+        np.eye(n_classes, dtype=np.int64)[y],
+        node,
+        np.array(features, dtype=np.int64),
+        np.bincount(y[node], minlength=n_classes),
+        min_leaf,
+    )
+
+
+class TestBestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_matches_brute_force(self, problem):
+        assert vectorized_split(*problem) == brute_force_split(*problem)
+
+    def test_ties_prefer_smallest_feature_then_threshold(self):
+        # Columns 0 and 1 are equal, and cuts at 0.5 and 2.5 score the same.
+        column = [0.0, 1.0, 2.0, 3.0]
+        problem = ([column, column], [0, 1, 1, 0], 2, [0, 1, 2, 3], [0, 1], 1)
+        assert vectorized_split(*problem) == (0, 0.5)
+        assert brute_force_split(*problem) == (0, 0.5)
+
+    def test_midpoint_that_rounds_up_keeps_rows_apart(self):
+        problem = ([[1.0 + 2.0**-52, 1.0 + 2.0**-51]], [0, 1], 2, [0, 1], [0], 1)
+        assert vectorized_split(*problem) == (0, 1.0 + 2.0**-52)
