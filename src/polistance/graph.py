@@ -3,11 +3,16 @@
 The interaction graph is undirected and simple: an edge says one user
 retweeted or mentioned another at least once, and repeat interactions add
 no parallel edges (a weighted mode exists behind a flag). Communities come
-from Louvain-style modularity maximization with a seeded, per-level node
-visit order, so results are reproducible for a given seed. After the usual
-move/aggregate cycle converges, one more local-moving sweep runs over the
-original nodes (repeating the cycle if it finds anything), which makes the
-final partition stable under every single-node move.
+from Louvain modularity maximization (Blondel et al. 2008) on numpy edge
+arrays, with the fast local move of Traag, Waltman and van Eck (2019):
+every node starts queued in a seeded order, and when a node moves, only
+its neighbors outside its new community are queued again. Results are
+reproducible for a given seed. An emptied queue does not make a level
+stable, because moves elsewhere change community totals; so after the
+move/aggregate cycle converges, the cycle restarts from the original
+nodes, all queued, until such a pass moves none. That last pass visited
+every node without a move, which makes the final partition stable under
+every single-node move.
 
 Detected communities are labeled with the plurality party among their
 known members (seed accounts or annotated users); ties and communities
@@ -16,10 +21,11 @@ below a size threshold stay UNLABELED.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +53,7 @@ UNLABELED = "UNLABELED"
 _SEED_MASK = (1 << 64) - 1
 _LOUVAIN_STREAM = 5015
 _GAIN_EPS = 1e-12
+_CHUNK = 1 << 16
 
 
 class GraphError(ValueError):
@@ -70,20 +77,6 @@ class InteractionGraph:
 
     def total_weight(self) -> float:
         return float(sum(self.weights))
-
-    def degree(self) -> dict[str, int]:
-        out = {node: 0 for node in self.nodes}
-        for a, b in self.edges:
-            out[a] += 1
-            out[b] += 1
-        return out
-
-    def adjacency(self) -> dict[str, dict[str, float]]:
-        out: dict[str, dict[str, float]] = {node: {} for node in self.nodes}
-        for (a, b), w in zip(self.edges, self.weights):
-            out[a][b] = w
-            out[b][a] = w
-        return out
 
 
 def build_interaction_graph(
@@ -172,90 +165,211 @@ def modularity(graph: InteractionGraph, assignment: Mapping[str, int]) -> float:
     )
 
 
-def _local_moving(
-    adjacency: list[list[tuple[int, float]]],
+def _sum_duplicates(
+    keys: np.ndarray, weights: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and summed weights of the distinct keys ``row*n + col``,
+    sorted by key.
+
+    Each temporary is released before the next is made, since this
+    sort sets the peak memory of a Louvain run.
+    """
+    if keys.size == 0:  # e.g. every edge inside one community
+        empty = np.zeros(0, dtype=np.int32)
+        return empty, empty, weights
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    weights = weights[order]
+    del order
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    weights = np.add.reduceat(weights, starts)
+    keys = keys[starts]
+    del starts
+    return (keys // n).astype(np.int32), (keys % n).astype(np.int32), weights
+
+
+def _shared(values: np.ndarray) -> Iterator:
+    """The values as Python objects, one object per distinct value.
+
+    A plain ``tolist()`` would allocate one object per entry; converting
+    in chunks also bounds the transient ones.
+    """
+    # return_counts keeps np.unique on its sort path; its hash path
+    # imports numpy.ma, about 1 MiB more memory
+    distinct = np.unique(values, return_counts=True)[0]
+    pool = distinct.tolist()
+    for start in range(0, values.size, _CHUNK):
+        positions = np.searchsorted(distinct, values[start:start + _CHUNK])
+        yield from map(pool.__getitem__, positions.tolist())
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One level of the move/aggregate cycle: a weighted graph with loops.
+
+    ``rows``, ``cols`` and ``weights`` hold each undirected edge in both
+    directions, sorted by (row, col). The internal weight of a supernode
+    sits in ``loops`` and counts twice in ``strength``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    loops: np.ndarray
+    strength: np.ndarray
+
+    @classmethod
+    def from_edges(cls, a: np.ndarray, b: np.ndarray, w: np.ndarray, n: int) -> "_Level":
+        """The base level from edge endpoint ids and weights; loops allowed."""
+        loop = a == b
+        loops = np.bincount(a[loop], w[loop], minlength=n)
+        strength = np.bincount(a, w, minlength=n) + np.bincount(b, w, minlength=n)
+        a, b, w = a[~loop].astype(np.int64), b[~loop].astype(np.int64), w[~loop]
+        return cls(*_sum_duplicates(np.r_[a * n + b, b * n + a], np.r_[w, w], n),
+                   loops=loops, strength=strength)
+
+    @property
+    def n(self) -> int:
+        return self.loops.size
+
+    def neighbor_lists(self) -> tuple[list[list[int]], list[list[float]]]:
+        """Per-node neighbor ids and edge weights, for ``_move_nodes``."""
+        ids, weights = _shared(self.cols), _shared(self.weights)
+        degrees = np.bincount(self.rows, minlength=self.n).tolist()
+        return ([list(islice(ids, d)) for d in degrees],
+                [list(islice(weights, d)) for d in degrees])
+
+    def aggregate(self, community: np.ndarray) -> "_Level":
+        """Collapse dense community ids into supernodes."""
+        n_next = int(community.max()) + 1
+        cu, cv = community[self.rows], community[self.cols]
+        inside = cu == cv
+        once = inside & (self.rows < self.cols)
+        loops = (np.bincount(community, self.loops, minlength=n_next)
+                 + np.bincount(cu[once], self.weights[once], minlength=n_next))
+        between = ~inside
+        return _Level(*_sum_duplicates(cu[between].astype(np.int64) * n_next + cv[between],
+                                       self.weights[between], n_next),
+                      loops=loops,
+                      strength=np.bincount(community, self.strength, minlength=n_next))
+
+    def modularity(self, community: np.ndarray, total: float) -> float:
+        """Q = sum_c [e_c/m - (d_c/2m)^2] of dense ids, as ``modularity()``."""
+        cu = community[self.rows]
+        inside = cu == community[self.cols]
+        degree = np.bincount(community, self.strength)
+        intra = (np.bincount(cu[inside], self.weights[inside], minlength=degree.size) / 2.0
+                 + np.bincount(community, self.loops))
+        return float(np.sum(intra / total - (degree / (2.0 * total)) ** 2))
+
+
+def _move_nodes(
+    neighbors: list[list[int]],
+    weights: list[list[float]],
     strength: list[float],
     total_weight: float,
     community: list[int],
-    order: np.ndarray,
+    order: list[int],
     resolution: float,
 ) -> bool:
-    """Greedy single-node moves until stable; True if anything moved.
+    """Greedy single-node moves driven by a queue; True if anything moved.
 
-    A node moves to the neighboring community with the best modularity
-    gain; ties keep the current community, then prefer the smallest
-    community id, which pins the outcome for a fixed visit order.
+    Every node starts queued, in ``order``. A node moves to the neighboring
+    community with the best modularity gain; ties keep the current
+    community, then prefer the smallest community id, which pins the
+    outcome for a fixed visit order. When a node moves, its neighbors
+    outside its new community are queued again (if not queued already), so
+    the loop ends when a visit of every queued node moves nothing.
     """
-    sigma: Counter[int] = Counter()
+    n = len(community)
+    sigma = [0.0] * n
     for node, c in enumerate(community):
         sigma[c] += strength[node]
+    links = [0.0] * n  # link weight from the visited node to each community
 
     two_w = 2.0 * total_weight
-    moved_any = False
-    while True:
-        moved = False
-        for node in order:
-            node = int(node)
-            home = community[node]
-            links: dict[int, float] = {}
-            for neighbor, w in adjacency[node]:
-                if neighbor != node:
-                    c = community[neighbor]
-                    links[c] = links.get(c, 0.0) + w
-            sigma[home] -= strength[node]
-            best_c = home
-            best_gain = (
-                links.get(home, 0.0)
-                - resolution * strength[node] * sigma[home] / two_w
-            )
-            for c in sorted(links):
-                if c == home:
-                    continue
-                gain = links[c] - resolution * strength[node] * sigma[c] / two_w
+    queue = deque(order)
+    queued = [True] * n
+    moved = False
+    while queue:
+        node = queue.popleft()
+        queued[node] = False
+        home = community[node]
+        touched = []
+        node_neighbors = neighbors[node]
+        for neighbor, w in zip(node_neighbors, weights[node]):
+            c = community[neighbor]
+            if links[c] == 0.0:
+                touched.append(c)  # repeats are harmless
+            links[c] += w
+        k = resolution * strength[node]
+        sigma[home] -= strength[node]
+        best_c = home
+        best_gain = links[home] - k * sigma[home] / two_w
+        touched.sort()
+        for c in touched:
+            if c != home:
+                gain = links[c] - k * sigma[c] / two_w
                 if gain > best_gain + _GAIN_EPS:
                     best_gain = gain
                     best_c = c
-            sigma[best_c] += strength[node]
-            if best_c != home:
-                community[node] = best_c
-                moved = True
-                moved_any = True
+            links[c] = 0.0
+        sigma[best_c] += strength[node]
+        if best_c != home:
+            community[node] = best_c
+            moved = True
+            for neighbor in node_neighbors:
+                if not queued[neighbor] and community[neighbor] != best_c:
+                    queued[neighbor] = True
+                    queue.append(neighbor)
+    return moved
+
+
+def _edge_arrays(graph: InteractionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint ids (int32, in ``graph.nodes`` order) and weights per edge."""
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    ends = np.fromiter((index[node] for edge in graph.edges for node in edge),
+                       dtype=np.int32, count=2 * graph.m)
+    return ends[0::2], ends[1::2], np.asarray(graph.weights, dtype=np.float64)
+
+
+def _dense(community) -> np.ndarray:
+    """Community ids renumbered 0..k-1, keeping their order."""
+    return np.unique(community, return_inverse=True)[1].astype(np.int32)
+
+
+def _communities(
+    base: _Level, total: float, rng: np.random.Generator, resolution: float
+) -> np.ndarray:
+    """Dense community id per base node, from the move/aggregate cycle.
+
+    The cycle restarts from the base level until a local-moving pass over
+    base nodes, which starts with every node queued, moves none; so the
+    result is stable under every single-node move.
+    """
+    base_neighbors, base_weights = base.neighbor_lists()
+    base_strength = base.strength.tolist()
+    membership = np.arange(base.n, dtype=np.int32)
+    while True:
+        community = membership.tolist()
+        moved = _move_nodes(base_neighbors, base_weights, base_strength, total,
+                            community, rng.permutation(base.n).tolist(), resolution)
+        membership = _dense(community)
         if not moved:
-            break
-    return moved_any
+            return membership
 
-
-def _densify(community: list[int]) -> list[int]:
-    remap = {c: i for i, c in enumerate(sorted(set(community)))}
-    return [remap[c] for c in community]
-
-
-def _aggregate(
-    adjacency: list[list[tuple[int, float]]],
-    self_weight: list[float],
-    community: list[int],
-) -> tuple[list[list[tuple[int, float]]], list[float], list[float]]:
-    """Collapse communities into supernodes, keeping internal weight as loops."""
-    n_next = max(community) + 1
-    loops = [0.0] * n_next
-    between: list[dict[int, float]] = [dict() for _ in range(n_next)]
-    for node, neighbors in enumerate(adjacency):
-        cu = community[node]
-        loops[cu] += self_weight[node]
-        for neighbor, w in neighbors:
-            if neighbor == node:
-                continue
-            cv = community[neighbor]
-            if cv == cu:
-                if neighbor > node:
-                    loops[cu] += w
-            else:
-                between[cu][cv] = between[cu].get(cv, 0.0) + w
-    new_adjacency = [sorted(links.items()) for links in between]
-    new_strength = [
-        sum(w for _, w in new_adjacency[c]) + 2.0 * loops[c] for c in range(n_next)
-    ]
-    return new_adjacency, loops, new_strength
+        level = base.aggregate(membership)
+        while True:
+            agg_community = list(range(level.n))
+            moved_agg = _move_nodes(
+                *level.neighbor_lists(), level.strength.tolist(), total,
+                agg_community, rng.permutation(level.n).tolist(), resolution,
+            )
+            if not moved_agg:
+                break
+            agg = _dense(agg_community)
+            membership = agg[membership]
+            level = level.aggregate(agg)
 
 
 def louvain(
@@ -265,62 +379,27 @@ def louvain(
 ) -> Partition:
     """Seeded modularity maximization; community ids ordered by size.
 
-    The move/aggregate cycle restarts from the original graph until a full
-    local-moving sweep over original nodes finds nothing to improve.
+    The move/aggregate cycle restarts from the original graph until a
+    local-moving pass over original nodes finds nothing to improve.
     Community ids are dense, ordered by decreasing size with ties going to
     the community holding the lexicographically smallest node.
     """
     if graph.m == 0:
         raise GraphError("cannot detect communities in an empty graph")
 
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    n = len(graph.nodes)
-    base_adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (a, b), w in zip(graph.edges, graph.weights):
-        ia, ib = index[a], index[b]
-        base_adjacency[ia].append((ib, w))
-        base_adjacency[ib].append((ia, w))
-    base_adjacency = [sorted(neighbors) for neighbors in base_adjacency]
-    base_self = [0.0] * n
-    base_strength = [sum(w for _, w in neighbors) for neighbors in base_adjacency]
+    base = _Level.from_edges(*_edge_arrays(graph), len(graph.nodes))
     total = graph.total_weight()
-
     rng = np.random.default_rng((rng_seed & _SEED_MASK, _LOUVAIN_STREAM))
-    membership = list(range(n))
-
-    while True:
-        community = _densify(membership)
-        moved = _local_moving(
-            base_adjacency, base_strength, total, community,
-            rng.permutation(n), resolution,
-        )
-        membership = _densify(community)
-        if not moved:
-            break
-
-        adjacency, self_w, strength = _aggregate(base_adjacency, base_self, membership)
-        while True:
-            agg_community = list(range(len(adjacency)))
-            moved_agg = _local_moving(
-                adjacency, strength, total, agg_community,
-                rng.permutation(len(adjacency)), resolution,
-            )
-            if not moved_agg:
-                break
-            agg_community = _densify(agg_community)
-            membership = [agg_community[c] for c in membership]
-            adjacency, self_w, strength = _aggregate(adjacency, self_w, agg_community)
+    membership = _communities(base, total, rng, resolution)
 
     # final ids: decreasing size, ties to the community with the smallest node
-    groups: dict[int, list[int]] = {}
-    for node, c in enumerate(membership):
-        groups.setdefault(c, []).append(node)
-    ranked = sorted(groups.items(), key=lambda item: (-len(item[1]), min(item[1])))
-    relabel = {old: new for new, (old, _) in enumerate(ranked)}
-
-    assignment = {node: relabel[membership[i]] for node, i in index.items()}
-    return Partition(assignment=assignment,
-                     modularity_q=modularity(graph, assignment))
+    sizes = np.bincount(membership)
+    first = np.unique(membership, return_index=True)[1]
+    relabel = np.empty_like(sizes)
+    relabel[np.lexsort((first, -sizes))] = np.arange(sizes.size)
+    final = relabel[membership]
+    return Partition(assignment=dict(zip(graph.nodes, final.tolist())),
+                     modularity_q=base.modularity(final, total))
 
 
 @dataclass(frozen=True)

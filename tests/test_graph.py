@@ -1,12 +1,12 @@
 """Tests for interaction graphs, modularity, Louvain, and community labels."""
 
-import itertools
+import dataclasses
 import math
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polistance.corpus import Tweet
@@ -23,6 +23,7 @@ from polistance.graph import (
     write_edges,
     write_partition,
 )
+from polistance.graph import _edge_arrays, _Level
 from polistance.synth import planted_partition_graph
 
 UTC = timezone.utc
@@ -65,6 +66,28 @@ def oracle_q(graph: InteractionGraph, assignment) -> float:
             if assignment[nodes[i]] == assignment[nodes[j]]:
                 q += A[i, j] - k[i] * k[j] / two_m
     return q / two_m
+
+
+def planted(seed, sizes, p_in, p_out, weighted=False):
+    """A planted-partition graph; ``weighted`` gives integer weights 1-4,
+    like the event counts of ``build_interaction_graph(weighted=True)``."""
+    graph, blocks = planted_partition_graph(sizes, p_in, p_out, rng_seed=seed)
+    if weighted:
+        counts = np.random.default_rng(seed).integers(1, 5, graph.m)
+        graph = dataclasses.replace(graph, weights=tuple(map(float, counts)))
+    return graph, blocks
+
+
+def assert_single_move_local_maximum(graph, part):
+    """No node moves to another community, or a fresh one, and raises Q."""
+    q0 = modularity(graph, part.assignment)
+    fresh = max(part.assignment.values()) + 1
+    targets = set(part.assignment.values()) | {fresh}
+    for node in graph.nodes:
+        for target in targets - {part.assignment[node]}:
+            moved = dict(part.assignment)
+            moved[node] = target
+            assert modularity(graph, moved) <= q0 + 1e-9, (node, target)
 
 
 def set_partitions(items):
@@ -192,18 +215,21 @@ class TestLouvain:
 
     def test_result_is_a_single_move_local_maximum(self):
         graph, _ = planted_partition_graph([20, 20, 20], 0.35, 0.03, rng_seed=11)
-        part = louvain(graph, rng_seed=11)
-        q0 = part.modularity_q
-        fresh = max(part.assignment.values()) + 1
-        candidates = set(part.assignment.values()) | {fresh}
-        for node in graph.nodes:
-            original = part.assignment[node]
-            for target in candidates:
-                if target == original:
-                    continue
-                moved = dict(part.assignment)
-                moved[node] = target
-                assert modularity(graph, moved) <= q0 + 1e-9
+        assert_single_move_local_maximum(graph, louvain(graph, rng_seed=11))
+
+    @given(seed=st.integers(0, 10_000),
+           sizes=st.lists(st.integers(2, 8), min_size=1, max_size=4),
+           weighted=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_planted_graphs_exact_q_stable_and_reproducible(self, seed, sizes, weighted):
+        graph, _ = planted(seed, sizes, 0.6, 0.1, weighted)
+        assume(graph.m > 0)
+        part = louvain(graph, rng_seed=seed)
+        assert abs(part.modularity_q - modularity(graph, part.assignment)) <= 1e-12
+        assert_single_move_local_maximum(graph, part)
+        sizes_by_id = [part.sizes()[c] for c in range(part.n_communities)]
+        assert sizes_by_id == sorted(sizes_by_id, reverse=True)
+        assert louvain(graph, rng_seed=seed) == part
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):
@@ -213,6 +239,52 @@ class TestLouvain:
         part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
         assert part.modularity_q == modularity(BRIDGE, BRIDGE_SPLIT)
         assert part.n_communities == 2
+
+
+def aggregate(graph, membership):
+    base = _Level.from_edges(*_edge_arrays(graph), len(graph.nodes))
+    return base.aggregate(np.asarray(membership))
+
+
+def singleton_q(level, total):
+    """Q of the aggregated graph with every supernode its own community."""
+    return sum(loop / total - (strength / (2.0 * total)) ** 2
+               for loop, strength in zip(level.loops, level.strength))
+
+
+class TestAggregation:
+    """Collapsing a partition into supernodes must keep its modularity."""
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 6),
+           weighted=st.booleans(), n_loops=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_singleton_q_equals_base_q(self, seed, k, weighted, n_loops):
+        graph, _ = planted(seed, [6, 5, 4], 0.5, 0.2, weighted)
+        rng = np.random.default_rng(seed)
+        looped = [graph.nodes[i] for i in rng.choice(len(graph.nodes), n_loops)]
+        edges = graph.edges + tuple((v, v) for v in looped)
+        graph = InteractionGraph(nodes=graph.nodes, edges=edges,
+                                 weights=graph.weights + (2.0,) * n_loops)
+        assume(graph.m > 0)
+        membership = np.unique(rng.integers(0, k, len(graph.nodes)),
+                               return_inverse=True)[1]
+        level = aggregate(graph, membership)
+        assignment = dict(zip(graph.nodes, membership.tolist()))
+        assert singleton_q(level, graph.total_weight()) == pytest.approx(
+            modularity(graph, assignment), abs=1e-12)
+        assert not np.any(level.rows == level.cols)
+        between = np.bincount(level.rows, level.weights, minlength=level.n)
+        np.testing.assert_allclose(level.strength, 2.0 * level.loops + between)
+
+    @pytest.mark.parametrize("merge_blocks", [False, True])
+    def test_every_edge_inside_one_community(self, merge_blocks):
+        graph, blocks = planted_partition_graph([5, 4, 3], 0.8, 0.0, rng_seed=1)
+        assignment = {v: 0 if merge_blocks else blocks[v] for v in graph.nodes}
+        level = aggregate(graph, [assignment[v] for v in graph.nodes])
+        assert level.rows.size == 0
+        assert level.n == (1 if merge_blocks else 3)
+        assert singleton_q(level, graph.total_weight()) == pytest.approx(
+            modularity(graph, assignment), abs=1e-12)
 
 
 def tweet(tid, author, text="hello", retweet_of=None, mentions=()):

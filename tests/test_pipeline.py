@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polistance
 from polistance.corpus import Stoplist, parse_corpus, tokenize
 from polistance.features import build_text_matrix
 from polistance.forest import cross_validate
@@ -49,6 +53,23 @@ def base_config(small_inputs, out_dir, **kwargs):
         out_dir=str(out_dir),
         **kwargs,
     )
+
+
+def test_imports_and_louvain_load_neither_scipy_nor_numpy_ma():
+    """Every run's peak memory includes its imports: ``scipy.sparse`` alone
+    adds about 16 MiB, ``numpy.ma`` about 1 MiB."""
+    code = (
+        "import sys, polistance.pipeline, polistance.cli\n"
+        "from polistance.graph import louvain\n"
+        "from polistance.synth import planted_partition_graph\n"
+        "louvain(planted_partition_graph([6, 6], 0.8, 0.1)[0])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.partition('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(polistance.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 class TestRunConfig:
