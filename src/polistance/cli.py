@@ -43,24 +43,16 @@ from .corpus import (
     parse_corpus,
     write_corpus,
 )
-from .features import (
-    FEATURE_NAMES,
-    FeatureError,
-    build_hashtag_matrix,
-    build_text_matrix,
-    default_lexicon,
-    user_feature_vector,
-    write_matrix,
-)
-from .corpus import Stoplist, tokenize
+from .features import FEATURE_NAMES, FeatureError, default_lexicon, write_matrix
 from .forest import ForestError
 from .graph import GraphError, build_interaction_graph, louvain, write_edges, write_partition
-from .metrics import MetricsError, eval_metrics
+from .metrics import MetricsError
 from .pipeline import (
     ConfigError,
     PipelineError,
     RunResult,
     emit_report,
+    featurize,
     load_config,
     render_table,
     run,
@@ -94,19 +86,24 @@ def parse_tz(text: str) -> int:
     return -value if sign == "-" else value
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="json run configuration")
-    common.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="rng seed override")
-    common.add_argument("--tz", default=None, metavar="+05:30",
-                        help="utc offset for local-time bucketing")
-    common.add_argument("--out", default=None, metavar="DIR",
-                        help="output directory")
-    common.add_argument("--strict", action="store_true",
-                        help="treat malformed corpus lines as errors")
-    return common
+# flags shared by several subcommands; each subcommand names the ones it reads
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="json run configuration"),
+    "--seed": dict(type=int, default=None, metavar="N", help="rng seed"),
+    "--tz": dict(default=None, metavar="+05:30",
+                 help="utc offset for local-time bucketing"),
+    "--strict": dict(action="store_true",
+                     help="treat malformed corpus lines as errors"),
+}
+
+
+def _add_command(sub, name: str, func, help: str, flags: Sequence[str] = ()):
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--out", default=None, metavar="DIR", help="output directory")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def _out_dir(args, default: str = ".") -> Path:
@@ -152,42 +149,21 @@ def _cmd_featurize(args) -> int:
     strictness = "strict" if args.strict else "skip-malformed"
     tweets, profiles, _ = parse_corpus(args.corpus, strictness=strictness)
     out = _out_dir(args)
+    features = featurize(args.method, tweets, profiles, default_lexicon())
     if args.method == "user-features":
-        lexicon = default_lexicon()
-        stoplist = Stoplist.default()
-        by_user = {}
-        for tweet in tweets:
-            by_user.setdefault(tweet.author_screen_name, []).append(tweet)
         path = out / "features.csv"
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["user_id"] + list(FEATURE_NAMES))
-            for profile in sorted(profiles, key=lambda p: p.screen_name):
-                vector = user_feature_vector(
-                    profile, by_user.get(profile.screen_name, []),
-                    lexicon, stoplist,
-                )
-                writer.writerow([profile.screen_name] + list(vector.as_tuple()))
-        print(f"wrote {path} ({len(profiles)} users x {len(FEATURE_NAMES)})")
+            for name, vector in features.items():
+                writer.writerow([name] + list(vector.as_tuple()))
+        print(f"wrote {path} ({len(features)} users x {len(FEATURE_NAMES)})")
         return 0
 
-    term_lists: dict[str, list[str]] = {}
-    stoplist = Stoplist.default()
-    for tweet in tweets:
-        bag = term_lists.setdefault(tweet.author_screen_name, [])
-        if args.method == "text":
-            bag.extend(tokenize(tweet.text, stoplist))
-        else:
-            bag.extend(tweet.hashtags)
-    builder = build_text_matrix if args.method == "text" else build_hashtag_matrix
-    matrix = builder(term_lists, on_empty="drop")
-    write_matrix(
-        matrix,
-        out / "matrix.triplets",
-        out / "vocabulary.tsv",
-        out / "users.txt",
-    )
-    print(f"wrote matrix {matrix.shape[0]} users x {matrix.shape[1]} terms in {out}")
+    write_matrix(features, out / "matrix.triplets", out / "vocabulary.tsv",
+                 out / "users.txt")
+    rows, terms = features.shape
+    print(f"wrote matrix {rows} users x {terms} terms in {out}")
     return 0
 
 
@@ -195,15 +171,13 @@ def _config_overrides(args) -> dict:
     overrides: dict = {}
     if args.seed is not None:
         overrides["rng_seed"] = args.seed
-    if args.tz is not None:
-        overrides["tz_offset_minutes"] = parse_tz(args.tz)
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.strict:
         overrides["strictness"] = "strict"
-    if getattr(args, "method", None):
+    if args.method is not None:
         overrides["method"] = args.method
-    if getattr(args, "dimension", None):
+    if args.dimension is not None:
         overrides["dimension"] = args.dimension
     return overrides
 
@@ -299,27 +273,9 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     try:
         payload = json.loads(Path(args.results).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad utf-8 or bad json
         raise ConfigError(f"results file is not valid json: {exc}") from exc
-    try:
-        report = eval_metrics(
-            [[int(cell) for cell in row] for row in payload["confusion"]],
-            tuple(payload["classes"]),
-        )
-        result = RunResult(
-            method=payload["method"],
-            dimension=payload["dimension"],
-            report=report,
-            n_instances=payload["instances"],
-            n_attributes=payload["attributes"],
-            classifier=payload["classifier"],
-            config_digest=payload["config"],
-            rng_seed=payload["seed"],
-            coverage=payload.get("coverage"),
-            counts=payload.get("counts"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"results file misses key {exc}") from exc
+    result = RunResult.from_structured(payload)
     if args.format == "table":
         sys.stdout.write(render_table(result))
     if args.out is not None:
@@ -333,46 +289,41 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polistance",
         description="Political-orientation experiments on tweet corpora.",
     )
-    common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="parse and normalize a corpus")
+    p = _add_command(sub, "ingest", _cmd_ingest, "parse and normalize a corpus",
+                     ["--strict"])
     p.add_argument("corpus")
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("agree", parents=[common],
-                       help="annotator agreement and majority labels")
+    p = _add_command(sub, "agree", _cmd_agree,
+                     "annotator agreement and majority labels")
     p.add_argument("annotations")
-    p.set_defaults(func=_cmd_agree)
 
-    p = sub.add_parser("featurize", parents=[common],
-                       help="build feature matrices")
+    p = _add_command(sub, "featurize", _cmd_featurize, "build feature matrices",
+                     ["--strict"])
     p.add_argument("corpus")
     p.add_argument("--method", default="text",
                    choices=["text", "hashtag", "user-features"])
-    p.set_defaults(func=_cmd_featurize)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="run a configured experiment end to end")
+    p = _add_command(sub, "classify", _cmd_classify,
+                     "run a configured experiment end to end",
+                     ["--config", "--seed", "--strict"])
     p.add_argument("--method", default=None,
                    choices=["text", "hashtag", "user-features", "network"])
     p.add_argument("--dimension", default=None, choices=["pro", "anti"])
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("graph", parents=[common],
-                       help="interaction graph and communities")
+    p = _add_command(sub, "graph", _cmd_graph, "interaction graph and communities",
+                     ["--seed", "--strict"])
     p.add_argument("corpus")
     p.add_argument("--weighted", action="store_true")
-    p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="volume, day-hour, hashtag, and mention stats")
+    p = _add_command(sub, "analyze", _cmd_analyze,
+                     "volume, day-hour, hashtag, and mention stats",
+                     ["--tz", "--strict"])
     p.add_argument("corpus")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic labeled corpus")
+    p = _add_command(sub, "synth", _cmd_synth, "generate a synthetic labeled corpus",
+                     ["--seed"])
     p.add_argument("--preset", default="default",
                    choices=["default", "skewed"])
     p.add_argument("--users", type=int, default=40,
@@ -382,14 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-intra", type=float, default=0.3, dest="p_intra")
     p.add_argument("--p-cross", type=float, default=0.02, dest="p_cross")
     p.add_argument("--noise", type=float, default=0.1)
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="re-render a structured results file")
+    p = _add_command(sub, "report", _cmd_report, "re-render a structured results file")
     p.add_argument("results")
     p.add_argument("--format", default="table",
                    choices=["table", "structured"])
-    p.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -90,15 +90,8 @@ class FeatureMatrix:
     rows: tuple[Mapping[int, float], ...]
 
     @property
-    def user_count(self) -> int:
-        return len(self.user_ids)
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (len(self.user_ids), len(self.vocabulary))
-
-    def term_index(self) -> dict[str, int]:
-        return {entry.term: i for i, entry in enumerate(self.vocabulary)}
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)

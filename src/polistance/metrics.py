@@ -46,15 +46,6 @@ class EvalReport:
     def total(self) -> int:
         return sum(sum(row) for row in self.confusion)
 
-    def confusion_array(self) -> np.ndarray:
-        return np.array(self.confusion, dtype=np.int64)
-
-    def per_class(self) -> dict[str, tuple[float, float, float]]:
-        return {
-            cls: (self.precision[i], self.recall[i], self.f_measures[i])
-            for i, cls in enumerate(self.classes)
-        }
-
 
 def eval_metrics(
     confusion: Sequence[Sequence[int]] | np.ndarray,

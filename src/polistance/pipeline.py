@@ -19,14 +19,17 @@ import numpy as np
 
 from . import __version__
 from .annotation import CANT_SAY, read_annotations, resolve_majority
-from .corpus import Stoplist, Tweet, canonical_dumps, parse_corpus, tokenize
+from .corpus import Stoplist, Tweet, UserProfile, canonical_dumps, parse_corpus, tokenize
 from .features import (
+    FeatureMatrix,
     PartyLexicon,
+    UserFeatureVector,
+    build_hashtag_matrix,
+    build_text_matrix,
     default_lexicon,
     user_feature_vector,
     write_matrix,
 )
-from .features import build_hashtag_matrix, build_text_matrix
 from .forest import CV_MODES, ForestParams, balance_classes, cross_validate
 from .graph import (
     build_interaction_graph,
@@ -36,7 +39,7 @@ from .graph import (
     write_edges,
     write_partition,
 )
-from .metrics import EvalReport
+from .metrics import EvalReport, MetricsError, eval_metrics
 
 __all__ = [
     "METHODS",
@@ -47,6 +50,7 @@ __all__ = [
     "RunResult",
     "config_hash",
     "emit_report",
+    "featurize",
     "load_config",
     "render_table",
     "run",
@@ -56,6 +60,8 @@ METHODS = ("text", "hashtag", "user-features", "network")
 DIMENSIONS = ("pro", "anti")
 
 _REQUIRED_KEYS = ("corpus_path", "annotations_path", "out_dir")
+_RESULT_KEYS = ("method", "dimension", "instances", "attributes", "classifier",
+                "classes", "confusion", "config", "seed")
 
 
 class ConfigError(ValueError):
@@ -89,7 +95,6 @@ class RunConfig:
     cv_k: int = 10
     balance: bool = False
     rng_seed: int = 0
-    tz_offset_minutes: int = 330
     strictness: str = "skip-malformed"
 
     def __post_init__(self) -> None:
@@ -169,6 +174,50 @@ class RunResult:
     rng_seed: int
     coverage: float | None = None
     counts: Mapping[str, int] | None = None
+
+    @classmethod
+    def from_structured(cls, payload: object) -> "RunResult":
+        """Rebuild a result from parsed ``render_structured`` output.
+
+        Scores are recomputed from the confusion matrix, so re-rendering
+        gives the same bytes. A payload of any other shape raises
+        ConfigError.
+        """
+        if not isinstance(payload, dict):
+            raise ConfigError("results file must hold a json object")
+        missing = [key for key in _RESULT_KEYS if key not in payload]
+        if missing:
+            raise ConfigError(f"results file misses keys: {', '.join(missing)}")
+        confusion, classes = payload["confusion"], payload["classes"]
+        if not isinstance(confusion, list) or not all(
+            isinstance(row, list) and len(row) == len(confusion)
+            and all(type(cell) is int for cell in row)
+            for row in confusion
+        ):
+            raise ConfigError("results confusion must be a square matrix of integers")
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise ConfigError("results classes must be a list of strings")
+        coverage, counts = payload.get("coverage"), payload.get("counts")
+        if coverage is not None and type(coverage) not in (int, float):
+            raise ConfigError("results coverage must be a number or null")
+        if counts is not None and not isinstance(counts, dict):
+            raise ConfigError("results counts must be an object or null")
+        try:
+            report = eval_metrics(confusion, classes)
+        except MetricsError as exc:
+            raise ConfigError(f"results confusion: {exc}") from exc
+        return cls(
+            method=payload["method"],
+            dimension=payload["dimension"],
+            report=report,
+            n_instances=payload["instances"],
+            n_attributes=payload["attributes"],
+            classifier=payload["classifier"],
+            config_digest=payload["config"],
+            rng_seed=payload["seed"],
+            coverage=coverage,
+            counts=counts,
+        )
 
 
 def render_table(result: RunResult) -> str:
@@ -254,12 +303,44 @@ def _truth_map(annotations, dimension: str) -> dict[str, str]:
     return out
 
 
+def featurize(
+    method: str,
+    tweets: list[Tweet],
+    profiles: list[UserProfile],
+    lexicon: PartyLexicon,
+) -> FeatureMatrix | dict[str, UserFeatureVector]:
+    """Features of one forest method, over tweets grouped once by author.
+
+    ``text`` and ``hashtag`` give the TF-IDF matrix of every author with at
+    least one term (users with none are dropped). ``user-features`` gives
+    one vector per profile, keyed by screen name in sorted order; the
+    lexicon is read only there. Tokens use the default stoplist.
+    """
+    by_user: dict[str, list[Tweet]] = {}
+    for tweet in tweets:
+        by_user.setdefault(tweet.author_screen_name, []).append(tweet)
+    stoplist = Stoplist.default()
+    if method == "user-features":
+        return {
+            profile.screen_name: user_feature_vector(
+                profile, by_user.get(profile.screen_name, []), lexicon, stoplist
+            )
+            for profile in sorted(profiles, key=lambda p: p.screen_name)
+        }
+    if method not in ("text", "hashtag"):
+        raise ConfigError(f"featurize takes text, hashtag or user-features, not {method!r}")
+    text = method == "text"
+    bags = {
+        user: [term for tweet in own
+               for term in (tokenize(tweet.text, stoplist) if text else tweet.hashtags)]
+        for user, own in by_user.items()
+    }
+    return (build_text_matrix if text else build_hashtag_matrix)(bags, on_empty="drop")
+
+
 def _rows_for_users(matrix, truth: Mapping[str, str]):
     keep = [i for i, uid in enumerate(matrix.user_ids) if uid in truth]
-    dense = np.asarray(matrix.dense(), dtype=float)
-    rows = dense[keep]
-    labels = [truth[matrix.user_ids[i]] for i in keep]
-    return rows, labels
+    return matrix.dense()[keep], [truth[matrix.user_ids[i]] for i in keep]
 
 
 def _sha256(path: Path) -> str:
@@ -343,40 +424,15 @@ def run(config: RunConfig) -> RunResult:
         else:
             stage = "featurize"
             t0 = time.perf_counter()
-            stoplist = Stoplist.default()
             if config.method == "user-features":
-                by_user: dict[str, list[Tweet]] = {}
-                for tweet in tweets:
-                    by_user.setdefault(tweet.author_screen_name, []).append(tweet)
-                vectors = []
-                labels = []
-                for profile in sorted(profiles, key=lambda p: p.screen_name):
-                    if profile.screen_name not in truth:
-                        continue
-                    vector = user_feature_vector(
-                        profile,
-                        by_user.get(profile.screen_name, []),
-                        lexicon,
-                        stoplist,
-                    )
-                    vectors.append(vector.as_array())
-                    labels.append(truth[profile.screen_name])
+                labelled = [p for p in profiles if p.screen_name in truth]
+                vectors = featurize(config.method, tweets, labelled, lexicon)
                 if not vectors:
                     raise ConfigError("no profiled user carries a label")
-                rows = np.array(vectors, dtype=float)
-                n_attributes = rows.shape[1]
+                rows = np.array([v.as_array() for v in vectors.values()], dtype=float)
+                labels = [truth[name] for name in vectors]
             else:
-                term_lists: dict[str, list[str]] = {}
-                for tweet in tweets:
-                    bag = term_lists.setdefault(tweet.author_screen_name, [])
-                    if config.method == "text":
-                        bag.extend(tokenize(tweet.text, stoplist))
-                    else:
-                        bag.extend(tweet.hashtags)
-                if config.method == "text":
-                    matrix = build_text_matrix(term_lists, on_empty="drop")
-                else:
-                    matrix = build_hashtag_matrix(term_lists, on_empty="drop")
+                matrix = featurize(config.method, tweets, profiles, lexicon)
                 write_matrix(
                     matrix,
                     track(out / "matrix.triplets"),
@@ -386,7 +442,7 @@ def run(config: RunConfig) -> RunResult:
                 rows, labels = _rows_for_users(matrix, truth)
                 if len(labels) == 0:
                     raise ConfigError("no matrix user carries a label")
-                n_attributes = matrix.shape[1]
+            n_attributes = rows.shape[1]
             timings.append(("featurize", time.perf_counter() - t0))
 
             stage = "classify"

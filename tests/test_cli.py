@@ -23,6 +23,18 @@ def workspace(tmp_path_factory):
     return root
 
 
+MATRIX_FILES = ("matrix.triplets", "vocabulary.tsv", "users.txt")
+
+# a structured results file as render_structured writes it (scores omitted:
+# the report parser recomputes them from the confusion matrix)
+GOOD_RESULTS = {
+    "method": "text", "dimension": "pro", "instances": 6, "attributes": 4,
+    "classifier": "random forest (5 trees)", "classes": ["AAP", "BJP"],
+    "confusion": [[3, 0], [1, 2]], "coverage": None, "config": "c" * 64,
+    "seed": 0, "counts": {},
+}
+
+
 def corpus_of(workspace) -> str:
     return str(workspace / "data" / "corpus.jsonl")
 
@@ -82,6 +94,57 @@ class TestExitCodes:
         assert main(["ingest", str(bad), "--strict"]) == 3
         assert main(["ingest", str(bad)]) == 0  # skip-malformed shrugs
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--strict"],
+        ["synth", "--config", "run.json"],
+        ["synth", "--tz", "+01:00"],
+        ["classify", "--tz", "+00:00"],
+        ["agree", "annotations.csv", "--seed", "1"],
+        ["featurize", "corpus.jsonl", "--seed", "1"],
+        ["report", "report.json", "--strict"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        "report",
+        {"confusion": [["x"]], "classes": ["A"]},
+        {key: value for key, value in GOOD_RESULTS.items() if key != "seed"},
+        {**GOOD_RESULTS, "confusion": [[3, "0"], [1, 2]]},
+        {**GOOD_RESULTS, "confusion": [[3.0, 0], [1, 2]]},
+        {**GOOD_RESULTS, "confusion": [[3, 0], [1, True]]},
+        {**GOOD_RESULTS, "confusion": [[3, 0], [1]]},
+        {**GOOD_RESULTS, "confusion": [[3, 0, 1], [1, 2, 0]]},
+        {**GOOD_RESULTS, "confusion": [[0, 0], [0, 0]]},
+        {**GOOD_RESULTS, "confusion": [[3, -1], [1, 2]]},
+        {**GOOD_RESULTS, "confusion": "[[3, 0], [1, 2]]"},
+        {**GOOD_RESULTS, "classes": ["AAP"]},
+        {**GOOD_RESULTS, "classes": [1, 2]},
+        {**GOOD_RESULTS, "coverage": "full"},
+        {**GOOD_RESULTS, "counts": [1, 2]},
+    ])
+    def test_malformed_results_file_is_config_error(self, payload, tmp_path, capsys):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"{oops", b"\xff\xfe{}"])
+    def test_results_file_that_is_not_json_is_config_error(self, content, tmp_path,
+                                                           capsys):
+        path = tmp_path / "results.json"
+        path.write_bytes(content)
+        assert main(["report", str(path)]) == 2
+        assert "not valid json" in capsys.readouterr().err
+
+    def test_well_formed_results_file_renders(self, tmp_path, capsys):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(GOOD_RESULTS))
+        assert main(["report", str(path)]) == 0
+        assert "Efficiency: 83.33%" in capsys.readouterr().out
+
 
 class TestIngest:
     def test_counts_line(self, workspace, capsys):
@@ -114,14 +177,33 @@ class TestAgree:
 
 class TestFeaturize:
     def test_text_matrix_files(self, workspace, tmp_path, capsys):
-        out_dir = tmp_path / "feat"
-        code = main([
-            "featurize", corpus_of(workspace), "--method", "text",
-            "--out", str(out_dir),
-        ])
-        assert code == 0
-        for name in ("matrix.triplets", "vocabulary.tsv", "users.txt"):
-            assert (out_dir / name).exists()
+        for method in ("text", "hashtag"):
+            out_dir = tmp_path / method
+            code = main([
+                "featurize", corpus_of(workspace), "--method", method,
+                "--out", str(out_dir),
+            ])
+            assert code == 0
+            for name in MATRIX_FILES:
+                assert (out_dir / name).exists()
+
+    @pytest.mark.parametrize("method", ["text", "hashtag"])
+    def test_matrix_files_match_classify(self, method, workspace, tmp_path, capsys):
+        """featurize and classify share one featurize path, so one corpus
+        gives the same matrix files byte for byte."""
+        assert main(["featurize", corpus_of(workspace), "--method", method,
+                     "--out", str(tmp_path / "feat")]) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / "run"),
+            "method": method, "n_trees": 5, "cv_k": 4,
+        }))
+        assert main(["classify", "--config", str(config)]) == 0
+        for name in MATRIX_FILES:
+            assert ((tmp_path / "feat" / name).read_bytes()
+                    == (tmp_path / "run" / name).read_bytes())
 
     def test_user_features_csv(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "feat"

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polistance
 from polistance.corpus import Stoplist, parse_corpus, tokenize
-from polistance.features import build_text_matrix
+from polistance.features import build_text_matrix, default_lexicon
 from polistance.forest import cross_validate
 from polistance.metrics import eval_metrics
 from polistance.pipeline import (
@@ -22,7 +24,9 @@ from polistance.pipeline import (
     RunResult,
     config_hash,
     emit_report,
+    featurize,
     load_config,
+    render_structured,
     render_table,
     run,
 )
@@ -121,6 +125,16 @@ class TestLoadConfig:
             "classifier": "forest",
         }))
         with pytest.raises(ConfigError, match="unknown config keys"):
+            load_config(path)
+
+    def test_tz_offset_is_not_a_config_key(self, tmp_path):
+        """No stage reads a time zone, so the key would only change the digest."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "corpus_path": "a", "annotations_path": "b", "out_dir": "c",
+            "tz_offset_minutes": 330,
+        }))
+        with pytest.raises(ConfigError, match="unknown config keys: tz_offset_minutes"):
             load_config(path)
 
     def test_invalid_json(self, tmp_path):
@@ -240,6 +254,28 @@ class TestRunText:
         assert result.n_instances == 15  # three classes at the minority size
 
 
+class TestRunUserFeatures:
+    def test_user_features_use_labelled_profiles_only(self, small_inputs, tmp_path):
+        config = base_config(
+            small_inputs, tmp_path / "uf",
+            method="user-features", n_trees=15, cv_k=4, rng_seed=2,
+        )
+        result = run(config)
+
+        # the seed-account profiles carry no annotation, so they are left out
+        tweets, profiles, _ = parse_corpus(config.corpus_path)
+        vectors = featurize("user-features", tweets, profiles, default_lexicon())
+        truth = {u: u.split("_")[0].upper() for u in vectors if "_" in u}
+        assert 0 < len(truth) < len(vectors)
+        expected = cross_validate(
+            np.array([vectors[u].as_array() for u in truth]), list(truth.values()),
+            params=config.forest_params(), k=4, rng_seed=2,
+        )
+        assert result.report == expected
+        assert result.n_instances == len(truth)
+        assert result.n_attributes == 11
+
+
 class TestRunFailures:
     def test_missing_corpus_is_config_stage(self, small_inputs, tmp_path):
         config = dataclasses.replace(
@@ -324,3 +360,52 @@ class TestReportRendering:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_report(self.result_fixture(), tmp_path, "xml")
+
+
+@st.composite
+def run_results(draw):
+    size = draw(st.integers(1, 4))
+    classes = draw(st.lists(st.text("ABCDEFGHIJ_", min_size=1, max_size=6),
+                            min_size=size, max_size=size, unique=True))
+    confusion = draw(st.lists(st.lists(st.integers(0, 500), min_size=size, max_size=size),
+                              min_size=size, max_size=size)
+                     .filter(lambda rows: sum(map(sum, rows)) > 0))
+    return RunResult(
+        method=draw(st.sampled_from(["text", "hashtag", "user-features", "network"])),
+        dimension=draw(st.sampled_from(["pro", "anti"])),
+        report=eval_metrics(confusion, classes),
+        n_instances=draw(st.integers(0, 10_000)),
+        n_attributes=draw(st.integers(1, 500)),
+        classifier=draw(st.text(max_size=30)),
+        config_digest=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
+        rng_seed=draw(st.integers(0, 2**32)),
+        coverage=draw(st.none() | st.floats(0.0, 1.0)),
+        counts=draw(st.none() | st.dictionaries(st.text("abcdefgh_", min_size=1),
+                                                st.integers(0, 10**6), max_size=4)),
+    )
+
+
+class TestStructuredRoundTrip:
+    @given(result=run_results())
+    @example(result=dataclasses.replace(
+        TestReportRendering.result_fixture(), counts={"tweets": 3, "profiles": 2}))
+    @example(result=dataclasses.replace(
+        TestReportRendering.result_fixture(), coverage=0.7, counts=None))
+    @settings(max_examples=80, deadline=None)
+    def test_parse_then_render_gives_the_same_bytes(self, result):
+        text = render_structured(result)
+        again = RunResult.from_structured(json.loads(text))
+        assert render_structured(again) == text
+        assert render_table(again) == render_table(result)
+
+
+class TestFeaturize:
+    def test_user_features_are_sorted_by_screen_name(self, small_inputs):
+        tweets, profiles, _ = parse_corpus(small_inputs / "corpus.jsonl")
+        vectors = featurize("user-features", tweets, profiles[::-1], default_lexicon())
+        assert list(vectors) == sorted(p.screen_name for p in profiles)
+
+    def test_network_is_not_a_featurize_method(self, small_inputs):
+        tweets, profiles, _ = parse_corpus(small_inputs / "corpus.jsonl")
+        with pytest.raises(ConfigError, match="network"):
+            featurize("network", tweets, profiles, default_lexicon())
