@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -68,6 +68,16 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration."""
 
 
+# the types a RunConfig field may hold, keyed by its annotation
+_FIELD_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "bool": (bool,),
+}
+
+
 class PipelineError(RuntimeError):
     """A stage failed; carries the stage name and the original error."""
 
@@ -98,6 +108,14 @@ class RunConfig:
     strictness: str = "skip-malformed"
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            allowed = _FIELD_TYPES[spec.type]
+            # bool is a subclass of int, but True is not a tree count
+            if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed
+            ):
+                raise ConfigError(f"{spec.name} must be {spec.type}, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.dimension not in DIMENSIONS:
@@ -136,6 +154,10 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid json: {exc}") from exc
     if not isinstance(raw, dict):

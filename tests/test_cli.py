@@ -79,6 +79,16 @@ class TestExitCodes:
         bad.write_text("{oops")
         assert main(["classify", "--config", str(bad)]) == 2
 
+    def test_classify_with_directory_as_config(self, tmp_path, capsys):
+        assert main(["classify", "--config", str(tmp_path)]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+
+    def test_classify_with_config_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "run.json"
+        bad.write_bytes(b'{"corpus_path": "\xff"}')
+        assert main(["classify", "--config", str(bad)]) == 2
+        assert "config error: config is not UTF-8" in capsys.readouterr().err
+
     def test_classify_with_missing_corpus_path(self, tmp_path, workspace, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({

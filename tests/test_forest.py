@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polistance import forest
 from polistance.forest import (
     Forest,
     ForestError,
     ForestParams,
     Tree,
-    _best_split,
+    _best_splits,
+    _dense_ranks,
     balance_classes,
     cross_validate,
     forest_to_dict,
@@ -166,6 +168,15 @@ class TestTrain:
         for tree in forest.trees:
             assert len(tree.feature) <= 3
 
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (1e308, 1.7e308)],
+                             ids=["infinities", "sum_overflows"])
+    def test_midpoint_that_is_not_finite_still_separates(self, lo, hi):
+        # (lo + hi) / 2 is nan or inf here; the split must still send lo left
+        rows = [[lo]] * 10 + [[hi]] * 10
+        labels = ["a"] * 10 + ["b"] * 10
+        forest = train_forest(rows, labels, ForestParams(n_trees=3, max_depth=3))
+        assert predict_many(forest, rows) == labels
+
     def test_scaling_a_column_changes_no_prediction(self):
         rows, labels, _ = make_blobs(per_class=20, rng_seed=9)
         test_rows = rows[::3].copy()
@@ -177,6 +188,28 @@ class TestTrain:
         scaled_test[:, 2] *= 4.0
         rescored = predict_many(train_forest(scaled, labels, params), scaled_test)
         assert rescored == baseline
+
+
+# Before NaN was rejected, the cut between the two NaNs had a NaN threshold
+# that sent every row right, so training never ended; max_depth makes such
+# a regression fail instead of hang.
+NAN_ROWS = [[0.0], [1.0], [np.nan], [np.nan], [2.0], [3.0]]
+NAN_LABELS = ["a", "a", "b", "b", "b", "a"]
+DEPTH_CAPPED = ForestParams(n_trees=2, max_depth=4)
+
+
+class TestNaN:
+    @pytest.mark.parametrize("call", [
+        lambda: train_forest(NAN_ROWS, NAN_LABELS, DEPTH_CAPPED),
+        lambda: cross_validate(NAN_ROWS, NAN_LABELS, DEPTH_CAPPED, k=2),
+        lambda: balance_classes(NAN_ROWS, NAN_LABELS),
+        lambda: predict_many(
+            train_forest([[0.0], [1.0]], ["a", "b"], DEPTH_CAPPED), NAN_ROWS
+        ),
+    ], ids=["train_forest", "cross_validate", "balance_classes", "predict_many"])
+    def test_rows_with_nan_are_rejected(self, call):
+        with pytest.raises(ForestError, match="rows contain NaN"):
+            call()
 
 
 class TestPredict:
@@ -334,6 +367,7 @@ SPLIT_VALUES = (0.0, 1.0, 2.0, 3.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51)
 
 @st.composite
 def split_problems(draw):
+    """One matrix and 1-6 nodes of different sizes to search together."""
     n_classes = draw(st.integers(2, 4))
     n_rows = draw(st.integers(2, 10))
     d = draw(st.integers(1, 5))
@@ -346,10 +380,17 @@ def split_problems(draw):
             columns.append(draw(column))
     labels = draw(st.lists(st.integers(0, n_classes - 1),
                            min_size=n_rows, max_size=n_rows))
-    node_idx = draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=16))
-    features = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    mtry = draw(st.integers(1, d))
+    nodes = draw(st.lists(
+        st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=16),
+        min_size=1, max_size=6,
+    ))
+    features = [
+        sorted(draw(st.sets(st.integers(0, d - 1), min_size=mtry, max_size=mtry)))
+        for _ in nodes
+    ]
     min_leaf = draw(st.integers(1, 3))
-    return columns, labels, n_classes, node_idx, features, min_leaf
+    return columns, labels, n_classes, nodes, features, min_leaf
 
 
 def brute_force_split(columns, labels, n_classes, node_idx, features, min_leaf):
@@ -383,32 +424,64 @@ def brute_force_split(columns, labels, n_classes, node_idx, features, min_leaf):
     return None if best is None else (best[1], best[2])
 
 
-def vectorized_split(columns, labels, n_classes, node_idx, features, min_leaf):
+def segmented_splits(columns, labels, n_classes, nodes, features, min_leaf):
+    """All nodes through one _best_splits call, children checked per node."""
+    matrix = np.array(columns, dtype=np.float64).T
     y = np.array(labels, dtype=np.int64)
-    node = np.array(node_idx, dtype=np.int64)
-    return _best_split(
-        np.array(columns, dtype=np.float64).T,
-        np.eye(n_classes, dtype=np.int64)[y],
-        node,
-        np.array(features, dtype=np.int64),
-        np.bincount(y[node], minlength=n_classes),
-        min_leaf,
-    )
+    node_rows = [np.array(idx, dtype=np.int32) for idx in nodes]
+    counts = np.array([np.bincount(y[rows], minlength=n_classes) for rows in node_rows])
+    results = _best_splits(matrix, _dense_ranks(matrix), y, min_leaf, node_rows,
+                           np.array(features, dtype=np.int64), counts)
+    found = []
+    for rows, result in zip(node_rows, results):
+        if result is None:
+            found.append(None)
+            continue
+        feature, threshold, left, right, left_counts, right_counts = result
+        goes_left = matrix[rows, feature] <= threshold
+        assert sorted(left.tolist()) == sorted(rows[goes_left].tolist())
+        assert sorted(right.tolist()) == sorted(rows[~goes_left].tolist())
+        assert left_counts == np.bincount(y[left], minlength=n_classes).tolist()
+        assert right_counts == np.bincount(y[right], minlength=n_classes).tolist()
+        found.append((feature, threshold))
+    return found
 
 
 class TestBestSplit:
     @settings(max_examples=300, deadline=None)
     @given(split_problems())
     def test_matches_brute_force(self, problem):
-        assert vectorized_split(*problem) == brute_force_split(*problem)
+        columns, labels, n_classes, nodes, features, min_leaf = problem
+        assert segmented_splits(*problem) == [
+            brute_force_split(columns, labels, n_classes, idx, cand, min_leaf)
+            for idx, cand in zip(nodes, features)
+        ]
 
     def test_ties_prefer_smallest_feature_then_threshold(self):
         # Columns 0 and 1 are equal, and cuts at 0.5 and 2.5 score the same.
+        # The tied node comes second, after a node that splits elsewhere.
         column = [0.0, 1.0, 2.0, 3.0]
-        problem = ([column, column], [0, 1, 1, 0], 2, [0, 1, 2, 3], [0, 1], 1)
-        assert vectorized_split(*problem) == (0, 0.5)
-        assert brute_force_split(*problem) == (0, 0.5)
+        columns, labels = [column, column], [0, 1, 1, 0]
+        nodes, features = [[0, 0, 1], [0, 1, 2, 3]], [[0, 1], [0, 1]]
+        assert segmented_splits(columns, labels, 2, nodes, features, 1) == [
+            (0, 0.5), (0, 0.5),
+        ]
+        assert brute_force_split(columns, labels, 2, nodes[1], [0, 1], 1) == (0, 0.5)
 
     def test_midpoint_that_rounds_up_keeps_rows_apart(self):
-        problem = ([[1.0 + 2.0**-52, 1.0 + 2.0**-51]], [0, 1], 2, [0, 1], [0], 1)
-        assert vectorized_split(*problem) == (0, 1.0 + 2.0**-52)
+        problem = ([[1.0 + 2.0**-52, 1.0 + 2.0**-51]], [0, 1], 2, [[0, 1]], [[0]], 1)
+        assert segmented_splits(*problem) == [(0, 1.0 + 2.0**-52)]
+
+
+class TestLockstepChunks:
+    @pytest.mark.parametrize("chunk_pairs", [1, 150, 2_000])
+    def test_chunking_leaves_forest_unchanged(self, monkeypatch, chunk_pairs):
+        # 1 gives every node a chunk of its own, 150 and 2,000 split each
+        # step into several chunks of several nodes; the golden digest is
+        # the one test_golden_forest_digest pins for the default.
+        monkeypatch.setattr(forest, "_CHUNK_PAIRS", chunk_pairs)
+        rows, labels = sparse_wide()
+        grown = train_forest(rows, labels, ForestParams(n_trees=20, rng_seed=3))
+        assert forest_digest(grown) == (
+            "06b9b06f17d02ac44cdb77ed1ecfb6a952b309c99089dc52cb58070198caeb75"
+        )

@@ -76,6 +76,31 @@ def test_imports_and_louvain_load_neither_scipy_nor_numpy_ma():
     assert done.stdout.strip() == "[]"
 
 
+# one value of a wrong type per RunConfig field, and bool where int is due
+WRONG_TYPES = [
+    ("corpus_path", 3),
+    ("annotations_path", None),
+    ("out_dir", ["out"]),
+    ("lexicon_path", 1.5),
+    ("method", None),
+    ("dimension", 1),
+    ("n_trees", "many"),
+    ("n_trees", True),
+    ("n_trees", 100.0),
+    ("max_depth", "4"),
+    ("max_depth", False),
+    ("features_per_split", 2.5),
+    ("min_leaf", True),
+    ("cv_mode", 10),
+    ("cv_k", "10"),
+    ("balance", "false"),
+    ("balance", 0),
+    ("rng_seed", "3"),
+    ("rng_seed", True),
+    ("strictness", False),
+]
+
+
 class TestRunConfig:
     def test_defaults_valid(self, small_inputs, tmp_path):
         config = base_config(small_inputs, tmp_path)
@@ -96,6 +121,33 @@ class TestRunConfig:
     def test_rejects_bad_values(self, small_inputs, tmp_path, kwargs):
         with pytest.raises(ConfigError):
             base_config(small_inputs, tmp_path, **kwargs)
+
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPES)
+    def test_rejects_wrong_types_naming_the_field(self, small_inputs, tmp_path,
+                                                  field, value):
+        kwargs = {
+            "corpus_path": str(small_inputs / "corpus.jsonl"),
+            "annotations_path": str(small_inputs / "annotations.csv"),
+            "out_dir": str(tmp_path),
+            field: value,
+        }
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            RunConfig(**kwargs)
+
+    def test_every_field_has_a_wrong_type_case(self):
+        assert {name for name, _ in WRONG_TYPES} == set(RunConfig.__dataclass_fields__)
+
+    def test_json_config_with_string_flags_is_rejected(self, small_inputs, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "corpus_path": str(small_inputs / "corpus.jsonl"),
+            "annotations_path": str(small_inputs / "annotations.csv"),
+            "out_dir": str(tmp_path / "out"),
+            "balance": "false",
+        }))
+        with pytest.raises(ConfigError, match="balance must be bool"):
+            load_config(path)
 
 
 class TestLoadConfig:
