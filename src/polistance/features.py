@@ -117,21 +117,13 @@ def idf(user_count: int, term_user_count: int) -> float:
 def _build_matrix(
     term_lists: Mapping[str, Sequence[str]],
     min_user_support: int,
-    on_empty: str,
     what: str,
 ) -> FeatureMatrix:
     if min_user_support < 1:
         raise FeatureError("min_user_support must be >= 1")
-    if on_empty not in ("error", "drop"):
-        raise FeatureError(f"on_empty must be 'error' or 'drop', got {on_empty!r}")
 
-    kept: list[tuple[str, TermCounts]] = []
-    for user_id, terms in term_lists.items():
-        if len(terms) == 0:
-            if on_empty == "error":
-                raise FeatureError(f"user {user_id!r} has no {what}")
-            continue
-        kept.append((user_id, TermCounts.from_tokens(terms)))
+    kept = [(user_id, TermCounts.from_tokens(terms))
+            for user_id, terms in term_lists.items() if len(terms) > 0]
     if not kept:
         raise FeatureError(f"no users with {what}; matrix would be empty")
 
@@ -166,23 +158,21 @@ def _build_matrix(
 def build_text_matrix(
     tokenized_users: Mapping[str, Sequence[str]],
     min_user_support: int = 5,
-    on_empty: str = "error",
 ) -> FeatureMatrix:
     """TF-IDF matrix over word tokens, one row per user.
 
-    ``on_empty`` controls users with zero tokens: ``error`` raises,
-    ``drop`` silently excludes them from the matrix (and from |U|).
+    Users with zero tokens are left out of the matrix (and of |U|).
     """
-    return _build_matrix(tokenized_users, min_user_support, on_empty, "tokens")
+    return _build_matrix(tokenized_users, min_user_support, "tokens")
 
 
 def build_hashtag_matrix(
     hashtag_users: Mapping[str, Sequence[str]],
     min_user_support: int = 2,
-    on_empty: str = "error",
 ) -> FeatureMatrix:
-    """TF-IDF matrix over hashtag occurrences, one row per user."""
-    return _build_matrix(hashtag_users, min_user_support, on_empty, "hashtags")
+    """TF-IDF matrix over hashtag occurrences, one row per user; users with
+    no hashtags are left out."""
+    return _build_matrix(hashtag_users, min_user_support, "hashtags")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import Tweet
-from .metrics import EvalReport, eval_metrics
+from .metrics import EvalReport, confusion_from_pairs, eval_metrics
 
 __all__ = [
     "UNLABELED",
@@ -270,7 +270,6 @@ def _move_nodes(
     total_weight: float,
     community: list[int],
     order: list[int],
-    resolution: float,
 ) -> bool:
     """Greedy single-node moves driven by a queue; True if anything moved.
 
@@ -302,7 +301,7 @@ def _move_nodes(
             if links[c] == 0.0:
                 touched.append(c)  # repeats are harmless
             links[c] += w
-        k = resolution * strength[node]
+        k = strength[node]
         sigma[home] -= strength[node]
         best_c = home
         best_gain = links[home] - k * sigma[home] / two_w
@@ -338,9 +337,7 @@ def _dense(community) -> np.ndarray:
     return np.unique(community, return_inverse=True)[1].astype(np.int32)
 
 
-def _communities(
-    base: _Level, total: float, rng: np.random.Generator, resolution: float
-) -> np.ndarray:
+def _communities(base: _Level, total: float, rng: np.random.Generator) -> np.ndarray:
     """Dense community id per base node, from the move/aggregate cycle.
 
     The cycle restarts from the base level until a local-moving pass over
@@ -353,7 +350,7 @@ def _communities(
     while True:
         community = membership.tolist()
         moved = _move_nodes(base_neighbors, base_weights, base_strength, total,
-                            community, rng.permutation(base.n).tolist(), resolution)
+                            community, rng.permutation(base.n).tolist())
         membership = _dense(community)
         if not moved:
             return membership
@@ -363,7 +360,7 @@ def _communities(
             agg_community = list(range(level.n))
             moved_agg = _move_nodes(
                 *level.neighbor_lists(), level.strength.tolist(), total,
-                agg_community, rng.permutation(level.n).tolist(), resolution,
+                agg_community, rng.permutation(level.n).tolist(),
             )
             if not moved_agg:
                 break
@@ -372,11 +369,7 @@ def _communities(
             level = level.aggregate(agg)
 
 
-def louvain(
-    graph: InteractionGraph,
-    rng_seed: int = 0,
-    resolution: float = 1.0,
-) -> Partition:
+def louvain(graph: InteractionGraph, rng_seed: int = 0) -> Partition:
     """Seeded modularity maximization; community ids ordered by size.
 
     The move/aggregate cycle restarts from the original graph until a
@@ -390,7 +383,7 @@ def louvain(
     base = _Level.from_edges(*_edge_arrays(graph), len(graph.nodes))
     total = graph.total_weight()
     rng = np.random.default_rng((rng_seed & _SEED_MASK, _LOUVAIN_STREAM))
-    membership = _communities(base, total, rng, resolution)
+    membership = _communities(base, total, rng)
 
     # final ids: decreasing size, ties to the community with the smallest node
     sizes = np.bincount(membership)
@@ -459,7 +452,6 @@ class CommunityEval:
 
     report: EvalReport
     coverage: float
-    n_truth: int
     n_missing: int
     n_unlabeled: int
 
@@ -493,16 +485,10 @@ def community_classify(
     if not pairs:
         raise GraphError("no truth user falls in a labeled community")
 
-    classes = tuple(sorted({t for t, _ in pairs} | {p for _, p in pairs}))
-    class_index = {cls: i for i, cls in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for true_label, predicted in pairs:
-        matrix[class_index[true_label], class_index[predicted]] += 1
-
+    matrix, classes = confusion_from_pairs(*zip(*pairs))
     return CommunityEval(
         report=eval_metrics(matrix, classes),
         coverage=len(pairs) / len(truth),
-        n_truth=len(truth),
         n_missing=n_missing,
         n_unlabeled=n_unlabeled,
     )

@@ -3,8 +3,13 @@
 A run is driven by one RunConfig and writes everything into its output
 directory. Report files are a pure function of config plus input files, so
 rerunning the same config gives byte-identical reports; wall-clock timings
-go only into the manifest, which also records a sha256 per artifact. On
-failure, files written so far are removed and the failing stage is named.
+go only into the manifest, which also records a sha256 per artifact.
+
+Every stage computes in memory; only the report stage writes, once all
+have succeeded: it removes ``manifest.json`` and every name in
+``_ARTIFACTS``, writes this method's files, and writes the manifest last.
+A failed stage is named and leaves the previous run's files as they were;
+a failure while writing leaves no manifest. Other files are never touched.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ DIMENSIONS = ("pro", "anti")
 _REQUIRED_KEYS = ("corpus_path", "annotations_path", "out_dir")
 _RESULT_KEYS = ("method", "dimension", "instances", "attributes", "classifier",
                 "classes", "confusion", "config", "seed")
+# every file a run may write besides manifest.json; each run removes them all
+_ARTIFACTS = ("graph.edges", "partition.txt", "matrix.triplets", "vocabulary.tsv",
+              "users.txt", "report.txt", "report.json")
 
 
 class ConfigError(ValueError):
@@ -357,7 +365,7 @@ def featurize(
                for term in (tokenize(tweet.text, stoplist) if text else tweet.hashtags)]
         for user, own in by_user.items()
     }
-    return (build_text_matrix if text else build_hashtag_matrix)(bags, on_empty="drop")
+    return (build_text_matrix if text else build_hashtag_matrix)(bags)
 
 
 def _rows_for_users(matrix, truth: Mapping[str, str]):
@@ -371,17 +379,9 @@ def _sha256(path: Path) -> str:
 
 def run(config: RunConfig) -> RunResult:
     """Execute one configured experiment; see the module docstring."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
-    written: list[Path] = []
     timings: list[tuple[str, float]] = []
     stage = "setup"
-
-    def track(path: Path) -> Path:
-        written.append(path)
-        return path
-
     try:
         stage = "config"
         for label, path in (
@@ -426,8 +426,6 @@ def run(config: RunConfig) -> RunResult:
             partition = louvain(graph, rng_seed=config.rng_seed)
             labeling = label_communities(partition, lexicon.seed_party_map())
             evaluation = community_classify(partition, labeling, truth)
-            write_edges(graph, track(out / "graph.edges"))
-            write_partition(partition, track(out / "partition.txt"))
             timings.append(("graph", time.perf_counter() - t0))
             result = RunResult(
                 method=config.method,
@@ -455,12 +453,6 @@ def run(config: RunConfig) -> RunResult:
                 labels = [truth[name] for name in vectors]
             else:
                 matrix = featurize(config.method, tweets, profiles, lexicon)
-                write_matrix(
-                    matrix,
-                    track(out / "matrix.triplets"),
-                    track(out / "vocabulary.tsv"),
-                    track(out / "users.txt"),
-                )
                 rows, labels = _rows_for_users(matrix, truth)
                 if len(labels) == 0:
                     raise ConfigError("no matrix user carries a label")
@@ -496,13 +488,24 @@ def run(config: RunConfig) -> RunResult:
 
         stage = "report"
         t0 = time.perf_counter()
-        track(emit_report(result, out, "table"))
-        track(emit_report(result, out, "structured"))
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for name in ("manifest.json", *_ARTIFACTS):
+            (out / name).unlink(missing_ok=True)
+        if config.method == "network":
+            write_edges(graph, out / "graph.edges")
+            write_partition(partition, out / "partition.txt")
+        elif config.method != "user-features":
+            write_matrix(matrix, out / "matrix.triplets", out / "vocabulary.tsv",
+                         out / "users.txt")
+        emit_report(result, out, "table")
+        emit_report(result, out, "structured")
         timings.append(("report", time.perf_counter() - t0))
 
-        stage = "manifest"
         manifest = {
-            "artifact_hashes": {p.name: _sha256(p) for p in written},
+            "artifact_hashes": {
+                name: _sha256(out / name) for name in _ARTIFACTS if (out / name).exists()
+            },
             "config": asdict(config),
             "config_hash": digest,
             "counts": counts,
@@ -516,12 +519,5 @@ def run(config: RunConfig) -> RunResult:
             canonical_dumps(manifest) + "\n", encoding="utf-8"
         )
         return result
-    except PipelineError:
-        raise
     except Exception as exc:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
         raise PipelineError(stage, exc) from exc

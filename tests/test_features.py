@@ -121,16 +121,14 @@ class TestTextMatrix:
 
     def test_empty_user_error_and_drop(self):
         term_lists = {"u1": ["a"], "u2": []}
-        with pytest.raises(FeatureError, match="u2"):
-            build_text_matrix(term_lists, min_user_support=1)
-        matrix = build_text_matrix(term_lists, min_user_support=1, on_empty="drop")
+        matrix = build_text_matrix(term_lists, min_user_support=1)
         assert matrix.user_ids == ("u1",)
         # |U| counts kept users only
         assert matrix.vocabulary[0].idf == pytest.approx(math.log(1 / 2), abs=1e-15)
 
     def test_all_users_empty_rejected(self):
         with pytest.raises(FeatureError):
-            build_text_matrix({"u1": []}, min_user_support=1, on_empty="drop")
+            build_text_matrix({"u1": []}, min_user_support=1)
 
     @settings(max_examples=60)
     @given(

@@ -269,7 +269,7 @@ class TestRunText:
             term_lists.setdefault(t.author_screen_name, []).extend(
                 tokenize(t.text, stoplist)
             )
-        matrix = build_text_matrix(term_lists, on_empty="drop")
+        matrix = build_text_matrix(term_lists)
         truth = {u: u.split("_")[0].upper() for u in matrix.user_ids}
         keep = [i for i, u in enumerate(matrix.user_ids) if u in truth]
         rows = np.asarray(matrix.dense(), dtype=float)[keep]
@@ -353,7 +353,7 @@ class TestRunFailures:
 
     def test_failed_run_removes_partial_outputs(self, small_inputs, tmp_path):
         # cv_k exceeds the per-class user count, so classify fails after
-        # featurize already wrote the matrix files
+        # featurize has built the matrix in memory
         out = tmp_path / "partial"
         config = base_config(small_inputs, out, method="text", cv_k=10)
         with pytest.raises(PipelineError) as info:
@@ -361,6 +361,66 @@ class TestRunFailures:
         assert info.value.stage == "classify"
         assert not (out / "matrix.triplets").exists()
         assert not (out / "report.txt").exists()
+
+    @staticmethod
+    def snapshot(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_failed_rerun_leaves_the_earlier_run_byte_identical(
+        self, small_inputs, tmp_path
+    ):
+        out = tmp_path / "text"
+        run(base_config(small_inputs, out, method="text", n_trees=5, cv_k=4))
+        before = self.snapshot(out)
+        assert "matrix.triplets" in before and "manifest.json" in before
+        # 10 folds cannot be drawn from 8 users per class
+        with pytest.raises(PipelineError) as info:
+            run(base_config(small_inputs, out, method="text", n_trees=5, cv_k=10))
+        assert info.value.stage == "classify"
+        assert self.snapshot(out) == before
+
+    def test_method_change_leaves_exactly_the_manifest_files(
+        self, small_inputs, tmp_path
+    ):
+        out = tmp_path / "shared"
+        run(base_config(small_inputs, out, method="text", n_trees=5, cv_k=4))
+        run(base_config(small_inputs, out, method="network"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["artifact_hashes"]) == [
+            "graph.edges", "partition.txt", "report.json", "report.txt"]
+        assert set(self.snapshot(out)) == {*manifest["artifact_hashes"], "manifest.json"}
+
+    def test_rerun_keeps_files_it_does_not_own(self, small_inputs, tmp_path):
+        out = tmp_path / "net"
+        config = base_config(small_inputs, out, method="network")
+        run(config)
+        (out / "notes.txt").write_text("kept by hand\n")
+        run(config)
+        assert (out / "notes.txt").read_text() == "kept by hand\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "notes.txt" not in manifest["artifact_hashes"]
+
+    def test_config_failure_creates_no_out_dir(self, small_inputs, tmp_path):
+        out = tmp_path / "never"
+        config = dataclasses.replace(
+            base_config(small_inputs, out, method="network"),
+            corpus_path=str(tmp_path / "nope.jsonl"),
+        )
+        with pytest.raises(PipelineError) as info:
+            run(config)
+        assert info.value.stage == "config"
+        assert not out.exists()
+
+    def test_write_failure_leaves_no_manifest(self, small_inputs, tmp_path):
+        out = tmp_path / "net"
+        config = base_config(small_inputs, out, method="network")
+        run(config)
+        (out / "report.txt").unlink()
+        (out / "report.txt").mkdir()
+        with pytest.raises(PipelineError) as info:
+            run(config)
+        assert info.value.stage == "report"
+        assert not (out / "manifest.json").exists()
 
 
 class TestReportRendering:
