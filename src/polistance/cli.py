@@ -48,6 +48,8 @@ from .forest import ForestError
 from .graph import GraphError, build_interaction_graph, louvain, write_edges, write_partition
 from .metrics import MetricsError
 from .pipeline import (
+    DIMENSIONS,
+    METHODS,
     ConfigError,
     PipelineError,
     RunResult,
@@ -303,14 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
                      ["--strict"])
     p.add_argument("corpus")
     p.add_argument("--method", default="text",
-                   choices=["text", "hashtag", "user-features"])
+                   choices=[m for m in METHODS if m != "network"])
 
     p = _add_command(sub, "classify", _cmd_classify,
                      "run a configured experiment end to end",
                      ["--config", "--seed", "--strict"])
-    p.add_argument("--method", default=None,
-                   choices=["text", "hashtag", "user-features", "network"])
-    p.add_argument("--dimension", default=None, choices=["pro", "anti"])
+    p.add_argument("--method", default=None, choices=METHODS)
+    p.add_argument("--dimension", default=None, choices=DIMENSIONS)
 
     p = _add_command(sub, "graph", _cmd_graph, "interaction graph and communities",
                      ["--seed", "--strict"])

@@ -23,12 +23,11 @@ import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "CorpusError",
     "DEFAULT_STOPWORDS",
-    "Stoplist",
     "Tweet",
     "UserProfile",
     "canonical_dumps",
@@ -83,31 +82,6 @@ class UserProfile:
     statuses_count: int
     following: frozenset[str] = frozenset()
     location: str | None = None
-
-
-@dataclass(frozen=True)
-class Stoplist:
-    """Lowercase words removed during tokenization."""
-
-    words: frozenset[str]
-
-    @classmethod
-    def default(cls) -> "Stoplist":
-        return cls(DEFAULT_STOPWORDS)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Stoplist":
-        """Load one word per line; blank lines and ``#`` comments ignored."""
-        words = set()
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            words.add(line.lower())
-        return cls(frozenset(words))
-
-    def extended(self, extra: Iterable[str]) -> "Stoplist":
-        return Stoplist(self.words | {w.lower() for w in extra})
 
 
 def parse_rfc3339(value: str) -> datetime:
@@ -168,31 +142,22 @@ def _trim_affixes(token: str) -> str:
     return token[start:end]
 
 
-def _stop_words(stoplist: Stoplist | Iterable[str] | None) -> frozenset[str]:
-    if stoplist is None:
-        return DEFAULT_STOPWORDS
-    if isinstance(stoplist, Stoplist):
-        return stoplist.words
-    return frozenset(w.lower() for w in stoplist)
-
-
-def tokenize(text: str, stoplist: Stoplist | Iterable[str] | None = None) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Split tweet text into lowercase word tokens.
 
     Tokens are whitespace-separated. Hashtags, mentions, and URL-like tokens
     (prefix ``http`` or ``www.``) are dropped whole; remaining tokens are
-    stripped of leading/trailing punctuation, and empty or stoplisted results
-    are dropped. Unicode word characters survive, so Devanagari text
-    tokenizes like Latin text.
+    stripped of leading/trailing punctuation, and empty results and words in
+    ``DEFAULT_STOPWORDS`` are dropped. Unicode word characters survive, so
+    Devanagari text tokenizes like Latin text.
     """
-    words = _stop_words(stoplist)
     tokens = []
     for raw in text.split():
         low = raw.lower()
         if low[0] in "#@" or low.startswith(_URL_PREFIXES):
             continue
         word = _trim_affixes(low)
-        if not word or word in words or word.startswith(_URL_PREFIXES):
+        if not word or word in DEFAULT_STOPWORDS or word.startswith(_URL_PREFIXES):
             continue
         tokens.append(word)
     return tokens

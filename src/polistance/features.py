@@ -23,11 +23,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Stoplist, Tweet, UserProfile, canonical_dumps, tokenize
+from .corpus import Tweet, UserProfile, tokenize
 
 __all__ = [
     "PARTIES",
@@ -64,13 +64,8 @@ class TermCounts:
     def from_tokens(cls, tokens: Sequence[str]) -> "TermCounts":
         return cls(counts=dict(Counter(tokens)), token_total=len(tokens))
 
-    def tf(self, term: str) -> float:
-        """Normalized term frequency n_ij / token_total."""
-        if self.token_total == 0:
-            raise FeatureError("term frequency undefined for an empty token list")
-        return self.counts.get(term, 0) / self.token_total
-
     def tf_map(self) -> dict[str, float]:
+        """Normalized term frequency n_ij / token_total of each term."""
         return {term: count / self.token_total for term, count in self.counts.items()}
 
 
@@ -142,10 +137,10 @@ def _build_matrix(
     rows = []
     for _, counts in kept:
         row = {}
-        for term, count in counts.counts.items():
+        for term, tf in counts.tf_map().items():
             j = column.get(term)
             if j is not None:
-                row[j] = (count / counts.token_total) * vocabulary[j].idf
+                row[j] = tf * vocabulary[j].idf
         rows.append(row)
 
     return FeatureMatrix(
@@ -246,17 +241,6 @@ class PartyLexicon:
             )
         return cls(parties=parties)
 
-    def to_file(self, path: str | Path) -> None:
-        payload = {
-            party: {
-                "keywords": sorted(terms.keywords),
-                "hashtags": sorted(terms.hashtags),
-                "seed_accounts": sorted(terms.seed_accounts),
-            }
-            for party, terms in sorted(self.parties.items())
-        }
-        Path(path).write_text(canonical_dumps(payload) + "\n", encoding="utf-8")
-
 
 def default_lexicon() -> PartyLexicon:
     """Built-in party buckets: names, leaders, common campaign tags."""
@@ -352,7 +336,6 @@ def user_feature_vector(
     profile: UserProfile,
     tweets: Sequence[Tweet],
     lexicon: PartyLexicon,
-    stoplist: Stoplist | Iterable[str] | None = None,
 ) -> UserFeatureVector:
     """Build the 11-dimension vector for one user.
 
@@ -369,7 +352,7 @@ def user_feature_vector(
     tokens: list[str] = []
     hashtags: list[str] = []
     for tweet in tweets:
-        tokens.extend(tokenize(tweet.text, stoplist))
+        tokens.extend(tokenize(tweet.text))
         hashtags.extend(tweet.hashtags)
 
     def word_count(party: str) -> int:

@@ -23,15 +23,13 @@ and class counts from the chosen cut, so no node recounts its classes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .metrics import EvalReport, eval_metrics
+from .metrics import EvalReport, confusion_from_pairs, eval_metrics
 
 __all__ = [
     "ForestError",
@@ -40,10 +38,7 @@ __all__ = [
     "Tree",
     "balance_classes",
     "cross_validate",
-    "load_forest",
-    "predict",
     "predict_many",
-    "save_forest",
     "stratified_folds",
     "train_forest",
 ]
@@ -430,11 +425,6 @@ def predict_many(forest: Forest, rows) -> list[str]:
     return [forest.classes[i] for i in votes.argmax(axis=1)]
 
 
-def predict(forest: Forest, row) -> str:
-    """Classify a single feature vector."""
-    return predict_many(forest, np.asarray(row, dtype=np.float64).reshape(1, -1))[0]
-
-
 def balance_classes(
     rows,
     labels: Sequence[str],
@@ -535,18 +525,16 @@ def cross_validate(
     if mode not in CV_MODES:
         raise ForestError(f"mode must be one of {CV_MODES}, got {mode!r}")
 
-    classes = tuple(sorted(set(labels)))
-    class_index = {cls: i for i, cls in enumerate(classes)}
     labels = list(labels)
-    pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    truth: list[str] = []
+    predicted: list[str] = []
 
     def run_split(train_idx: np.ndarray, test_idx: np.ndarray) -> None:
         forest = train_forest(
             matrix[train_idx], [labels[i] for i in train_idx], params
         )
-        predicted = predict_many(forest, matrix[test_idx])
-        for i, guess in zip(test_idx, predicted):
-            pooled[class_index[labels[i]], class_index[guess]] += 1
+        truth.extend(labels[i] for i in test_idx)
+        predicted.extend(predict_many(forest, matrix[test_idx]))
 
     if mode == "kfold":
         for fold in stratified_folds(labels, k, rng_seed):
@@ -571,7 +559,7 @@ def cross_validate(
             run_split(np.array(sorted(train), dtype=np.int64),
                       np.array(sorted(test), dtype=np.int64))
 
-    return eval_metrics(pooled, classes)
+    return eval_metrics(*confusion_from_pairs(truth, predicted, sorted(set(labels))))
 
 
 _FORMAT_VERSION = 1
@@ -600,38 +588,3 @@ def forest_to_dict(forest: Forest) -> dict:
             for tree in forest.trees
         ],
     }
-
-
-def forest_from_dict(payload: dict) -> Forest:
-    if payload.get("format_version") != _FORMAT_VERSION:
-        raise ForestError(
-            f"unsupported model format {payload.get('format_version')!r}"
-        )
-    trees = tuple(
-        Tree(
-            feature=np.array(tree["feature"], dtype=np.int64),
-            threshold=np.array(tree["threshold"], dtype=np.float64),
-            left=np.array(tree["left"], dtype=np.int64),
-            right=np.array(tree["right"], dtype=np.int64),
-            leaf_class=np.array(tree["leaf_class"], dtype=np.int64),
-        )
-        for tree in payload["trees"]
-    )
-    return Forest(
-        params=ForestParams(**payload["params"]),
-        classes=tuple(payload["classes"]),
-        n_features=int(payload["n_features"]),
-        trees=trees,
-    )
-
-
-def save_forest(forest: Forest, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(forest_to_dict(forest)) + "\n", encoding="utf-8")
-
-
-def load_forest(path: str | Path) -> Forest:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ForestError(f"cannot load model {path}: {exc}") from exc
-    return forest_from_dict(payload)

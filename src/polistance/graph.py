@@ -118,12 +118,6 @@ class Partition:
     def n_communities(self) -> int:
         return len(set(self.assignment.values()))
 
-    def communities(self) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = {}
-        for node in sorted(self.assignment):
-            out.setdefault(self.assignment[node], []).append(node)
-        return out
-
     def sizes(self) -> dict[int, int]:
         return dict(Counter(self.assignment.values()))
 
@@ -400,7 +394,6 @@ class CommunityLabeling:
     """Party label (or UNLABELED) per community id."""
 
     labels: Mapping[int, str]
-    min_size_fraction: float
 
     def label_of(self, community: int) -> str:
         return self.labels.get(community, UNLABELED)
@@ -443,7 +436,7 @@ def label_communities(
 
     if all(label == UNLABELED for label in labels.values()):
         raise GraphError("no labelable community (all below threshold or unknown)")
-    return CommunityLabeling(labels=labels, min_size_fraction=min_size_fraction)
+    return CommunityLabeling(labels=labels)
 
 
 @dataclass(frozen=True)

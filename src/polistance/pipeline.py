@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .annotation import CANT_SAY, read_annotations, resolve_majority
-from .corpus import Stoplist, Tweet, UserProfile, canonical_dumps, parse_corpus, tokenize
+from .corpus import Tweet, UserProfile, canonical_dumps, parse_corpus, tokenize
 from .features import (
     FeatureMatrix,
     PartyLexicon,
@@ -35,7 +35,7 @@ from .features import (
     user_feature_vector,
     write_matrix,
 )
-from .forest import CV_MODES, ForestParams, balance_classes, cross_validate
+from .forest import CV_MODES, ForestError, ForestParams, balance_classes, cross_validate
 from .graph import (
     build_interaction_graph,
     community_classify,
@@ -136,8 +136,10 @@ class RunConfig:
             raise ConfigError("cv_k must be >= 2")
         if self.strictness not in ("skip-malformed", "strict"):
             raise ConfigError(f"unknown strictness {self.strictness!r}")
-        if self.n_trees < 1 or self.min_leaf < 1:
-            raise ConfigError("n_trees and min_leaf must be >= 1")
+        try:
+            self.forest_params()
+        except ForestError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def forest_params(self) -> ForestParams:
         return ForestParams(
@@ -185,9 +187,11 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
 
 
 def config_hash(config: RunConfig) -> str:
-    """sha256 over the canonical json form of the config."""
-    digest = hashlib.sha256(canonical_dumps(asdict(config)).encode("utf-8"))
-    return digest.hexdigest()
+    """sha256 over the canonical json form of the config without ``out_dir``,
+    so one experiment has one digest wherever it writes."""
+    settings = asdict(config)
+    del settings["out_dir"]
+    return hashlib.sha256(canonical_dumps(settings).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -344,16 +348,15 @@ def featurize(
     ``text`` and ``hashtag`` give the TF-IDF matrix of every author with at
     least one term (users with none are dropped). ``user-features`` gives
     one vector per profile, keyed by screen name in sorted order; the
-    lexicon is read only there. Tokens use the default stoplist.
+    lexicon is read only there.
     """
     by_user: dict[str, list[Tweet]] = {}
     for tweet in tweets:
         by_user.setdefault(tweet.author_screen_name, []).append(tweet)
-    stoplist = Stoplist.default()
     if method == "user-features":
         return {
             profile.screen_name: user_feature_vector(
-                profile, by_user.get(profile.screen_name, []), lexicon, stoplist
+                profile, by_user.get(profile.screen_name, []), lexicon
             )
             for profile in sorted(profiles, key=lambda p: p.screen_name)
         }
@@ -362,7 +365,7 @@ def featurize(
     text = method == "text"
     bags = {
         user: [term for tweet in own
-               for term in (tokenize(tweet.text, stoplist) if text else tweet.hashtags)]
+               for term in (tokenize(tweet.text) if text else tweet.hashtags)]
         for user, own in by_user.items()
     }
     return (build_text_matrix if text else build_hashtag_matrix)(bags)

@@ -130,7 +130,6 @@ class SyntheticCorpus:
     profiles: tuple[UserProfile, ...]
     annotations: tuple[Annotation, ...]
     truth: Mapping[str, str]
-    spec: SyntheticSpec
 
     def seed_party_map(self) -> dict[str, str]:
         return default_lexicon().seed_party_map()
@@ -301,7 +300,6 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
         profiles=tuple(profiles),
         annotations=tuple(annotations),
         truth=dict(users),
-        spec=spec,
     )
 
 

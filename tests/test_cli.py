@@ -98,6 +98,18 @@ class TestExitCodes:
         }))
         assert main(["classify", "--config", str(config)]) == 2
 
+    def test_classify_with_forest_rule_broken(self, tmp_path, workspace, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / "out"),
+            "max_depth": 0,
+        }))
+        assert main(["classify", "--config", str(config)]) == 2
+        assert "config error: max_depth must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_strict_ingest_on_malformed_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"tweet_id": "1"}\n')

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polistance.corpus import (
     DEFAULT_STOPWORDS,
     CorpusError,
-    Stoplist,
     Tweet,
     UserProfile,
     extract_entities,
@@ -90,10 +89,6 @@ class TestTokenize:
     def test_devanagari_tokens_kept(self):
         # the default stoplist is romanized, so Devanagari "की" stays
         assert tokenize("मोदी जी की रैली!") == ["मोदी", "जी", "की", "रैली"]
-
-    def test_custom_stoplist_object(self):
-        stop = Stoplist.default().extended(["rally"])
-        assert tokenize("Modi rally today", stop) == ["modi", "today"]
 
     def test_matches_scanner_on_fixture_lines(self):
         lines = [
@@ -310,11 +305,3 @@ class TestRoundTrip:
         assert p2 == profiles
         write_corpus(second, t2, p2)
         assert first.read_bytes() == second.read_bytes()
-
-
-class TestStoplistFile:
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        path = tmp_path / "stop.txt"
-        path.write_text("# header\nRT\n\nka\n  ke  \n", encoding="utf-8")
-        stop = Stoplist.from_file(path)
-        assert stop.words == frozenset({"rt", "ka", "ke"})

@@ -20,10 +20,7 @@ from polistance.forest import (
     balance_classes,
     cross_validate,
     forest_to_dict,
-    load_forest,
-    predict,
     predict_many,
-    save_forest,
     stratified_folds,
     train_forest,
 )
@@ -220,7 +217,7 @@ class TestPredict:
             n_features=2,
             trees=(leaf_tree(0), leaf_tree(0), leaf_tree(1)),
         )
-        assert predict(forest, [0.0, 0.0]) == "AAP"
+        assert predict_many(forest, [[0.0, 0.0]]) == ["AAP"]
 
     def test_tie_goes_to_lexicographic_smallest(self):
         forest = Forest(
@@ -229,7 +226,7 @@ class TestPredict:
             n_features=1,
             trees=(leaf_tree(1), leaf_tree(0)),
         )
-        assert predict(forest, [0.0]) == "AAP"
+        assert predict_many(forest, [[0.0]]) == ["AAP"]
 
     def test_single_tree_forest(self):
         rows, labels, _ = make_blobs(per_class=10)
@@ -242,7 +239,7 @@ class TestPredict:
         rows, labels, _ = make_blobs(per_class=10)
         forest = train_forest(rows, labels, ForestParams(n_trees=2))
         with pytest.raises(ForestError):
-            predict(forest, [1.0, 2.0])
+            predict_many(forest, [[1.0, 2.0]])
 
 
 class TestBalance:
@@ -340,24 +337,6 @@ class TestCrossValidate:
             cross_validate(rows, labels, mode="bootstrap")
         with pytest.raises(ForestError):
             cross_validate(rows, labels, k=11)
-
-
-class TestModelFile:
-    def test_round_trip_predictions(self, tmp_path):
-        rows, labels, _ = make_blobs(per_class=10, rng_seed=31)
-        forest = train_forest(rows, labels, ForestParams(n_trees=8, rng_seed=8))
-        path = tmp_path / "model.json"
-        save_forest(forest, path)
-        loaded = load_forest(path)
-        assert loaded.classes == forest.classes
-        assert predict_many(loaded, rows) == predict_many(forest, rows)
-        assert forest_to_dict(loaded) == forest_to_dict(forest)
-
-    def test_version_checked(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"format_version": 99}', encoding="utf-8")
-        with pytest.raises(ForestError):
-            load_forest(path)
 
 
 # Heavy ties: few distinct values. 1 + 2**-52 and 1 + 2**-51 are adjacent

@@ -175,10 +175,9 @@ class TestLouvain:
         assert hits >= 95
 
     def test_bridge_partition_is_the_two_triangles(self):
-        part = louvain(BRIDGE, rng_seed=0)
-        comms = part.communities()
-        assert sorted(tuple(v) for v in comms.values()) == [
-            ("a", "b", "c"), ("d", "e", "f")]
+        comm = louvain(BRIDGE, rng_seed=0).assignment
+        assert sorted(comm) == ["a", "b", "c", "d", "e", "f"]
+        assert comm["a"] == comm["b"] == comm["c"] != comm["d"] == comm["e"] == comm["f"]
 
     def test_two_cliques_with_bridge(self):
         edges = [(f"u{i}", f"u{j}") for i in range(5) for j in range(i + 1, 5)]

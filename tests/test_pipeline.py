@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polistance
-from polistance.corpus import Stoplist, parse_corpus, tokenize
+from polistance.corpus import parse_corpus, tokenize
 from polistance.features import build_text_matrix, default_lexicon
 from polistance.forest import cross_validate
 from polistance.metrics import eval_metrics
@@ -116,6 +116,9 @@ class TestRunConfig:
             {"cv_k": 1},
             {"strictness": "lenient"},
             {"n_trees": 0},
+            {"max_depth": 0},
+            {"features_per_split": 0},
+            {"min_leaf": 0},
         ],
     )
     def test_rejects_bad_values(self, small_inputs, tmp_path, kwargs):
@@ -252,6 +255,13 @@ class TestRunNetwork:
         assert payload["config"] == config_hash(config)
         assert payload["seed"] == 4
 
+    def test_reports_do_not_depend_on_out_dir(self, small_inputs, tmp_path):
+        run(base_config(small_inputs, tmp_path / "a", method="network"))
+        run(base_config(small_inputs, tmp_path / "b", method="network"))
+        for name in ("report.txt", "report.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
 
 class TestRunText:
     def test_matches_scripted_stage_composition(self, small_inputs, tmp_path):
@@ -263,12 +273,9 @@ class TestRunText:
 
         # independent composition of the same stages from module calls
         tweets, _, _ = parse_corpus(config.corpus_path)
-        stoplist = Stoplist.default()
         term_lists = {}
         for t in tweets:
-            term_lists.setdefault(t.author_screen_name, []).extend(
-                tokenize(t.text, stoplist)
-            )
+            term_lists.setdefault(t.author_screen_name, []).extend(tokenize(t.text))
         matrix = build_text_matrix(term_lists)
         truth = {u: u.split("_")[0].upper() for u in matrix.user_ids}
         keep = [i for i, u in enumerate(matrix.user_ids) if u in truth]
