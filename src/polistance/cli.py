@@ -2,16 +2,15 @@
 
 Subcommands cover the full workflow: ingest a corpus, check annotator
 agreement, build feature matrices, run a classification experiment, detect
-graph communities, compute corpus analytics, generate synthetic fixtures,
-and re-render reports. Exit codes: 0 success, 2 configuration problem,
-3 data problem, 4 internal error.
+graph communities, compute corpus analytics, and generate synthetic
+fixtures. Exit codes: 0 success, 2 configuration problem, 3 data problem,
+4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import re
 import sys
 from pathlib import Path
@@ -52,8 +51,6 @@ from .pipeline import (
     METHODS,
     ConfigError,
     PipelineError,
-    RunResult,
-    emit_report,
     featurize,
     load_config,
     render_table,
@@ -114,13 +111,18 @@ def _out_dir(args, default: str = ".") -> Path:
     return out
 
 
+def _read_corpus(args):
+    """``(tweets, profiles, skipped)`` of the corpus argument, honouring --strict."""
+    strictness = "strict" if args.strict else "skip-malformed"
+    return parse_corpus(args.corpus, strictness=strictness)
+
+
 def _tz_minutes(args) -> int:
     return parse_tz(args.tz) if args.tz is not None else IST_OFFSET_MINUTES
 
 
 def _cmd_ingest(args) -> int:
-    strictness = "strict" if args.strict else "skip-malformed"
-    tweets, profiles, skipped = parse_corpus(args.corpus, strictness=strictness)
+    tweets, profiles, skipped = _read_corpus(args)
     print(f"tweets={len(tweets)} profiles={len(profiles)} skipped={skipped}")
     if args.out is not None:
         path = _out_dir(args) / "corpus.normalized.jsonl"
@@ -148,10 +150,9 @@ def _cmd_agree(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
-    strictness = "strict" if args.strict else "skip-malformed"
-    tweets, profiles, _ = parse_corpus(args.corpus, strictness=strictness)
-    out = _out_dir(args)
+    tweets, profiles, _ = _read_corpus(args)
     features = featurize(args.method, tweets, profiles, default_lexicon())
+    out = _out_dir(args)
     if args.method == "user-features":
         path = out / "features.csv"
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -195,8 +196,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    strictness = "strict" if args.strict else "skip-malformed"
-    tweets, _, _ = parse_corpus(args.corpus, strictness=strictness)
+    tweets, _, _ = _read_corpus(args)
     graph = build_interaction_graph(tweets, weighted=args.weighted)
     seed = args.seed if args.seed is not None else 0
     partition = louvain(graph, rng_seed=seed)
@@ -212,8 +212,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    strictness = "strict" if args.strict else "skip-malformed"
-    tweets, _, _ = parse_corpus(args.corpus, strictness=strictness)
+    tweets, _, _ = _read_corpus(args)
     tz = _tz_minutes(args)
     out = _out_dir(args)
 
@@ -272,20 +271,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    try:
-        payload = json.loads(Path(args.results).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad utf-8 or bad json
-        raise ConfigError(f"results file is not valid json: {exc}") from exc
-    result = RunResult.from_structured(payload)
-    if args.format == "table":
-        sys.stdout.write(render_table(result))
-    if args.out is not None:
-        path = emit_report(result, args.out, args.format)
-        print(f"wrote {path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polistance",
@@ -334,11 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-intra", type=float, default=0.3, dest="p_intra")
     p.add_argument("--p-cross", type=float, default=0.02, dest="p_cross")
     p.add_argument("--noise", type=float, default=0.1)
-
-    p = _add_command(sub, "report", _cmd_report, "re-render a structured results file")
-    p.add_argument("results")
-    p.add_argument("--format", default="table",
-                   choices=["table", "structured"])
 
     return parser
 

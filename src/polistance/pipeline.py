@@ -44,7 +44,7 @@ from .graph import (
     write_edges,
     write_partition,
 )
-from .metrics import EvalReport, MetricsError, eval_metrics
+from .metrics import EvalReport
 
 __all__ = [
     "METHODS",
@@ -54,9 +54,9 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "config_hash",
-    "emit_report",
     "featurize",
     "load_config",
+    "render_structured",
     "render_table",
     "run",
 ]
@@ -65,8 +65,6 @@ METHODS = ("text", "hashtag", "user-features", "network")
 DIMENSIONS = ("pro", "anti")
 
 _REQUIRED_KEYS = ("corpus_path", "annotations_path", "out_dir")
-_RESULT_KEYS = ("method", "dimension", "instances", "attributes", "classifier",
-                "classes", "confusion", "config", "seed")
 # every file a run may write besides manifest.json; each run removes them all
 _ARTIFACTS = ("graph.edges", "partition.txt", "matrix.triplets", "vocabulary.tsv",
               "users.txt", "report.txt", "report.json")
@@ -209,50 +207,6 @@ class RunResult:
     coverage: float | None = None
     counts: Mapping[str, int] | None = None
 
-    @classmethod
-    def from_structured(cls, payload: object) -> "RunResult":
-        """Rebuild a result from parsed ``render_structured`` output.
-
-        Scores are recomputed from the confusion matrix, so re-rendering
-        gives the same bytes. A payload of any other shape raises
-        ConfigError.
-        """
-        if not isinstance(payload, dict):
-            raise ConfigError("results file must hold a json object")
-        missing = [key for key in _RESULT_KEYS if key not in payload]
-        if missing:
-            raise ConfigError(f"results file misses keys: {', '.join(missing)}")
-        confusion, classes = payload["confusion"], payload["classes"]
-        if not isinstance(confusion, list) or not all(
-            isinstance(row, list) and len(row) == len(confusion)
-            and all(type(cell) is int for cell in row)
-            for row in confusion
-        ):
-            raise ConfigError("results confusion must be a square matrix of integers")
-        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-            raise ConfigError("results classes must be a list of strings")
-        coverage, counts = payload.get("coverage"), payload.get("counts")
-        if coverage is not None and type(coverage) not in (int, float):
-            raise ConfigError("results coverage must be a number or null")
-        if counts is not None and not isinstance(counts, dict):
-            raise ConfigError("results counts must be an object or null")
-        try:
-            report = eval_metrics(confusion, classes)
-        except MetricsError as exc:
-            raise ConfigError(f"results confusion: {exc}") from exc
-        return cls(
-            method=payload["method"],
-            dimension=payload["dimension"],
-            report=report,
-            n_instances=payload["instances"],
-            n_attributes=payload["attributes"],
-            classifier=payload["classifier"],
-            config_digest=payload["config"],
-            rng_seed=payload["seed"],
-            coverage=coverage,
-            counts=counts,
-        )
-
 
 def render_table(result: RunResult) -> str:
     """The human-readable result block.
@@ -309,21 +263,6 @@ def render_structured(result: RunResult) -> str:
         "counts": dict(result.counts or {}),
     }
     return canonical_dumps(payload) + "\n"
-
-
-def emit_report(result: RunResult, out_dir: str | Path, fmt: str = "table") -> Path:
-    """Write the report in one format; returns the path written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if fmt == "table":
-        path = out / "report.txt"
-        path.write_text(render_table(result), encoding="utf-8")
-    elif fmt == "structured":
-        path = out / "report.json"
-        path.write_text(render_structured(result), encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
-    return path
 
 
 def _truth_map(annotations, dimension: str) -> dict[str, str]:
@@ -430,20 +369,11 @@ def run(config: RunConfig) -> RunResult:
             labeling = label_communities(partition, lexicon.seed_party_map())
             evaluation = community_classify(partition, labeling, truth)
             timings.append(("graph", time.perf_counter() - t0))
-            result = RunResult(
-                method=config.method,
-                dimension=config.dimension,
-                report=evaluation.report,
-                n_instances=evaluation.report.total,
-                n_attributes=1,  # community membership is the lone feature
-                classifier=(
-                    f"louvain communities ({partition.n_communities} found)"
-                ),
-                config_digest=digest,
-                rng_seed=config.rng_seed,
-                coverage=evaluation.coverage,
-                counts=counts,
-            )
+            report = evaluation.report
+            n_instances = report.total
+            n_attributes = 1  # community membership is the lone feature
+            classifier = f"louvain communities ({partition.n_communities} found)"
+            coverage = evaluation.coverage
         else:
             stage = "featurize"
             t0 = time.perf_counter()
@@ -476,18 +406,22 @@ def run(config: RunConfig) -> RunResult:
                 rng_seed=config.rng_seed,
             )
             timings.append(("classify", time.perf_counter() - t0))
-            result = RunResult(
-                method=config.method,
-                dimension=config.dimension,
-                report=report,
-                n_instances=len(labels),
-                n_attributes=n_attributes,
-                classifier=f"random forest ({config.n_trees} trees)",
-                config_digest=digest,
-                rng_seed=config.rng_seed,
-                coverage=None,
-                counts=counts,
-            )
+            n_instances = len(labels)
+            classifier = f"random forest ({config.n_trees} trees)"
+            coverage = None
+
+        result = RunResult(
+            method=config.method,
+            dimension=config.dimension,
+            report=report,
+            n_instances=n_instances,
+            n_attributes=n_attributes,
+            classifier=classifier,
+            config_digest=digest,
+            rng_seed=config.rng_seed,
+            coverage=coverage,
+            counts=counts,
+        )
 
         stage = "report"
         t0 = time.perf_counter()
@@ -501,8 +435,8 @@ def run(config: RunConfig) -> RunResult:
         elif config.method != "user-features":
             write_matrix(matrix, out / "matrix.triplets", out / "vocabulary.tsv",
                          out / "users.txt")
-        emit_report(result, out, "table")
-        emit_report(result, out, "structured")
+        (out / "report.txt").write_text(render_table(result), encoding="utf-8")
+        (out / "report.json").write_text(render_structured(result), encoding="utf-8")
         timings.append(("report", time.perf_counter() - t0))
 
         manifest = {

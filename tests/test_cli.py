@@ -25,15 +25,6 @@ def workspace(tmp_path_factory):
 
 MATRIX_FILES = ("matrix.triplets", "vocabulary.tsv", "users.txt")
 
-# a structured results file as render_structured writes it (scores omitted:
-# the report parser recomputes them from the confusion matrix)
-GOOD_RESULTS = {
-    "method": "text", "dimension": "pro", "instances": 6, "attributes": 4,
-    "classifier": "random forest (5 trees)", "classes": ["AAP", "BJP"],
-    "confusion": [[3, 0], [1, 2]], "coverage": None, "config": "c" * 64,
-    "seed": 0, "counts": {},
-}
-
 
 def corpus_of(workspace) -> str:
     return str(workspace / "data" / "corpus.jsonl")
@@ -123,49 +114,10 @@ class TestExitCodes:
         ["classify", "--tz", "+00:00"],
         ["agree", "annotations.csv", "--seed", "1"],
         ["featurize", "corpus.jsonl", "--seed", "1"],
-        ["report", "report.json", "--strict"],
     ])
     def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, capsys):
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("payload", [
-        [],
-        "report",
-        {"confusion": [["x"]], "classes": ["A"]},
-        {key: value for key, value in GOOD_RESULTS.items() if key != "seed"},
-        {**GOOD_RESULTS, "confusion": [[3, "0"], [1, 2]]},
-        {**GOOD_RESULTS, "confusion": [[3.0, 0], [1, 2]]},
-        {**GOOD_RESULTS, "confusion": [[3, 0], [1, True]]},
-        {**GOOD_RESULTS, "confusion": [[3, 0], [1]]},
-        {**GOOD_RESULTS, "confusion": [[3, 0, 1], [1, 2, 0]]},
-        {**GOOD_RESULTS, "confusion": [[0, 0], [0, 0]]},
-        {**GOOD_RESULTS, "confusion": [[3, -1], [1, 2]]},
-        {**GOOD_RESULTS, "confusion": "[[3, 0], [1, 2]]"},
-        {**GOOD_RESULTS, "classes": ["AAP"]},
-        {**GOOD_RESULTS, "classes": [1, 2]},
-        {**GOOD_RESULTS, "coverage": "full"},
-        {**GOOD_RESULTS, "counts": [1, 2]},
-    ])
-    def test_malformed_results_file_is_config_error(self, payload, tmp_path, capsys):
-        path = tmp_path / "results.json"
-        path.write_text(json.dumps(payload))
-        assert main(["report", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("content", [b"{oops", b"\xff\xfe{}"])
-    def test_results_file_that_is_not_json_is_config_error(self, content, tmp_path,
-                                                           capsys):
-        path = tmp_path / "results.json"
-        path.write_bytes(content)
-        assert main(["report", str(path)]) == 2
-        assert "not valid json" in capsys.readouterr().err
-
-    def test_well_formed_results_file_renders(self, tmp_path, capsys):
-        path = tmp_path / "results.json"
-        path.write_text(json.dumps(GOOD_RESULTS))
-        assert main(["report", str(path)]) == 0
-        assert "Efficiency: 83.33%" in capsys.readouterr().out
 
 
 class TestIngest:
@@ -226,6 +178,20 @@ class TestFeaturize:
         for name in MATRIX_FILES:
             assert ((tmp_path / "feat" / name).read_bytes()
                     == (tmp_path / "run" / name).read_bytes())
+
+    def test_failed_featurize_creates_no_out_dir(self, tmp_path, capsys):
+        # the only text is a hashtag, so no user has a token
+        corpus = tmp_path / "tags.jsonl"
+        corpus.write_text(json.dumps({
+            "kind": "tweet", "tweet_id": "1", "author_id": "2",
+            "author_screen_name": "a", "created_at": "2014-04-01T00:00:00Z",
+            "text": "#bjp",
+        }) + "\n")
+        out_dir = tmp_path / "feat"
+        assert main(["featurize", str(corpus), "--method", "text",
+                     "--out", str(out_dir)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_user_features_csv(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "feat"
@@ -301,7 +267,7 @@ class TestSynthCommand:
 
 
 class TestClassifyCommand:
-    def test_network_run_and_report_roundtrip(self, workspace, tmp_path, capsys):
+    def test_network_run(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "run"
         config = tmp_path / "net.json"
         config.write_text(json.dumps({
@@ -313,16 +279,6 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "Efficiency: 100.00%" in out
-
-        # re-render the structured report elsewhere; table must match
-        again = tmp_path / "again"
-        code = main(["report", str(out_dir / "report.json"),
-                     "--format", "table", "--out", str(again)])
-        assert code == 0
-        assert (
-            (again / "report.txt").read_bytes()
-            == (out_dir / "report.txt").read_bytes()
-        )
 
     def test_seed_override_changes_hash(self, workspace, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import polistance
 from polistance.corpus import parse_corpus, tokenize
@@ -18,12 +16,12 @@ from polistance.features import build_text_matrix, default_lexicon
 from polistance.forest import cross_validate
 from polistance.metrics import eval_metrics
 from polistance.pipeline import (
+    METHODS,
     ConfigError,
     PipelineError,
     RunConfig,
     RunResult,
     config_hash,
-    emit_report,
     featurize,
     load_config,
     render_structured,
@@ -467,55 +465,18 @@ class TestReportRendering:
         golden = (DATA_DIR / "report_golden.txt").read_text(encoding="utf-8")
         assert render_table(self.result_fixture()) == golden
 
-    def test_emit_both_formats(self, tmp_path):
-        result = self.result_fixture()
-        table = emit_report(result, tmp_path, "table")
-        structured = emit_report(result, tmp_path, "structured")
-        assert table.name == "report.txt"
-        payload = json.loads(structured.read_text())
+    def test_structured_payload(self):
+        payload = json.loads(render_structured(self.result_fixture()))
         assert payload["efficiency"] == 0.8
         assert payload["per_class"]["AAP"]["precision"] == 0.8
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_report(self.result_fixture(), tmp_path, "xml")
 
-
-@st.composite
-def run_results(draw):
-    size = draw(st.integers(1, 4))
-    classes = draw(st.lists(st.text("ABCDEFGHIJ_", min_size=1, max_size=6),
-                            min_size=size, max_size=size, unique=True))
-    confusion = draw(st.lists(st.lists(st.integers(0, 500), min_size=size, max_size=size),
-                              min_size=size, max_size=size)
-                     .filter(lambda rows: sum(map(sum, rows)) > 0))
-    return RunResult(
-        method=draw(st.sampled_from(["text", "hashtag", "user-features", "network"])),
-        dimension=draw(st.sampled_from(["pro", "anti"])),
-        report=eval_metrics(confusion, classes),
-        n_instances=draw(st.integers(0, 10_000)),
-        n_attributes=draw(st.integers(1, 500)),
-        classifier=draw(st.text(max_size=30)),
-        config_digest=draw(st.text("0123456789abcdef", min_size=64, max_size=64)),
-        rng_seed=draw(st.integers(0, 2**32)),
-        coverage=draw(st.none() | st.floats(0.0, 1.0)),
-        counts=draw(st.none() | st.dictionaries(st.text("abcdefgh_", min_size=1),
-                                                st.integers(0, 10**6), max_size=4)),
-    )
-
-
-class TestStructuredRoundTrip:
-    @given(result=run_results())
-    @example(result=dataclasses.replace(
-        TestReportRendering.result_fixture(), counts={"tweets": 3, "profiles": 2}))
-    @example(result=dataclasses.replace(
-        TestReportRendering.result_fixture(), coverage=0.7, counts=None))
-    @settings(max_examples=80, deadline=None)
-    def test_parse_then_render_gives_the_same_bytes(self, result):
-        text = render_structured(result)
-        again = RunResult.from_structured(json.loads(text))
-        assert render_structured(again) == text
-        assert render_table(again) == render_table(result)
+@pytest.mark.parametrize("method", METHODS)
+def test_report_files_are_the_rendered_result(small_inputs, tmp_path, method):
+    out = tmp_path / method
+    result = run(base_config(small_inputs, out, method=method, n_trees=5, cv_k=4))
+    assert (out / "report.txt").read_bytes() == render_table(result).encode("utf-8")
+    assert (out / "report.json").read_bytes() == render_structured(result).encode("utf-8")
 
 
 class TestFeaturize:
