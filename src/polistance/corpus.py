@@ -13,17 +13,21 @@ hashtags carry no leading ``#`` and mentions no ``@``. Timestamps are
 normalized to UTC with second precision. ``write_corpus`` emits a canonical
 byte form (sorted keys, compact separators, ``Z``-suffixed timestamps) so
 that writing a parsed corpus and re-parsing it is lossless.
+
+``parse_corpus`` streams the file line by line and interns every screen
+name, hashtag and mention, so repeated names share one string object.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "CorpusError",
@@ -56,7 +60,7 @@ class _Malformed(Exception):
     """Internal: one record failed validation (message says why)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
     """One tweet, normalized. ``retweet_of`` is never the author herself."""
 
@@ -71,7 +75,7 @@ class Tweet:
     geo: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserProfile:
     """One user profile; ``following`` holds lowercased screen names."""
 
@@ -179,7 +183,7 @@ def _as_id(obj: dict, key: str) -> str:
 def _as_name(obj: dict, key: str) -> str:
     value = obj.get(key)
     _require(isinstance(value, str) and value != "", f"missing or empty {key!r}")
-    return value.lower()
+    return sys.intern(value.lower())
 
 
 def _as_count(obj: dict, key: str) -> int:
@@ -197,7 +201,7 @@ def _entity_list(obj: dict, key: str, marker: str) -> tuple[str, ...] | None:
         return None
     values = obj[key]
     _require(isinstance(values, list), f"{key!r} must be a list")
-    out: list[str] = []
+    out: dict[str, None] = {}
     for item in values:
         _require(isinstance(item, str), f"{key!r} entries must be strings")
         entity = item.lower()
@@ -205,14 +209,13 @@ def _entity_list(obj: dict, key: str, marker: str) -> tuple[str, ...] | None:
             entity = entity[len(marker):]
         _require(entity != "", f"empty entry in {key!r}")
         _require("#" not in entity and "@" not in entity, f"bad entry in {key!r}: {item!r}")
-        if entity not in out:
-            out.append(entity)
+        out[sys.intern(entity)] = None
     return tuple(out)
 
 
 def _parse_tweet(obj: dict) -> Tweet:
     tweet_id = _as_id(obj, "tweet_id")
-    author_id = _as_id(obj, "author_id")
+    author_id = sys.intern(_as_id(obj, "author_id"))
     author = _as_name(obj, "author_screen_name")
     try:
         created_at = parse_rfc3339(obj.get("created_at"))
@@ -226,14 +229,14 @@ def _parse_tweet(obj: dict) -> Tweet:
     if hashtags is None or mentions is None:
         found_tags, found_mentions = extract_entities(text)
         if hashtags is None:
-            hashtags = tuple(found_tags)
+            hashtags = tuple(map(sys.intern, found_tags))
         if mentions is None:
-            mentions = tuple(found_mentions)
+            mentions = tuple(map(sys.intern, found_mentions))
 
     retweet_of = obj.get("retweet_of")
     if retweet_of is not None:
         _require(isinstance(retweet_of, str), "bad 'retweet_of'")
-        retweet_of = retweet_of.lower().lstrip("@")
+        retweet_of = sys.intern(retweet_of.lower().lstrip("@"))
         _require(retweet_of != "", "bad 'retweet_of'")
         if retweet_of == author:
             retweet_of = None  # self-retweets carry no relation
@@ -274,7 +277,7 @@ def _parse_profile(obj: dict) -> UserProfile:
     following = set()
     for name in following_raw:
         _require(isinstance(name, str) and name != "", "'following' entries must be names")
-        following.add(name.lower().lstrip("@"))
+        following.add(sys.intern(name.lower().lstrip("@")))
 
     location = obj.get("location")
     if location is not None:
@@ -289,13 +292,6 @@ def _parse_profile(obj: dict) -> UserProfile:
         following=frozenset(following),
         location=location,
     )
-
-
-def _physical_lines(data: bytes) -> Iterator[bytes]:
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()  # trailing newline does not open a new line
-    return iter(lines)
 
 
 def parse_corpus(
@@ -313,7 +309,7 @@ def parse_corpus(
     if strictness not in ("skip-malformed", "strict"):
         raise ValueError(f"unknown strictness {strictness!r}")
     try:
-        data = Path(path).read_bytes()
+        handle = open(path, "rb")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
 
@@ -323,36 +319,39 @@ def parse_corpus(
     seen_tweet_ids: set[str] = set()
     seen_screen_names: set[str] = set()
 
-    for lineno, raw in enumerate(_physical_lines(data), start=1):
-        if not raw.strip():
-            skipped += 1
-            continue
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-            _require(isinstance(obj, dict), "record is not an object")
-            kind = obj.get("kind")
-            if kind == "tweet":
-                tweet = _parse_tweet(obj)
-                _require(tweet.tweet_id not in seen_tweet_ids,
-                         f"duplicate tweet_id {tweet.tweet_id!r}")
-                seen_tweet_ids.add(tweet.tweet_id)
-                tweets.append(tweet)
-            elif kind == "profile":
-                profile = _parse_profile(obj)
-                _require(profile.screen_name not in seen_screen_names,
-                         f"duplicate profile {profile.screen_name!r}")
-                seen_screen_names.add(profile.screen_name)
-                profiles.append(profile)
-            else:
-                raise _Malformed(f"unknown kind {kind!r}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            if strictness == "strict":
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            skipped += 1
-        except _Malformed as exc:
-            if strictness == "strict":
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
-            skipped += 1
+    with handle:
+        # a last line without "\n" is still a line; a trailing "\n" opens none
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                skipped += 1
+                continue
+            try:
+                # without its "\n", so JSON error positions stay on line 1
+                obj = json.loads(raw.removesuffix(b"\n").decode("utf-8"))
+                _require(isinstance(obj, dict), "record is not an object")
+                kind = obj.get("kind")
+                if kind == "tweet":
+                    tweet = _parse_tweet(obj)
+                    _require(tweet.tweet_id not in seen_tweet_ids,
+                             f"duplicate tweet_id {tweet.tweet_id!r}")
+                    seen_tweet_ids.add(tweet.tweet_id)
+                    tweets.append(tweet)
+                elif kind == "profile":
+                    profile = _parse_profile(obj)
+                    _require(profile.screen_name not in seen_screen_names,
+                             f"duplicate profile {profile.screen_name!r}")
+                    seen_screen_names.add(profile.screen_name)
+                    profiles.append(profile)
+                else:
+                    raise _Malformed(f"unknown kind {kind!r}")
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                if strictness == "strict":
+                    raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                skipped += 1
+            except _Malformed as exc:
+                if strictness == "strict":
+                    raise CorpusError(f"{path}:{lineno}: {exc}") from None
+                skipped += 1
 
     return tweets, profiles, skipped
 

@@ -9,11 +9,12 @@ Three representations are built here:
   party-account follow bits, and party keyword/hashtag occurrence counts.
 
 TF is the user-normalized frequency n_ij / sum_k n_kj. IDF is
-ln(|U| / (1 + |U_i|)) with |U| the number of users in the matrix and |U_i|
-the number of distinct users of the term; the +1 pushes terms used by every
-user to a small negative weight, which is kept as-is rather than floored.
-Support pruning removes columns, never tokens: the TF denominator counts
-all of a user's (post-stoplist) tokens.
+ln(|U| / (1 + |U_i|)) with |U| the number of users with at least one term
+before pruning and |U_i| the number of distinct users of the term; the +1
+pushes terms used by every user to a small negative weight, which is kept
+as-is rather than floored. Support pruning removes columns, never tokens:
+the TF denominator counts all of a user's (post-stoplist) tokens. A user
+left with no kept term after pruning gets no row (but still counts in |U|).
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _build_matrix(
     if not kept:
         raise FeatureError(f"no users with {what}; matrix would be empty")
 
-    n_users = len(kept)
+    n_users = len(kept)  # |U|: users with a term, counted before pruning
     support: Counter[str] = Counter()
     for _, counts in kept:
         support.update(counts.counts.keys())
@@ -134,20 +135,23 @@ def _build_matrix(
     )
     column = {entry.term: j for j, entry in enumerate(vocabulary)}
 
+    user_ids = []
     rows = []
-    for _, counts in kept:
+    for user_id, counts in kept:
         row = {}
         for term, tf in counts.tf_map().items():
             j = column.get(term)
             if j is not None:
                 row[j] = tf * vocabulary[j].idf
-        rows.append(row)
+        if row:
+            user_ids.append(user_id)
+            rows.append(row)
+    if not rows:
+        raise FeatureError(
+            f"no {what} used by {min_user_support} or more users; matrix would be empty"
+        )
 
-    return FeatureMatrix(
-        vocabulary=vocabulary,
-        user_ids=tuple(user_id for user_id, _ in kept),
-        rows=tuple(rows),
-    )
+    return FeatureMatrix(vocabulary=vocabulary, user_ids=tuple(user_ids), rows=tuple(rows))
 
 
 def build_text_matrix(
@@ -156,7 +160,9 @@ def build_text_matrix(
 ) -> FeatureMatrix:
     """TF-IDF matrix over word tokens, one row per user.
 
-    Users with zero tokens are left out of the matrix (and of |U|).
+    Users with zero tokens are left out of the matrix and of |U|. Users
+    whose every token is pruned are left out of the matrix but count in
+    |U|. Raises FeatureError when no user is left.
     """
     return _build_matrix(tokenized_users, min_user_support, "tokens")
 
@@ -165,8 +171,12 @@ def build_hashtag_matrix(
     hashtag_users: Mapping[str, Sequence[str]],
     min_user_support: int = 2,
 ) -> FeatureMatrix:
-    """TF-IDF matrix over hashtag occurrences, one row per user; users with
-    no hashtags are left out."""
+    """TF-IDF matrix over hashtag occurrences, one row per user.
+
+    Users with no hashtags are left out of the matrix and of |U|; users
+    whose every hashtag is pruned are left out of the matrix but count in
+    |U|. Raises FeatureError when no user is left.
+    """
     return _build_matrix(hashtag_users, min_user_support, "hashtags")
 
 

@@ -285,9 +285,9 @@ def featurize(
     """Features of one forest method, over tweets grouped once by author.
 
     ``text`` and ``hashtag`` give the TF-IDF matrix of every author with at
-    least one term (users with none are dropped). ``user-features`` gives
-    one vector per profile, keyed by screen name in sorted order; the
-    lexicon is read only there.
+    least one term that survives support pruning (the others are dropped).
+    ``user-features`` gives one vector per profile, keyed by screen name in
+    sorted order; the lexicon is read only there.
     """
     by_user: dict[str, list[Tweet]] = {}
     for tweet in tweets:

@@ -193,6 +193,21 @@ class TestFeaturize:
         assert "data error" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_hashtag_below_support_exits_3_without_out_dir(self, tmp_path, capsys):
+        # one user, one #bjp: the tag misses the support of 2, so no user
+        # keeps a term and featurize must not write a 1 x 0 matrix
+        corpus = tmp_path / "tags.jsonl"
+        corpus.write_text(json.dumps({
+            "kind": "tweet", "tweet_id": "1", "author_id": "2",
+            "author_screen_name": "a", "created_at": "2014-04-01T00:00:00Z",
+            "text": "#bjp",
+        }) + "\n")
+        out_dir = tmp_path / "feat"
+        assert main(["featurize", str(corpus), "--method", "hashtag",
+                     "--out", str(out_dir)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_user_features_csv(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "feat"
         code = main([

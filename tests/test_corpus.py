@@ -1,5 +1,7 @@
 """Tests for corpus ingestion, tokenization, and entity extraction."""
 
+import builtins
+import dataclasses
 import json
 import unicodedata
 from datetime import datetime, timezone
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polistance import corpus
 from polistance.corpus import (
     DEFAULT_STOPWORDS,
     CorpusError,
@@ -287,6 +290,88 @@ class TestParseCorpus:
         with pytest.raises(CorpusError):
             parse_corpus(tmp_path / "nope.jsonl")
 
+    def test_last_line_without_newline_is_parsed_and_counted(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        first = dict(TWEET, tweet_id="1")
+        last = dict(TWEET, tweet_id="2")
+        path.write_text(json.dumps(first) + "\n\n" + json.dumps(last), encoding="utf-8")
+        tweets, _, skipped = parse_corpus(path, strictness="strict")
+        assert [t.tweet_id for t in tweets] == ["1", "2"]
+        assert skipped == 1
+
+    def test_crlf_file_parses_like_lf_file(self, tmp_path):
+        lines = [json.dumps(dict(TWEET, tweet_id=str(i))) for i in range(3)]
+        lines.insert(1, "")
+        lf = tmp_path / "lf.jsonl"
+        crlf = tmp_path / "crlf.jsonl"
+        lf.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        crlf.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        assert parse_corpus(crlf, strictness="strict") == parse_corpus(lf, strictness="strict")
+        assert parse_corpus(crlf)[2] == 1
+
+    def test_strict_error_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n\n" + json.dumps(TWEET) + "\n\n{broken\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"c\.jsonl:5: invalid JSON: .*line 1 column 2"):
+            parse_corpus(path, strictness="strict")
+
+    def test_strict_error_midway_leaves_no_open_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps(dict(TWEET, tweet_id=str(i))) for i in range(5)]
+        lines[2] = json.dumps({"kind": "mystery"})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(builtins.open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(corpus, "open", recording_open, raising=False)
+        with pytest.raises(CorpusError, match=":3: unknown kind"):
+            parse_corpus(path, strictness="strict")
+        assert len(handles) == 1 and handles[0].closed
+
+
+TWEET = {"kind": "tweet", "tweet_id": "1", "author_id": "a",
+         "author_screen_name": "A", "created_at": "2014-01-01T00:00:00Z",
+         "text": "x"}
+
+
+class TestSharedNames:
+    def test_one_author_one_name_object(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        records = [
+            dict(TWEET, tweet_id="1", author_screen_name="Modi", author_id="7"),
+            dict(TWEET, tweet_id="2", author_screen_name="MODI", author_id="7"),
+            dict(TWEET, tweet_id="3", author_screen_name="fan",
+                 text="hi @Modi #Vote", retweet_of="modi"),
+            dict(TWEET, tweet_id="4", author_screen_name="fan2",
+                 mentions=["@modi"], hashtags=["#vote"]),
+            {"kind": "profile", "user_id": "9", "screen_name": "fan",
+             "followers_count": 0, "friends_count": 0, "statuses_count": 0,
+             "following": ["@Modi"]},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        tweets, profiles, _ = parse_corpus(path, strictness="strict")
+        name = tweets[0].author_screen_name
+        assert tweets[1].author_screen_name is name
+        assert tweets[0].author_id is tweets[1].author_id
+        assert tweets[2].mentions[0] is name
+        assert tweets[2].retweet_of is name
+        assert tweets[3].mentions[0] is name
+        assert tweets[3].hashtags[0] is tweets[2].hashtags[0]
+        assert next(iter(profiles[0].following)) is name
+        assert profiles[0].screen_name is tweets[2].author_screen_name
+
+    def test_records_have_no_instance_dict(self):
+        tweet, profile = make_tweet(), make_profile()
+        for record in (tweet, profile):
+            assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tweet.author_screen_name = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.screen_name = "other"
+
 
 class TestRoundTrip:
     def test_write_parse_write_is_fixed_point(self, tmp_path):
@@ -305,3 +390,22 @@ class TestRoundTrip:
         assert p2 == profiles
         write_corpus(second, t2, p2)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_parse_write_parse_keeps_records(self, tmp_path):
+        source = tmp_path / "source.jsonl"
+        records = [
+            dict(TWEET, tweet_id="1", author_screen_name="Modi", text="#NaMo @Fan"),
+            dict(TWEET, tweet_id="2", author_screen_name="fan", retweet_of="@MODI",
+                 mentions=["Modi", "modi"], geo={"lat": 28.6, "lon": 77.2}),
+            {"kind": "profile", "user_id": "9", "screen_name": "Fan",
+             "followers_count": 1, "friends_count": 2, "statuses_count": 3,
+             "following": ["modi", "@Modi"], "location": "Delhi"},
+        ]
+        source.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        first = parse_corpus(source, strictness="strict")
+        written = tmp_path / "written.jsonl"
+        write_corpus(written, first[0], first[1])
+        second = parse_corpus(written, strictness="strict")
+        assert second == first
+        assert second[0][1].mentions == ("modi",)
+        assert second[1][0].following == frozenset({"modi"})

@@ -36,6 +36,8 @@ def oracle_matrix(term_lists, min_support):
         for t in set(term_lists[u]):
             support[t] = support.get(t, 0) + 1
     vocab = sorted(t for t, s in support.items() if s >= min_support)
+    # a user none of whose terms is in the vocabulary gets no row
+    users = [u for u in users if set(term_lists[u]) & set(vocab)]
     cells = {}
     for i, u in enumerate(users):
         tokens = list(term_lists[u])
@@ -126,6 +128,19 @@ class TestTextMatrix:
         with pytest.raises(FeatureError):
             build_text_matrix({"u1": []}, min_user_support=1)
 
+    def test_user_with_every_term_pruned_dropped_but_counted_in_idf(self):
+        term_lists = {"u1": ["a"], "u2": ["a", "b"], "u3": ["c"], "u4": ["d", "d"]}
+        matrix = build_text_matrix(term_lists, min_user_support=2)
+        assert [v.term for v in matrix.vocabulary] == ["a"]
+        assert matrix.user_ids == ("u1", "u2")
+        assert matrix.shape == (2, 1)
+        # |U| is 4: the two dropped users had terms before pruning
+        assert matrix.vocabulary[0].idf == pytest.approx(math.log(4 / 3), abs=1e-15)
+
+    def test_every_term_pruned_rejected(self):
+        with pytest.raises(FeatureError, match="matrix would be empty"):
+            build_text_matrix({"u1": ["a"], "u2": ["b"]}, min_user_support=2)
+
     @settings(max_examples=60)
     @given(
         st.dictionaries(
@@ -138,11 +153,15 @@ class TestTextMatrix:
     )
     def test_support_monotonicity(self, raw, support):
         term_lists = {f"u{k}": v for k, v in raw.items()}
-        low = build_text_matrix(term_lists, min_user_support=support)
-        high = build_text_matrix(term_lists, min_user_support=support + 1)
-        low_terms = {v.term for v in low.vocabulary}
-        high_terms = {v.term for v in high.vocabulary}
-        assert high_terms <= low_terms
+
+        def kept_terms(min_user_support):
+            try:
+                matrix = build_text_matrix(term_lists, min_user_support=min_user_support)
+            except FeatureError:  # every term pruned
+                return set()
+            return {v.term for v in matrix.vocabulary}
+
+        assert kept_terms(support + 1) <= kept_terms(support)
 
     @settings(max_examples=60)
     @given(
@@ -164,9 +183,8 @@ class TestTextMatrix:
 
 class TestHashtagMatrix:
     def test_no_tag_reaches_support(self):
-        matrix = build_hashtag_matrix({"u1": ["namo", "namo"], "u2": ["aap"]})
-        assert matrix.vocabulary == ()
-        assert matrix.shape == (2, 0)
+        with pytest.raises(FeatureError, match="no hashtags used by 2 or more users"):
+            build_hashtag_matrix({"u1": ["namo", "namo"], "u2": ["aap"]})
 
     def test_shared_tag_kept(self):
         matrix = build_hashtag_matrix({"u1": ["namo"], "u2": ["namo", "aap"]})
