@@ -7,7 +7,7 @@ Modules:
     metrics     confusion matrices and per-class precision/recall/F
     forest      random forest classifier with deterministic training
     graph       interaction graphs, modularity, Louvain community detection
-    analytics   tweet-volume series, activity matrices, correlation helpers
+    analytics   tweet-volume series, activity matrices, hashtag rankings
     synth       synthetic corpus generation for testing and benchmarks
     pipeline    end-to-end experiment runner with reproducible artifacts
     cli         command-line entry point

@@ -28,9 +28,6 @@ __all__ = [
     "TimeSeries",
     "day_hour_matrix",
     "party_mentions",
-    "pearson",
-    "pct_change",
-    "pct_change_values",
     "top_hashtags",
     "unique_user_stats",
     "volume_series",
@@ -297,46 +294,6 @@ def unique_user_stats(
         counts[name] = counts.get(name, 0) + 1
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return len(counts), tuple(ranked[:top_n])
-
-
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation; exactly ±1 on exact linear relations."""
-    if len(xs) != len(ys):
-        raise AnalyticsError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
-        raise AnalyticsError("need at least two points")
-    n = len(xs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    sxx = math.fsum(d * d for d in dx)
-    syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise AnalyticsError("zero variance")
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    r = sxy / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
-
-
-def pct_change_values(values: Sequence[float]) -> tuple[float, ...]:
-    """Percent change between consecutive values; input must be positive."""
-    for i, value in enumerate(values):
-        if not value > 0:
-            raise AnalyticsError(f"value at index {i} is not positive: {value!r}")
-    return tuple(
-        100.0 * (curr - prev) / prev for prev, curr in zip(values, values[1:])
-    )
-
-
-def pct_change(series: TimeSeries) -> TimeSeries:
-    """Relative day-over-day (bucket-over-bucket) change, first bucket dropped."""
-    changes = pct_change_values(series.values)
-    return TimeSeries(
-        granularity=series.granularity,
-        tz_offset_minutes=series.tz_offset_minutes,
-        points=tuple(zip(series.bucket_starts[1:], changes)),
-    )
 
 
 def _utc_stamp(bucket: datetime) -> str:

@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "CANT_SAY",
+    "DIMENSIONS",
     "LABELS",
     "AgreementStats",
     "Annotation",
@@ -46,6 +47,8 @@ __all__ = [
 CANT_SAY = "CANT_SAY"
 LABELS = ("AAP", "BJP", "CONG", CANT_SAY)
 _LABEL_SET = frozenset(LABELS)
+# the two orientations each annotator labels, resolved separately
+DIMENSIONS = ("pro", "anti")
 
 _CSV_HEADER = ["user_id", "annotator_id", "pro", "anti"]
 
@@ -68,7 +71,7 @@ class Annotation:
     anti: str
 
     def __post_init__(self) -> None:
-        for field in ("pro", "anti"):
+        for field in DIMENSIONS:
             value = getattr(self, field)
             if value not in _LABEL_SET:
                 raise AnnotationError(f"unknown {field} label {value!r}")
@@ -138,7 +141,7 @@ def _by_annotator(
     annotations: Iterable[Annotation],
     dimension: str,
 ) -> dict[str, dict[str, str]]:
-    if dimension not in ("pro", "anti"):
+    if dimension not in DIMENSIONS:
         raise AnnotationError(f"dimension must be 'pro' or 'anti', got {dimension!r}")
     out: dict[str, dict[str, str]] = {}
     for ann in annotations:

@@ -30,6 +30,7 @@ from .analytics import (
     write_top_hashtags,
 )
 from .annotation import (
+    DIMENSIONS,
     AnnotationError,
     mean_pairwise_kappa,
     read_annotations,
@@ -47,7 +48,6 @@ from .forest import ForestError
 from .graph import GraphError, build_interaction_graph, louvain, write_edges, write_partition
 from .metrics import MetricsError
 from .pipeline import (
-    DIMENSIONS,
     METHODS,
     ConfigError,
     PipelineError,
@@ -133,7 +133,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_agree(args) -> int:
     annotations = read_annotations(args.annotations)
-    for dimension in ("pro", "anti"):
+    for dimension in DIMENSIONS:
         kappa = mean_pairwise_kappa(annotations, dimension)
         print(f"kappa[{dimension}]={kappa:.4f}")
     resolved = resolve_majority(annotations)

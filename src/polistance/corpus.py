@@ -32,6 +32,7 @@ from typing import Sequence
 __all__ = [
     "CorpusError",
     "DEFAULT_STOPWORDS",
+    "STRICTNESS",
     "Tweet",
     "UserProfile",
     "canonical_dumps",
@@ -46,6 +47,9 @@ __all__ = [
 # Tokens dropped everywhere: the retweet marker, the HTML ampersand residue,
 # and the three highest-frequency Hindi particles seen in election tweets.
 DEFAULT_STOPWORDS = frozenset({"rt", "amp", "ka", "ke", "ki"})
+
+# how parse_corpus treats a malformed line: count it as skipped, or raise
+STRICTNESS = ("skip-malformed", "strict")
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
 _MENTION_RE = re.compile(r"@(\w+)")
@@ -306,7 +310,7 @@ def parse_corpus(
     tweet id or profile screen name) raises :class:`CorpusError`; blank
     lines are never an error, only skipped.
     """
-    if strictness not in ("skip-malformed", "strict"):
+    if strictness not in STRICTNESS:
         raise ValueError(f"unknown strictness {strictness!r}")
     try:
         handle = open(path, "rb")

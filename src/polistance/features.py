@@ -89,11 +89,12 @@ class FeatureMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.user_ids), len(self.vocabulary))
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        for i, row in enumerate(self.rows):
-            for j, value in row.items():
-                out[i, j] = value
+    def dense(self, row_indices: Sequence[int]) -> np.ndarray:
+        """The given rows, in the given order, as a dense float64 array."""
+        out = np.zeros((len(row_indices), len(self.vocabulary)), dtype=np.float64)
+        for k, i in enumerate(row_indices):
+            for j, value in self.rows[i].items():
+                out[k, j] = value
         return out
 
 

@@ -121,13 +121,6 @@ class Partition:
     def sizes(self) -> dict[int, int]:
         return dict(Counter(self.assignment.values()))
 
-    @classmethod
-    def from_assignment(
-        cls, graph: InteractionGraph, assignment: Mapping[str, int]
-    ) -> "Partition":
-        return cls(assignment=dict(assignment),
-                   modularity_q=modularity(graph, assignment))
-
 
 def modularity(graph: InteractionGraph, assignment: Mapping[str, int]) -> float:
     """Newman modularity Q = sum_c [ e_c/m - (d_c/2m)^2 ].

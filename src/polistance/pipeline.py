@@ -23,8 +23,15 @@ from typing import Mapping
 import numpy as np
 
 from . import __version__
-from .annotation import CANT_SAY, read_annotations, resolve_majority
-from .corpus import Tweet, UserProfile, canonical_dumps, parse_corpus, tokenize
+from .annotation import CANT_SAY, DIMENSIONS, read_annotations, resolve_majority
+from .corpus import (
+    STRICTNESS,
+    Tweet,
+    UserProfile,
+    canonical_dumps,
+    parse_corpus,
+    tokenize,
+)
 from .features import (
     FeatureMatrix,
     PartyLexicon,
@@ -62,7 +69,6 @@ __all__ = [
 ]
 
 METHODS = ("text", "hashtag", "user-features", "network")
-DIMENSIONS = ("pro", "anti")
 
 _REQUIRED_KEYS = ("corpus_path", "annotations_path", "out_dir")
 # every file a run may write besides manifest.json; each run removes them all
@@ -132,7 +138,7 @@ class RunConfig:
             raise ConfigError(f"cv_mode must be one of {CV_MODES}")
         if self.cv_k < 2:
             raise ConfigError("cv_k must be >= 2")
-        if self.strictness not in ("skip-malformed", "strict"):
+        if self.strictness not in STRICTNESS:
             raise ConfigError(f"unknown strictness {self.strictness!r}")
         try:
             self.forest_params()
@@ -312,7 +318,7 @@ def featurize(
 
 def _rows_for_users(matrix, truth: Mapping[str, str]):
     keep = [i for i, uid in enumerate(matrix.user_ids) if uid in truth]
-    return matrix.dense()[keep], [truth[matrix.user_ids[i]] for i in keep]
+    return matrix.dense(keep), [truth[matrix.user_ids[i]] for i in keep]
 
 
 def _sha256(path: Path) -> str:

@@ -50,6 +50,12 @@ _EPOCH = datetime(2014, 4, 1, 0, 0, 0, tzinfo=timezone.utc)
 # real political chatter does (people talk about the other side a lot)
 _OWN_PARTY_SHARE = 0.55
 
+# how often a token is political, for every party
+_VOCAB_SKEW = 0.25
+
+# simulated annotators per user
+_N_ANNOTATORS = 3
+
 _NEUTRAL_WORDS = (
     "morning evening night today tomorrow people crowd rally speech news "
     "media tv debate vote votes voter booth poll campaign leader promise "
@@ -86,31 +92,21 @@ class SyntheticSpec:
     tweets_per_user: int = 30
     p_intra: float = 0.3
     p_cross: float = 0.02
-    vocab_skew: Mapping[str, float] = field(
-        default_factory=lambda: {"AAP": 0.25, "BJP": 0.25, "CONG": 0.25}
-    )
     annotator_noise: float = 0.1
-    n_annotators: int = 3
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if set(self.users_per_party) != set(PARTIES):
             raise SynthError(f"users_per_party must cover exactly {PARTIES}")
-        if set(self.vocab_skew) != set(PARTIES):
-            raise SynthError(f"vocab_skew must cover exactly {PARTIES}")
         for party, count in self.users_per_party.items():
             if count < 1:
                 raise SynthError(f"users_per_party[{party!r}] must be >= 1")
         if self.tweets_per_user < 1:
             raise SynthError("tweets_per_user must be >= 1")
-        if self.n_annotators < 1:
-            raise SynthError("n_annotators must be >= 1")
         _check_prob("p_intra", self.p_intra)
         _check_prob("p_cross", self.p_cross)
         if self.p_intra + self.p_cross > 1.0:
             raise SynthError("p_intra + p_cross must not exceed 1")
-        for party, skew in self.vocab_skew.items():
-            _check_prob(f"vocab_skew[{party!r}]", skew)
         _check_prob("annotator_noise", self.annotator_noise)
 
 
@@ -130,9 +126,6 @@ class SyntheticCorpus:
     profiles: tuple[UserProfile, ...]
     annotations: tuple[Annotation, ...]
     truth: Mapping[str, str]
-
-    def seed_party_map(self) -> dict[str, str]:
-        return default_lexicon().seed_party_map()
 
 
 def _party_vocab(lexicon: PartyLexicon) -> dict[str, tuple[str, ...]]:
@@ -162,7 +155,7 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     Each tweet is, with probability ``p_intra``, an interaction with a
     same-party member (seed accounts included), with probability
     ``p_cross`` an interaction across parties, otherwise plain text.
-    Tokens are political with the party's ``vocab_skew`` probability.
+    Tokens are political with probability ``_VOCAB_SKEW``.
     """
     lexicon = default_lexicon()
     words = _party_vocab(lexicon)
@@ -189,7 +182,6 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     tweets: list[Tweet] = []
     counter = 0
     for user_index, (name, party) in enumerate(users):
-        skew = spec.vocab_skew[party]
         for _ in range(spec.tweets_per_user):
             parts: list[str] = []
             mentions: list[str] = []
@@ -212,7 +204,7 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
 
             hashtags: list[str] = []
             for _ in range(8):
-                if content.random() < skew:
+                if content.random() < _VOCAB_SKEW:
                     topic = _topic_party(content, party)
                     if content.random() < 0.25:
                         tag = _pick(content, tags[topic])
@@ -280,7 +272,7 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     for name, party in users:
         true_pro = party
         true_anti = _OPPONENT[party]
-        for a in range(spec.n_annotators):
+        for a in range(_N_ANNOTATORS):
             pro, anti = true_pro, true_anti
             if annotate.random() < spec.annotator_noise:
                 pro = _pick(annotate, [lab for lab in LABELS if lab != true_pro])

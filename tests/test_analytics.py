@@ -1,11 +1,10 @@
-"""Tests for time bucketing, mention bucketing, and correlation stats."""
+"""Tests for time bucketing, mention bucketing, and the CSV exports."""
 
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +15,6 @@ from polistance.analytics import (
     TimeSeries,
     day_hour_matrix,
     party_mentions,
-    pct_change,
-    pct_change_values,
-    pearson,
     top_hashtags,
     unique_user_stats,
     volume_series,
@@ -318,84 +314,6 @@ class TestUniqueUserStats:
         count, ranking = unique_user_stats(tweets, top_n=3)
         assert count == 9
         assert len(ranking) == 3
-
-
-class TestPearson:
-    def test_perfect_positive_line_is_exactly_one(self):
-        xs = [float(i) for i in range(1, 101)]
-        ys = [2.0 * x + 1.0 for x in xs]
-        assert pearson(xs, ys) == 1.0
-
-    def test_negation_is_exactly_minus_one(self):
-        xs = [3.0, 1.0, 4.0, 1.5, 9.0]
-        assert pearson(xs, [-x for x in xs]) == -1.0
-
-    def test_hand_computed_fixture(self):
-        assert pearson([1, 2, 3, 4], [2, 1, 4, 3]) == 0.6
-
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(2)
-        xs = rng.normal(size=60)
-        ys = 0.4 * xs + rng.normal(size=60)
-        expected = scipy.stats.pearsonr(xs, ys).statistic
-        assert pearson(list(xs), list(ys)) == pytest.approx(expected, abs=1e-12)
-
-    @given(
-        xs=st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4).filter(
-            lambda v: len(set(v)) > 1
-        ),
-        power=st.integers(-3, 8),
-        sign=st.sampled_from([-1.0, 1.0]),
-        intercept=st.integers(-10**6, 10**6),
-    )
-    @settings(max_examples=150)
-    def test_exact_linear_relations(self, xs, power, sign, intercept):
-        # power-of-two slopes and power-of-two length keep every
-        # intermediate value exact, so r must be exactly +-1
-        slope = sign * 2.0**power
-        ys = [slope * x + intercept for x in xs]
-        assert pearson([float(x) for x in xs], ys) == slope / abs(slope)
-
-    def test_result_stays_in_range(self):
-        rng = np.random.default_rng(44)
-        for _ in range(25):
-            xs = list(rng.normal(size=8))
-            ys = list(rng.normal(size=8))
-            assert -1.0 <= pearson(xs, ys) <= 1.0
-
-    def test_errors(self):
-        with pytest.raises(AnalyticsError, match="mismatch"):
-            pearson([1, 2], [1, 2, 3])
-        with pytest.raises(AnalyticsError, match="two points"):
-            pearson([1], [2])
-        with pytest.raises(AnalyticsError, match="variance"):
-            pearson([5, 5, 5], [1, 2, 3])
-
-
-class TestPctChange:
-    def test_single_step(self):
-        assert pct_change_values([100, 101]) == (1.0,)
-
-    def test_constant_series_is_all_zeros(self):
-        assert pct_change_values([7.5] * 10) == (0.0,) * 9
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(AnalyticsError, match="index 2"):
-            pct_change_values([5, 3, 0, 2])
-        with pytest.raises(AnalyticsError):
-            pct_change_values([5, -1])
-
-    def test_timeseries_variant_drops_first_bucket(self):
-        t0 = datetime(2014, 4, 7, tzinfo=UTC)
-        series = TimeSeries(
-            "day", 0,
-            ((t0, 100.0), (t0 + timedelta(days=1), 150.0),
-             (t0 + timedelta(days=2), 75.0)),
-        )
-        out = pct_change(series)
-        assert out.granularity == "day"
-        assert out.bucket_starts == series.bucket_starts[1:]
-        assert out.values == (50.0, -50.0)
 
 
 class TestExports:

@@ -88,7 +88,7 @@ class TestTextMatrix:
 
         assert list(matrix.user_ids) == users
         assert [v.term for v in matrix.vocabulary] == vocab
-        dense = matrix.dense()
+        dense = matrix.dense(range(matrix.shape[0]))
         assert dense.shape == (len(users), len(vocab))
         for (i, j), value in cells.items():
             assert abs(dense[i, j] - value) <= 1e-12
@@ -115,7 +115,7 @@ class TestTextMatrix:
         matrix = build_text_matrix(term_lists, min_user_support=3)
         assert [v.term for v in matrix.vocabulary] == ["shared"]
         expected = 0.5 * math.log(3 / 4)
-        assert matrix.dense()[0, 0] == pytest.approx(expected, abs=1e-15)
+        assert matrix.dense([0])[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_empty_user_error_and_drop(self):
         term_lists = {"u1": ["a"], "u2": []}
@@ -178,7 +178,8 @@ class TestTextMatrix:
         a = build_text_matrix(term_lists, min_user_support=1)
         b = build_text_matrix(doubled, min_user_support=1)
         assert a.vocabulary == b.vocabulary
-        assert np.array_equal(a.dense(), b.dense())
+        every_row = range(a.shape[0])
+        assert np.array_equal(a.dense(every_row), b.dense(every_row))
 
 
 class TestHashtagMatrix:
@@ -200,7 +201,7 @@ class TestHashtagMatrix:
         matrix = build_hashtag_matrix(term_lists, min_user_support=2)
         users, vocab, cells = oracle_matrix(term_lists, 2)
         assert [v.term for v in matrix.vocabulary] == vocab
-        dense = matrix.dense()
+        dense = matrix.dense(range(matrix.shape[0]))
         for (i, j), value in cells.items():
             assert abs(dense[i, j] - value) <= 1e-12
 
@@ -327,7 +328,7 @@ class TestExport:
             tmp_path / "m.vocab.tsv",
             tmp_path / "m.users.txt",
         )
-        dense = matrix.dense()
+        dense = matrix.dense(range(matrix.shape[0]))
         for line in (tmp_path / "m.triplets").read_text().splitlines():
             i, j, value = line.split()
             assert float(value) == dense[int(i), int(j)]

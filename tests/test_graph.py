@@ -45,6 +45,10 @@ BRIDGE = make_graph(
 BRIDGE_SPLIT = {"a": 0, "b": 0, "c": 0, "d": 1, "e": 1, "f": 1}
 
 
+def partition_of(graph, assignment):
+    return Partition(dict(assignment), modularity(graph, assignment))
+
+
 def oracle_q(graph: InteractionGraph, assignment) -> float:
     """Adjacency-matrix modularity, written independently of the package.
 
@@ -234,11 +238,6 @@ class TestLouvain:
         with pytest.raises(GraphError):
             louvain(InteractionGraph(nodes=(), edges=(), weights=()))
 
-    def test_partition_from_assignment_roundtrip(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
-        assert part.modularity_q == modularity(BRIDGE, BRIDGE_SPLIT)
-        assert part.n_communities == 2
-
 
 def aggregate(graph, membership):
     base = _Level.from_edges(*_edge_arrays(graph), len(graph.nodes))
@@ -369,19 +368,19 @@ KNOWN = {"a": "AAP", "e": "BJP"}
 
 class TestLabeling:
     def test_plurality_labels(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, KNOWN)
         assert lab.label_of(0) == "AAP"
         assert lab.label_of(1) == "BJP"
 
     def test_tie_goes_unlabeled(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, {"a": "AAP", "b": "BJP", "e": "CONG"})
         assert lab.label_of(0) == UNLABELED
         assert lab.label_of(1) == "CONG"
 
     def test_unknown_community_unlabeled(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, {"a": "AAP"})
         assert lab.label_of(1) == UNLABELED
 
@@ -391,14 +390,14 @@ class TestLabeling:
         edges += [("b0", "b1"), ("b1", "b2"), ("b0", "b2")]
         g = make_graph(edges)
         assignment = {v: (0 if v.startswith("a") else 1) for v in g.nodes}
-        part = Partition.from_assignment(g, assignment)
+        part = partition_of(g, assignment)
         known = {"a0": "AAP", "b0": "BJP"}
         lab = label_communities(part, known, min_size_fraction=0.5)
         assert lab.label_of(0) == "AAP"
         assert lab.label_of(1) == UNLABELED
 
     def test_everything_suppressed_is_an_error(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         # both halves hold 3/6 = 0.5 of the nodes, below the threshold
         with pytest.raises(GraphError, match="no labelable"):
             label_communities(part, KNOWN, min_size_fraction=0.75)
@@ -407,21 +406,21 @@ class TestLabeling:
         # one 97-node community: 62 AAP vs 23 BJP vs 12 unknown members
         edges = [(f"m{i:02d}", f"m{(i + 1) % 97:02d}") for i in range(97)]
         g = make_graph(edges)
-        part = Partition.from_assignment(g, {v: 0 for v in g.nodes})
+        part = partition_of(g, {v: 0 for v in g.nodes})
         known = {f"m{i:02d}": "AAP" for i in range(62)}
         known.update({f"m{i:02d}": "BJP" for i in range(62, 85)})
         lab = label_communities(part, known)
         assert lab.label_of(0) == "AAP"
 
     def test_empty_known_rejected(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         with pytest.raises(GraphError):
             label_communities(part, {})
 
 
 class TestCommunityClassify:
     def test_perfectly_separated(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, KNOWN)
         truth = {"b": "AAP", "c": "AAP", "d": "BJP", "f": "BJP"}
         ev = community_classify(part, lab, truth)
@@ -430,7 +429,7 @@ class TestCommunityClassify:
         assert ev.n_missing == 0 and ev.n_unlabeled == 0
 
     def test_truth_users_outside_graph_reduce_coverage(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, KNOWN)
         truth = {"b": "AAP", "zz": "CONG"}
         ev = community_classify(part, lab, truth)
@@ -438,7 +437,7 @@ class TestCommunityClassify:
         assert ev.n_missing == 1
 
     def test_unlabeled_community_users_excluded(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, {"a": "AAP"})  # def-triangle unlabeled
         ev = community_classify(part, lab, {"b": "AAP", "e": "BJP"})
         assert ev.n_unlabeled == 1
@@ -446,7 +445,7 @@ class TestCommunityClassify:
         assert ev.report.total == 1
 
     def test_misclassification_lands_in_confusion(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, KNOWN)
         ev = community_classify(part, lab, {"b": "AAP", "f": "CONG"})
         # f sits in the BJP-labeled triangle but is truly CONG
@@ -454,13 +453,13 @@ class TestCommunityClassify:
         assert "CONG" in ev.report.classes and "BJP" in ev.report.classes
 
     def test_empty_truth_rejected(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, KNOWN)
         with pytest.raises(GraphError):
             community_classify(part, lab, {})
 
     def test_no_evaluable_users_rejected(self):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         lab = label_communities(part, KNOWN)
         with pytest.raises(GraphError, match="no truth user"):
             community_classify(part, lab, {"nope": "AAP"})
@@ -483,7 +482,7 @@ class TestExports:
         assert path.read_text() == "a b 3\n"
 
     def test_partition_header_and_rows(self, tmp_path):
-        part = Partition.from_assignment(BRIDGE, BRIDGE_SPLIT)
+        part = partition_of(BRIDGE, BRIDGE_SPLIT)
         path = tmp_path / "partition.txt"
         write_partition(part, path)
         lines = path.read_text().splitlines()

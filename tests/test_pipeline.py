@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,12 @@ import pytest
 
 import polistance
 from polistance.corpus import parse_corpus, tokenize
-from polistance.features import build_text_matrix, default_lexicon
+from polistance.features import (
+    FeatureMatrix,
+    VocabTerm,
+    build_text_matrix,
+    default_lexicon,
+)
 from polistance.forest import cross_validate
 from polistance.metrics import eval_metrics
 from polistance.pipeline import (
@@ -28,6 +34,7 @@ from polistance.pipeline import (
     render_table,
     run,
 )
+from polistance.pipeline import _rows_for_users
 from polistance.synth import SyntheticSpec, write_synthetic
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -277,7 +284,7 @@ class TestRunText:
         matrix = build_text_matrix(term_lists)
         truth = {u: u.split("_")[0].upper() for u in matrix.user_ids}
         keep = [i for i, u in enumerate(matrix.user_ids) if u in truth]
-        rows = np.asarray(matrix.dense(), dtype=float)[keep]
+        rows = np.asarray(matrix.dense(range(matrix.shape[0])), dtype=float)[keep]
         labels = [truth[matrix.user_ids[i]] for i in keep]
         expected = cross_validate(
             rows, labels, params=config.forest_params(),
@@ -309,6 +316,34 @@ class TestRunText:
         )
         result = run(config)
         assert result.n_instances == 15  # three classes at the minority size
+
+
+class TestRowsForUsers:
+    def test_densifies_only_the_annotated_rows(self):
+        # a paper-shaped matrix: many authors, few of them annotated
+        n_users, n_terms = 50_000, 2_000
+        matrix = FeatureMatrix(
+            vocabulary=tuple(VocabTerm(f"t{j}", 1, 1.0) for j in range(n_terms)),
+            user_ids=tuple(f"u{i:05d}" for i in range(n_users)),
+            rows=tuple({i % n_terms: 1.0 + i} for i in range(n_users)),
+        )
+        truth = {f"u{i:05d}": "AAP" for i in range(0, n_users, 166)}
+        assert len(truth) == 302
+
+        tracemalloc.start()
+        try:
+            rows, labels = _rows_for_users(matrix, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        assert peak < 2 * rows.nbytes + (1 << 20)
+        assert rows.shape == (302, n_terms)
+        assert labels == ["AAP"] * 302
+        expected = np.zeros((302, n_terms))
+        for k, i in enumerate(range(0, n_users, 166)):
+            expected[k, i % n_terms] = 1.0 + i
+        assert np.array_equal(rows, expected)
 
 
 class TestRunUserFeatures:
