@@ -1,10 +1,12 @@
 """Corpus-level descriptive statistics over tweet streams.
 
 Everything here buckets tweets by local wall-clock time after applying a
-fixed utc offset, +05:30 by default. Series are gap-free: a bucket with no
-tweets is present with value 0, so consecutive bucket starts always differ
-by exactly one granularity step. Standard deviations are population
-standard deviations (divide by n); exports record that choice.
+fixed utc offset, +05:30 by default. Tweet volume is bucketed by day;
+party mentions and the top five hashtags by ISO week, which starts on
+Monday. Series are gap-free: a bucket with no tweets is present with
+value 0, so consecutive bucket starts always differ by exactly one day or
+one week. Standard deviations are population standard deviations (divide
+by n); exports record that choice.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Tweet, format_timestamp, tokenize
 from .features import PARTIES, PartyLexicon
 
 __all__ = [
-    "GRANULARITIES",
     "IST_OFFSET_MINUTES",
     "STDDEV_KIND",
     "AnalyticsError",
@@ -36,9 +37,13 @@ __all__ = [
     "write_top_hashtags",
 ]
 
-GRANULARITIES = ("hour", "day", "week", "month")
 IST_OFFSET_MINUTES = 330
 STDDEV_KIND = "population"
+
+# the width of each granularity a series can have
+_BUCKET_WIDTHS = {"day": timedelta(days=1), "week": timedelta(days=7)}
+# how many hashtags each week ranks, and how many tweeters the summary names
+_TOP_K = 5
 
 
 class AnalyticsError(ValueError):
@@ -50,28 +55,10 @@ def _local_zone(tz_offset_minutes: int) -> timezone:
 
 
 def _floor_bucket(moment: datetime, granularity: str) -> datetime:
-    if granularity == "hour":
-        return moment.replace(minute=0, second=0, microsecond=0)
     day = moment.replace(hour=0, minute=0, second=0, microsecond=0)
-    if granularity == "day":
-        return day
     if granularity == "week":
         return day - timedelta(days=day.weekday())  # ISO weeks start Monday
-    if granularity == "month":
-        return day.replace(day=1)
-    raise AnalyticsError(f"unknown granularity {granularity!r}")
-
-
-def _next_bucket(bucket: datetime, granularity: str) -> datetime:
-    if granularity == "hour":
-        return bucket + timedelta(hours=1)
-    if granularity == "day":
-        return bucket + timedelta(days=1)
-    if granularity == "week":
-        return bucket + timedelta(days=7)
-    if bucket.month == 12:
-        return bucket.replace(year=bucket.year + 1, month=1)
-    return bucket.replace(month=bucket.month + 1)
+    return day
 
 
 @dataclass(frozen=True)
@@ -83,10 +70,11 @@ class TimeSeries:
     points: tuple[tuple[datetime, float], ...]
 
     def __post_init__(self) -> None:
-        if self.granularity not in GRANULARITIES:
+        width = _BUCKET_WIDTHS.get(self.granularity)
+        if width is None:
             raise AnalyticsError(f"unknown granularity {self.granularity!r}")
         for (a, _), (b, _) in zip(self.points, self.points[1:]):
-            if _next_bucket(a, self.granularity) != b:
+            if b - a != width:
                 raise AnalyticsError(
                     f"buckets not gap-free at {a.isoformat()} -> {b.isoformat()}"
                 )
@@ -97,13 +85,6 @@ class TimeSeries:
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
-
-    @property
-    def bucket_starts(self) -> tuple[datetime, ...]:
-        return tuple(t for t, _ in self.points)
-
-    def total(self) -> float:
-        return math.fsum(self.values)
 
     def mean(self) -> float:
         if not self.points:
@@ -120,17 +101,6 @@ class TimeSeries:
         )
 
 
-def _bucket_counts(
-    tweets: Iterable[Tweet], granularity: str, tz_offset_minutes: int
-) -> dict[datetime, int]:
-    zone = _local_zone(tz_offset_minutes)
-    counts: dict[datetime, int] = {}
-    for tweet in tweets:
-        bucket = _floor_bucket(tweet.created_at.astimezone(zone), granularity)
-        counts[bucket] = counts.get(bucket, 0) + 1
-    return counts
-
-
 def _filled_series(
     counts: Mapping[datetime, int],
     granularity: str,
@@ -140,27 +110,26 @@ def _filled_series(
     if not counts and span is None:
         return TimeSeries(granularity, tz_offset_minutes, ())
     lo, hi = span if span is not None else (min(counts), max(counts))
+    width = _BUCKET_WIDTHS[granularity]
     points = []
     bucket = lo
     while bucket <= hi:
         points.append((bucket, float(counts.get(bucket, 0))))
-        bucket = _next_bucket(bucket, granularity)
+        bucket += width
     return TimeSeries(granularity, tz_offset_minutes, tuple(points))
 
 
 def volume_series(
     tweets: Sequence[Tweet],
-    granularity: str = "day",
     tz_offset_minutes: int = IST_OFFSET_MINUTES,
 ) -> TimeSeries:
-    """Tweet counts per bucket, zero-filled between first and last bucket."""
-    if granularity not in GRANULARITIES:
-        raise AnalyticsError(f"unknown granularity {granularity!r}")
-    return _filled_series(
-        _bucket_counts(tweets, granularity, tz_offset_minutes),
-        granularity,
-        tz_offset_minutes,
-    )
+    """Tweet counts per local day, zero-filled between first and last day."""
+    zone = _local_zone(tz_offset_minutes)
+    counts: dict[datetime, int] = {}
+    for tweet in tweets:
+        day = _floor_bucket(tweet.created_at.astimezone(zone), "day")
+        counts[day] = counts.get(day, 0) + 1
+    return _filled_series(counts, "day", tz_offset_minutes)
 
 
 @dataclass(frozen=True)
@@ -173,9 +142,6 @@ class DayHourMatrix:
     def __post_init__(self) -> None:
         if len(self.counts) != 7 or any(len(row) != 24 for row in self.counts):
             raise AnalyticsError("day-hour matrix must be 7 x 24")
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
 
     def at(self, day: int, hour: int) -> int:
         if not 1 <= day <= 7:
@@ -205,24 +171,21 @@ def day_hour_matrix(
 def party_mentions(
     tweets: Sequence[Tweet],
     lexicon: PartyLexicon,
-    granularity: str = "week",
     tz_offset_minutes: int = IST_OFFSET_MINUTES,
 ) -> dict[str, TimeSeries]:
-    """Per-party tweet counts over time.
+    """Per-party tweet counts per local ISO week.
 
     A tweet counts toward a party when any of its tokens matches the
     party's keywords or any of its hashtags matches the party's hashtags;
     one tweet may count toward several parties. All returned series share
     the full corpus span so they plot on a common axis.
     """
-    if granularity not in GRANULARITIES:
-        raise AnalyticsError(f"unknown granularity {granularity!r}")
     zone = _local_zone(tz_offset_minutes)
     per_party: dict[str, dict[datetime, int]] = {p: {} for p in PARTIES}
     span_lo: datetime | None = None
     span_hi: datetime | None = None
     for tweet in tweets:
-        bucket = _floor_bucket(tweet.created_at.astimezone(zone), granularity)
+        bucket = _floor_bucket(tweet.created_at.astimezone(zone), "week")
         if span_lo is None or bucket < span_lo:
             span_lo = bucket
         if span_hi is None or bucket > span_hi:
@@ -236,29 +199,25 @@ def party_mentions(
                 counts[bucket] = counts.get(bucket, 0) + 1
     span = None if span_lo is None else (span_lo, span_hi)
     return {
-        party: _filled_series(per_party[party], granularity,
-                              tz_offset_minutes, span)
+        party: _filled_series(per_party[party], "week", tz_offset_minutes, span)
         for party in PARTIES
     }
 
 
 def top_hashtags(
     tweets: Sequence[Tweet],
-    window: str = "week",
-    k: int = 5,
     tz_offset_minutes: int = IST_OFFSET_MINUTES,
 ) -> dict[datetime, tuple[tuple[str, int], ...]]:
-    """Most frequent hashtags per window; count desc, ties alphabetical."""
-    if k < 1:
-        raise AnalyticsError("k must be >= 1")
-    if window not in GRANULARITIES:
-        raise AnalyticsError(f"unknown granularity {window!r}")
+    """The five most frequent hashtags of each local ISO week.
+
+    Ranking is count desc, ties alphabetical.
+    """
     zone = _local_zone(tz_offset_minutes)
     per_window: dict[datetime, dict[str, int]] = {}
     for tweet in tweets:
         if not tweet.hashtags:
             continue
-        bucket = _floor_bucket(tweet.created_at.astimezone(zone), window)
+        bucket = _floor_bucket(tweet.created_at.astimezone(zone), "week")
         counts = per_window.setdefault(bucket, {})
         for tag in tweet.hashtags:
             counts[tag] = counts.get(tag, 0) + 1
@@ -266,34 +225,23 @@ def top_hashtags(
     for bucket in sorted(per_window):
         ranked = sorted(per_window[bucket].items(),
                         key=lambda item: (-item[1], item[0]))
-        out[bucket] = tuple(ranked[:k])
+        out[bucket] = tuple(ranked[:_TOP_K])
     return out
 
 
 def unique_user_stats(
     tweets: Sequence[Tweet],
-    month: str | None = None,
-    top_n: int = 5,
-    tz_offset_minutes: int = IST_OFFSET_MINUTES,
 ) -> tuple[int, tuple[tuple[str, int], ...]]:
-    """Distinct author count and the heaviest tweeters.
+    """Distinct author count and the five heaviest tweeters.
 
-    ``month`` is a "YYYY-MM" filter applied in local time; None keeps the
-    whole corpus. Ranking is tweet count desc, ties alphabetical.
+    Ranking is tweet count desc, ties alphabetical.
     """
-    if top_n < 1:
-        raise AnalyticsError("top_n must be >= 1")
-    zone = _local_zone(tz_offset_minutes)
     counts: dict[str, int] = {}
     for tweet in tweets:
-        if month is not None:
-            local = tweet.created_at.astimezone(zone)
-            if f"{local.year:04d}-{local.month:02d}" != month:
-                continue
         name = tweet.author_screen_name
         counts[name] = counts.get(name, 0) + 1
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return len(counts), tuple(ranked[:top_n])
+    return len(counts), tuple(ranked[:_TOP_K])
 
 
 def _utc_stamp(bucket: datetime) -> str:

@@ -74,13 +74,15 @@ _TZ_PATTERN = re.compile(r"^([+-])(\d{2}):?(\d{2})$")
 
 
 def parse_tz(text: str) -> int:
-    """'+05:30' -> 330 minutes; '-07:00' -> -420."""
+    """'+05:30' -> 330 minutes; '-07:00' -> -420. Offsets stay under 24:00."""
     match = _TZ_PATTERN.match(text)
     if not match:
         raise ConfigError(f"timezone must look like +05:30, got {text!r}")
     sign, hours, minutes = match.groups()
     if int(minutes) > 59:
         raise ConfigError(f"timezone minutes out of range in {text!r}")
+    if int(hours) > 23:
+        raise ConfigError(f"timezone offset must be under 24:00, got {text!r}")
     value = int(hours) * 60 + int(minutes)
     return -value if sign == "-" else value
 
@@ -212,17 +214,16 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    tweets, _, _ = _read_corpus(args)
     tz = _tz_minutes(args)
+    tweets, _, _ = _read_corpus(args)
     out = _out_dir(args)
 
-    daily = volume_series(tweets, "day", tz)
+    daily = volume_series(tweets, tz)
     write_series(daily, out / "volume_day.csv")
     write_day_hour(day_hour_matrix(tweets, tz), out / "day_hour.csv")
-    write_top_hashtags(top_hashtags(tweets, tz_offset_minutes=tz),
-                       out / "top_hashtags.csv")
+    write_top_hashtags(top_hashtags(tweets, tz), out / "top_hashtags.csv")
 
-    mentions = party_mentions(tweets, default_lexicon(), "week", tz)
+    mentions = party_mentions(tweets, default_lexicon(), tz)
     with open(out / "party_mentions.csv", "w", encoding="utf-8",
               newline="") as handle:
         writer = csv.writer(handle)
@@ -231,7 +232,7 @@ def _cmd_analyze(args) -> int:
             for bucket, value in mentions[party].points:
                 writer.writerow([party, format_timestamp(bucket), value])
 
-    n_users, top = unique_user_stats(tweets, tz_offset_minutes=tz)
+    n_users, top = unique_user_stats(tweets)
     summary = {
         "tweets": len(tweets),
         "unique_users": n_users,

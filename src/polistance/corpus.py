@@ -9,10 +9,12 @@ A corpus is a JSON Lines file mixing two record kinds, distinguished by a
   ``following`` list of screen names, optional ``location``.
 
 All screen names, hashtags, and mentions are lowercased at ingestion; stored
-hashtags carry no leading ``#`` and mentions no ``@``. Timestamps are
-normalized to UTC with second precision. ``write_corpus`` emits a canonical
-byte form (sorted keys, compact separators, ``Z``-suffixed timestamps) so
-that writing a parsed corpus and re-parsing it is lossless.
+hashtags carry no leading ``#`` and mentions no ``@``. A name or entity that
+is empty or contains whitespace makes its record malformed, because the
+line-based artifacts hold one name per whitespace-separated field.
+Timestamps are normalized to UTC with second precision. ``write_corpus``
+emits a canonical byte form (sorted keys, compact separators, ``Z``-suffixed
+timestamps) so that writing a parsed corpus and re-parsing it is lossless.
 
 ``parse_corpus`` streams the file line by line and interns every screen
 name, hashtag and mention, so repeated names share one string object.
@@ -184,10 +186,17 @@ def _as_id(obj: dict, key: str) -> str:
     return value
 
 
+def _word(value: str, field: str) -> str:
+    """Intern a normalized name or entity; empty or spaced ones are malformed."""
+    if value.split() != [value]:
+        raise _Malformed(f"bad name in {field!r}: {value!r}")
+    return sys.intern(value)
+
+
 def _as_name(obj: dict, key: str) -> str:
     value = obj.get(key)
-    _require(isinstance(value, str) and value != "", f"missing or empty {key!r}")
-    return sys.intern(value.lower())
+    _require(isinstance(value, str), f"missing {key!r}")
+    return _word(value.lower(), key)
 
 
 def _as_count(obj: dict, key: str) -> int:
@@ -211,9 +220,8 @@ def _entity_list(obj: dict, key: str, marker: str) -> tuple[str, ...] | None:
         entity = item.lower()
         if entity.startswith(marker):
             entity = entity[len(marker):]
-        _require(entity != "", f"empty entry in {key!r}")
         _require("#" not in entity and "@" not in entity, f"bad entry in {key!r}: {item!r}")
-        out[sys.intern(entity)] = None
+        out[_word(entity, key)] = None
     return tuple(out)
 
 
@@ -240,8 +248,7 @@ def _parse_tweet(obj: dict) -> Tweet:
     retweet_of = obj.get("retweet_of")
     if retweet_of is not None:
         _require(isinstance(retweet_of, str), "bad 'retweet_of'")
-        retweet_of = sys.intern(retweet_of.lower().lstrip("@"))
-        _require(retweet_of != "", "bad 'retweet_of'")
+        retweet_of = _word(retweet_of.lower().lstrip("@"), "retweet_of")
         if retweet_of == author:
             retweet_of = None  # self-retweets carry no relation
 
@@ -280,8 +287,8 @@ def _parse_profile(obj: dict) -> UserProfile:
     _require(isinstance(following_raw, list), "'following' must be a list")
     following = set()
     for name in following_raw:
-        _require(isinstance(name, str) and name != "", "'following' entries must be names")
-        following.add(sys.intern(name.lower().lstrip("@")))
+        _require(isinstance(name, str), "'following' entries must be names")
+        following.add(_word(name.lower().lstrip("@"), "following"))
 
     location = obj.get("location")
     if location is not None:

@@ -54,6 +54,8 @@ _SEED_MASK = (1 << 64) - 1
 _LOUVAIN_STREAM = 5015
 _GAIN_EPS = 1e-12
 _CHUNK = 1 << 16
+# a community below this share of all nodes is too small to name a party
+_MIN_SIZE_FRACTION = 0.0005
 
 
 class GraphError(ValueError):
@@ -393,14 +395,12 @@ class CommunityLabeling:
 
 
 def label_communities(
-    partition: Partition,
-    known: Mapping[str, str],
-    min_size_fraction: float = 0.0005,
+    partition: Partition, known: Mapping[str, str]
 ) -> CommunityLabeling:
     """Name each community after the plurality party of its known members.
 
-    Communities smaller than ``min_size_fraction`` of all nodes, with no
-    known members, or with a tied plurality are UNLABELED.
+    Communities smaller than ``_MIN_SIZE_FRACTION`` (0.05%) of all nodes,
+    with no known members, or with a tied plurality are UNLABELED.
     """
     if not known:
         raise GraphError("no known node labels supplied")
@@ -414,7 +414,7 @@ def label_communities(
 
     labels: dict[int, str] = {}
     for community, size in sizes.items():
-        if size / total_nodes < min_size_fraction:
+        if size / total_nodes < _MIN_SIZE_FRACTION:
             labels[community] = UNLABELED
             continue
         tally = votes.get(community)

@@ -1,5 +1,6 @@
 """Tests for time bucketing, mention bucketing, and the CSV exports."""
 
+import math
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -40,6 +41,26 @@ def tweet(tid, when, author="someone", text="", hashtags=()):
     )
 
 
+def total(series):
+    return math.fsum(series.values)
+
+
+def bucket_starts(series):
+    return tuple(t for t, _ in series.points)
+
+
+def grid_total(matrix):
+    return sum(sum(row) for row in matrix.counts)
+
+
+def local_date(moment):
+    return moment.strftime("%Y-%m-%d")
+
+
+def iso_week(moment):
+    return moment.isocalendar()[:2]
+
+
 def random_tweets(n, seed, span_days=35):
     rng = np.random.default_rng(seed)
     start = datetime(2014, 3, 20, tzinfo=UTC)
@@ -52,8 +73,8 @@ def random_tweets(n, seed, span_days=35):
 
 class TestTimeSeries:
     def test_mean_and_population_stddev(self):
-        t0 = datetime(2014, 4, 7, 9, 0, tzinfo=UTC)
-        series = TimeSeries("hour", 0, ((t0, 3.0), (t0 + timedelta(hours=1), 1.0)))
+        t0 = datetime(2014, 4, 7, tzinfo=UTC)
+        series = TimeSeries("day", 0, ((t0, 3.0), (t0 + timedelta(days=1), 1.0)))
         assert series.mean() == 2.0
         assert series.stddev() == 1.0  # population: sqrt((1+1)/2)
 
@@ -61,6 +82,8 @@ class TestTimeSeries:
         t0 = datetime(2014, 4, 7, tzinfo=UTC)
         with pytest.raises(AnalyticsError, match="gap-free"):
             TimeSeries("day", 0, ((t0, 1.0), (t0 + timedelta(days=2), 1.0)))
+        with pytest.raises(AnalyticsError, match="gap-free"):
+            TimeSeries("week", 0, ((t0, 1.0), (t0 + timedelta(days=8), 1.0)))
 
     def test_empty_series_statistics_error(self):
         series = TimeSeries("day", 0, ())
@@ -71,59 +94,64 @@ class TestTimeSeries:
 
 
 class TestVolumeSeries:
-    def test_two_hour_example(self):
+    def test_two_day_example(self):
         t0 = datetime(2014, 4, 7, 9, 10, tzinfo=UTC)
         tweets = [tweet(i, t0 + timedelta(minutes=i)) for i in range(3)]
-        tweets.append(tweet(9, t0 + timedelta(hours=1)))
-        series = volume_series(tweets, "hour", tz_offset_minutes=0)
+        tweets.append(tweet(9, t0 + timedelta(days=1)))
+        series = volume_series(tweets, tz_offset_minutes=0)
+        assert series.granularity == "day"
         assert series.values == (3.0, 1.0)
         assert series.mean() == 2.0 and series.stddev() == 1.0
 
     def test_empty_corpus(self):
-        series = volume_series([], "day")
+        series = volume_series([])
         assert len(series) == 0
 
     def test_interior_gaps_are_zero_filled(self):
         t0 = datetime(2014, 4, 7, 5, 0, tzinfo=UTC)
-        tweets = [tweet(1, t0), tweet(2, t0 + timedelta(hours=3))]
-        series = volume_series(tweets, "hour", tz_offset_minutes=0)
+        tweets = [tweet(1, t0), tweet(2, t0 + timedelta(days=3))]
+        series = volume_series(tweets, tz_offset_minutes=0)
         assert series.values == (1.0, 0.0, 0.0, 1.0)
 
     def test_timezone_shifts_day_boundary(self):
         late = tweet(1, datetime(2014, 4, 1, 20, 0, tzinfo=UTC))
-        ist = volume_series([late], "day", tz_offset_minutes=IST_OFFSET_MINUTES)
-        utc = volume_series([late], "day", tz_offset_minutes=0)
-        assert ist.bucket_starts[0].day == 2
-        assert utc.bucket_starts[0].day == 1
+        ist = volume_series([late], tz_offset_minutes=IST_OFFSET_MINUTES)
+        utc = volume_series([late], tz_offset_minutes=0)
+        assert bucket_starts(ist)[0].day == 2
+        assert bucket_starts(utc)[0].day == 1
 
-    @pytest.mark.parametrize("granularity", ["hour", "day", "month"])
+    @pytest.mark.parametrize("granularity", ["day", "week"])
     def test_against_counting_oracle(self, granularity):
-        tweets = random_tweets(400, seed=11)
+        # daily series come from volume_series, weekly ones from party_mentions
+        tweets = [
+            tweet(t.tweet_id, t.created_at, text="modi")
+            for t in random_tweets(400, seed=11)
+        ]
+        if granularity == "day":
+            series, key = volume_series(tweets), local_date
+        else:
+            series, key = party_mentions(tweets, default_lexicon())["BJP"], iso_week
+        assert series.granularity == granularity
         zone = timezone(timedelta(minutes=IST_OFFSET_MINUTES))
-        fmt = {"hour": "%Y-%m-%d %H", "day": "%Y-%m-%d", "month": "%Y-%m"}
-        oracle = Counter(
-            t.created_at.astimezone(zone).strftime(fmt[granularity])
-            for t in tweets
-        )
-        series = volume_series(tweets, granularity)
+        oracle = Counter(key(t.created_at.astimezone(zone)) for t in tweets)
         for bucket, value in series.points:
-            assert value == oracle.get(bucket.strftime(fmt[granularity]), 0)
-        assert series.total() == 400
+            assert value == oracle.get(key(bucket), 0)
+        assert total(series) == 400
 
     def test_week_buckets_are_iso_mondays(self):
-        tweets = random_tweets(300, seed=5)
-        series = volume_series(tweets, "week")
-        zone = timezone(timedelta(minutes=IST_OFFSET_MINUTES))
-        oracle = Counter(
-            t.created_at.astimezone(zone).isocalendar()[:2] for t in tweets
-        )
-        for bucket, value in series.points:
-            assert bucket.weekday() == 0
-            assert value == oracle.get(bucket.isocalendar()[:2], 0)
+        tweets = [
+            tweet(t.tweet_id, t.created_at, text="modi", hashtags=["namo"])
+            for t in random_tweets(300, seed=5)
+        ]
+        weeks = bucket_starts(party_mentions(tweets, default_lexicon())["BJP"])
+        assert len(weeks) == 6
+        assert all(week.weekday() == 0 for week in weeks)
+        assert tuple(top_hashtags(tweets)) == weeks
 
     def test_unknown_granularity(self):
-        with pytest.raises(AnalyticsError):
-            volume_series([], "fortnight")
+        # a series is bucketed by day or by week, nothing else
+        with pytest.raises(AnalyticsError, match="unknown granularity"):
+            TimeSeries("hour", 0, ())
 
 
 class TestDayHourMatrix:
@@ -134,7 +162,7 @@ class TestDayHourMatrix:
             tz_offset_minutes=0,
         )
         assert m.at(3, 14) == 1
-        assert m.total() == 1
+        assert grid_total(m) == 1
 
     def test_uniform_week_is_flat(self):
         start = datetime(2014, 4, 6, 0, 0, tzinfo=UTC)  # a Sunday
@@ -156,15 +184,17 @@ class TestDayHourMatrix:
         for day in range(1, 8):
             for hour in range(24):
                 assert m.at(day, hour) == oracle.get((day, hour), 0)
-        assert m.total() == 1000
+        assert grid_total(m) == 1000
 
     @given(offset=st.integers(-720, 840))
     @settings(max_examples=20, deadline=None)
     def test_conservation_for_any_timezone(self, offset):
         tweets = random_tweets(200, seed=8)
-        assert day_hour_matrix(tweets, offset).total() == 200
-        assert volume_series(tweets, "day", offset).total() == 200
-        assert volume_series(tweets, "week", offset).total() == 200
+        assert grid_total(day_hour_matrix(tweets, offset)) == 200
+        assert total(volume_series(tweets, offset)) == 200
+        modi = [tweet(t.tweet_id, t.created_at, text="modi") for t in tweets]
+        weekly = party_mentions(modi, default_lexicon(), offset)["BJP"]
+        assert total(weekly) == 200
 
     def test_shape_validation(self):
         with pytest.raises(AnalyticsError):
@@ -181,20 +211,20 @@ class TestPartyMentions:
         t = tweet(1, datetime(2014, 4, 7, tzinfo=UTC),
                   text="modi and kejriwal debate")
         series = party_mentions([t], default_lexicon())
-        assert series["BJP"].total() == 1
-        assert series["AAP"].total() == 1
-        assert series["CONG"].total() == 0
+        assert total(series["BJP"]) == 1
+        assert total(series["AAP"]) == 1
+        assert total(series["CONG"]) == 0
 
     def test_no_hit_counts_nowhere(self):
         t = tweet(1, datetime(2014, 4, 7, tzinfo=UTC), text="weather is nice")
         series = party_mentions([t], default_lexicon())
-        assert all(s.total() == 0 for s in series.values())
+        assert all(total(s) == 0 for s in series.values())
 
     def test_hashtags_match_party_hashtags(self):
         t = tweet(1, datetime(2014, 4, 7, tzinfo=UTC),
                   text="big rally #namo", hashtags=["namo"])
         series = party_mentions([t], default_lexicon())
-        assert series["BJP"].total() == 1
+        assert total(series["BJP"]) == 1
 
     def test_against_scan_oracle(self):
         rng = np.random.default_rng(17)
@@ -206,14 +236,14 @@ class TestPartyMentions:
                   text=snippets[int(rng.integers(len(snippets)))])
             for i, h in enumerate(rng.integers(0, 600, size=1000))
         ]
-        series = party_mentions(tweets, lexicon, granularity="week")
+        series = party_mentions(tweets, lexicon)
         for party in ("AAP", "BJP", "CONG"):
             keywords = lexicon.terms(party).keywords
             expected = sum(
                 1 for t in tweets
                 if any(word in keywords for word in t.text.split())
             )
-            assert series[party].total() == expected
+            assert total(series[party]) == expected
 
     def test_disjoint_single_hit_totals_conserve(self):
         # every tweet names exactly one party, so totals sum to corpus size
@@ -225,7 +255,7 @@ class TestPartyMentions:
             for i, party in enumerate(["AAP", "BJP", "CONG"] * 30)
         ]
         series = party_mentions(tweets, default_lexicon())
-        assert sum(s.total() for s in series.values()) == len(tweets)
+        assert sum(total(s) for s in series.values()) == len(tweets)
 
     def test_common_span_across_parties(self):
         base = datetime(2014, 4, 7, tzinfo=UTC)
@@ -233,8 +263,8 @@ class TestPartyMentions:
             tweet(1, base, text="modi"),
             tweet(2, base + timedelta(days=30), text="kejriwal"),
         ]
-        series = party_mentions(tweets, default_lexicon(), granularity="week")
-        spans = {s.bucket_starts for s in series.values()}
+        series = party_mentions(tweets, default_lexicon())
+        spans = {bucket_starts(s) for s in series.values()}
         assert len(spans) == 1  # all parties share one axis
 
 
@@ -254,7 +284,7 @@ class TestTopHashtags:
         (ranking,) = top_hashtags(tweets).values()
         assert ranking == (("apple", 1), ("zebra", 1))
 
-    def test_top_k_is_prefix_of_top_k_plus_1(self):
+    def test_against_counting_oracle(self):
         rng = np.random.default_rng(23)
         tags = [f"tag{i}" for i in range(12)]
         tweets = [
@@ -262,25 +292,20 @@ class TestTopHashtags:
                   hashtags=[tags[int(rng.integers(12))]])
             for i, h in enumerate(rng.integers(0, 700, size=300))
         ]
-        for k in range(1, 6):
-            small = top_hashtags(tweets, k=k)
-            large = top_hashtags(tweets, k=k + 1)
-            for window, ranking in small.items():
-                assert large[window][:k] == ranking
-
-    def test_against_counting_oracle(self):
-        base = datetime(2014, 4, 7, tzinfo=UTC)
-        tweets = [
-            tweet(1, base, hashtags=["a", "b"]),
-            tweet(2, base, hashtags=["a"]),
-            tweet(3, base + timedelta(days=1), hashtags=["c", "a"]),
-        ]
-        (ranking,) = top_hashtags(tweets, window="month", k=3).values()
-        assert ranking == (("a", 3), ("b", 1), ("c", 1))
-
-    def test_k_validation(self):
-        with pytest.raises(AnalyticsError):
-            top_hashtags([], k=0)
+        zone = timezone(timedelta(minutes=IST_OFFSET_MINUTES))
+        oracle: dict = {}
+        for t in tweets:
+            week = iso_week(t.created_at.astimezone(zone))
+            oracle.setdefault(week, Counter()).update(t.hashtags)
+        ranked = top_hashtags(tweets)
+        assert len(ranked) == len(oracle)
+        for window, ranking in ranked.items():
+            assert window.weekday() == 0
+            counts = oracle[iso_week(window)]
+            # five entries, and no tag left out has a higher count than one kept
+            assert len(ranking) == 5
+            assert [c for _, c in ranking] == sorted(counts.values(), reverse=True)[:5]
+            assert all(counts[tag] == count for tag, count in ranking)
 
 
 class TestUniqueUserStats:
@@ -292,16 +317,6 @@ class TestUniqueUserStats:
         assert count == 2
         assert ranking == (("u1", 3), ("u2", 2))
 
-    def test_month_filter_is_local(self):
-        # 2014-04-30 20:00 utc is already May 1st in IST
-        edge = tweet(1, datetime(2014, 4, 30, 20, 0, tzinfo=UTC), author="a1")
-        april = tweet(2, datetime(2014, 4, 15, tzinfo=UTC), author="a2")
-        count, _ = unique_user_stats([edge, april], month="2014-04")
-        assert count == 1
-        count_utc, _ = unique_user_stats([edge, april], month="2014-04",
-                                         tz_offset_minutes=0)
-        assert count_utc == 2
-
     def test_rank_ties_alphabetical(self):
         base = datetime(2014, 4, 7, tzinfo=UTC)
         tweets = [tweet(1, base, author="zed"), tweet(2, base, author="amy")]
@@ -311,9 +326,9 @@ class TestUniqueUserStats:
     def test_top_n_truncates(self):
         base = datetime(2014, 4, 7, tzinfo=UTC)
         tweets = [tweet(i, base, author=f"u{i}") for i in range(9)]
-        count, ranking = unique_user_stats(tweets, top_n=3)
+        count, ranking = unique_user_stats(tweets)
         assert count == 9
-        assert len(ranking) == 3
+        assert ranking == tuple((f"u{i}", 1) for i in range(5))
 
 
 class TestExports:

@@ -1,6 +1,7 @@
 """Exit codes, flag handling, and artifact outputs of the CLI."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,7 +24,41 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="session")
+def default_corpus(tmp_path_factory):
+    """The corpus of ``polistance synth`` with every flag at its default."""
+    root = tmp_path_factory.mktemp("default")
+    assert main(["synth", "--out", str(root)]) == 0
+    return str(root / "corpus.jsonl")
+
+
 MATRIX_FILES = ("matrix.triplets", "vocabulary.tsv", "users.txt")
+
+# sha256 of each analyze file on the default synthetic corpus, pinned so a
+# change to the bucketing code cannot move a byte unnoticed
+ANALYZE_GOLDEN = {
+    "+05:30": {
+        "day_hour.csv": "a712c723046b2a9eb6e8231f6c01d584e58f970ab28905b0419c83220e1e36d9",
+        "party_mentions.csv": "b65f7c791f461b3255265d97c3e248ac813b4d97aff6c6d38d2ab810b85c94a1",
+        "summary.json": "adf0df33e9dee47dc7b239f329a6a0caec991e3231e2091099be21bbde6912a4",
+        "top_hashtags.csv": "31d3451ebad39ecd0e037531997e9ba957cd6246f1f3a7f9e7ee9447fd17eb9d",
+        "volume_day.csv": "68f87997e60981ad4aceaf2e08a39add70ca169770b2fbe818586086e68678ba",
+    },
+    "+00:00": {
+        "day_hour.csv": "8f1eda1b0af8daa72c131408e5eafe8b560bd0f552f4a9be1fa47354b6dd9282",
+        "party_mentions.csv": "2fc67f847d2eab21b8f3985abbfa22abedb94888fd9914b5bcbe0c7eaaee2d0d",
+        "summary.json": "7670467ad620897fcea1f497393ecba1177b8ccc81cbd6fa478a97b8d93acf26",
+        "top_hashtags.csv": "82288e36ee6b581364a380d01f5d418e25013903c01793014ad506f9c3f74ec6",
+        "volume_day.csv": "04852b27b884707948bed6242549a5ef9ef55403435be01db7e17ce4e80ea80a",
+    },
+    "-05:45": {
+        "day_hour.csv": "9ff866c55038dbd3a74aa365e91ab6ce4f4bb30c809662e6bbce3f0a4e498acf",
+        "party_mentions.csv": "82b1c143ef4d5317e437742e6c1e1f1c728264ba0d58784a8a7a9dfb743682a1",
+        "summary.json": "3cf545b3c7f5b8167cee8f7f1625d23dc9d0dc02b27dbe2f7fbbc7c60109729a",
+        "top_hashtags.csv": "14f40522be09efc0b001ce47407c3dab7c74a74b8ce72b7dedf62bb70863e393",
+        "volume_day.csv": "dbe994a0f75edbc85ef31b9496c246e8c8b4ef4fd2d60cca3c1752f7541cb4c2",
+    },
+}
 
 
 def corpus_of(workspace) -> str:
@@ -43,7 +78,9 @@ class TestParseTz:
     def test_accepted_forms(self, text, minutes):
         assert parse_tz(text) == minutes
 
-    @pytest.mark.parametrize("text", ["05:30", "+5:30", "+05:70", "utc", ""])
+    @pytest.mark.parametrize(
+        "text", ["05:30", "+5:30", "+05:70", "utc", "", "+24:00", "-2400"]
+    )
     def test_rejected_forms(self, text):
         with pytest.raises(ConfigError):
             parse_tz(text)
@@ -261,6 +298,24 @@ class TestAnalyzeCommand:
         ist = (a / "day_hour.csv").read_text()
         utc = (b / "day_hour.csv").read_text()
         assert ist != utc
+
+    @pytest.mark.parametrize("tz", sorted(ANALYZE_GOLDEN))
+    def test_golden_digests(self, tz, default_corpus, tmp_path, capsys):
+        # "--tz=" keeps argparse from reading "-05:45" as a flag
+        assert main(["analyze", default_corpus, f"--tz={tz}",
+                     "--out", str(tmp_path)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert digests == ANALYZE_GOLDEN[tz]
+
+    def test_tz_out_of_range_is_config_error(self, workspace, tmp_path, capsys):
+        out_dir = tmp_path / "an"
+        assert main(["analyze", corpus_of(workspace), "--tz", "+24:00",
+                     "--out", str(out_dir)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestSynthCommand:

@@ -244,6 +244,37 @@ class TestParseCorpus:
         tweets, _, _ = parse_corpus(path)
         assert tweets[0].retweet_of is None
 
+    @pytest.mark.parametrize("field,value", [
+        ("author_screen_name", "a b"),
+        ("author_screen_name", "x\ny"),
+        ("retweet_of", "d e"),
+        ("hashtags", ["ok", "tab\tbed"]),
+        ("mentions", [" lead"]),
+        ("screen_name", "p q"),
+        ("following", ["fine", "line\u2028break"]),
+        ("following", ["@"]),
+    ])
+    def test_spaced_or_empty_name_skipped_or_strict_error(self, tmp_path,
+                                                          field, value):
+        # graph.edges, partition.txt and users.txt hold one name per
+        # whitespace-separated field, so such a name would break their lines
+        tweet = {"kind": "tweet", "tweet_id": "1", "author_id": "a",
+                 "author_screen_name": "A", "created_at": "2014-01-01T00:00:00Z",
+                 "text": "x"}
+        profile = {"kind": "profile", "user_id": "u1", "screen_name": "B",
+                   "followers_count": 1, "friends_count": 2, "statuses_count": 3}
+        if field in ("screen_name", "following"):
+            bad = dict(profile, **{field: value})
+        else:
+            bad = dict(tweet, tweet_id="2", **{field: value})
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(tweet) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        tweets, profiles, skipped = parse_corpus(path)
+        assert (len(tweets), len(profiles), skipped) == (1, 0, 1)
+        with pytest.raises(CorpusError, match=f":2: bad name in '{field}'"):
+            parse_corpus(path, strictness="strict")
+
     def test_duplicate_tweet_id_skipped_or_strict_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = {"kind": "tweet", "tweet_id": "1", "author_id": "a",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import polistance.graph as graph_module
 from polistance.corpus import Tweet
 from polistance.graph import (
     UNLABELED,
@@ -384,7 +385,7 @@ class TestLabeling:
         lab = label_communities(part, {"a": "AAP"})
         assert lab.label_of(1) == UNLABELED
 
-    def test_small_community_suppressed(self):
+    def test_small_community_suppressed(self, monkeypatch):
         # 4-clique and a triangle; the triangle is 3/7 of the nodes
         edges = [(f"a{i}", f"a{j}") for i in range(4) for j in range(i + 1, 4)]
         edges += [("b0", "b1"), ("b1", "b2"), ("b0", "b2")]
@@ -392,15 +393,17 @@ class TestLabeling:
         assignment = {v: (0 if v.startswith("a") else 1) for v in g.nodes}
         part = partition_of(g, assignment)
         known = {"a0": "AAP", "b0": "BJP"}
-        lab = label_communities(part, known, min_size_fraction=0.5)
+        monkeypatch.setattr(graph_module, "_MIN_SIZE_FRACTION", 0.5)
+        lab = label_communities(part, known)
         assert lab.label_of(0) == "AAP"
         assert lab.label_of(1) == UNLABELED
 
-    def test_everything_suppressed_is_an_error(self):
+    def test_everything_suppressed_is_an_error(self, monkeypatch):
         part = partition_of(BRIDGE, BRIDGE_SPLIT)
         # both halves hold 3/6 = 0.5 of the nodes, below the threshold
+        monkeypatch.setattr(graph_module, "_MIN_SIZE_FRACTION", 0.75)
         with pytest.raises(GraphError, match="no labelable"):
-            label_communities(part, KNOWN, min_size_fraction=0.75)
+            label_communities(part, KNOWN)
 
     def test_mixed_majority_fixture(self):
         # one 97-node community: 62 AAP vs 23 BJP vs 12 unknown members
