@@ -66,7 +66,6 @@ _DATA_ERRORS = (
     ForestError,
     GraphError,
     AnalyticsError,
-    SynthError,
     FileNotFoundError,
 )
 
@@ -109,7 +108,12 @@ def _add_command(sub, name: str, func, help: str, flags: Sequence[str] = ()):
 
 def _out_dir(args, default: str = ".") -> Path:
     out = Path(args.out if args.out is not None else default)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file stands at the path or above it
+        raise ConfigError(
+            f"cannot create output directory {out}: {exc.strerror}"
+        ) from exc
     return out
 
 
@@ -253,16 +257,19 @@ def _cmd_synth(args) -> int:
     if args.preset == "skewed":
         spec = skewed_preset(rng_seed=seed)
     else:
-        spec = SyntheticSpec(
-            users_per_party={
-                "AAP": args.users, "BJP": args.users, "CONG": args.users
-            },
-            tweets_per_user=args.tweets,
-            p_intra=args.p_intra,
-            p_cross=args.p_cross,
-            annotator_noise=args.noise,
-            rng_seed=seed,
-        )
+        try:
+            spec = SyntheticSpec(
+                users_per_party={
+                    "AAP": args.users, "BJP": args.users, "CONG": args.users
+                },
+                tweets_per_user=args.tweets,
+                p_intra=args.p_intra,
+                p_cross=args.p_cross,
+                annotator_noise=args.noise,
+                rng_seed=seed,
+            )
+        except SynthError as exc:  # an out-of-range flag
+            raise ConfigError(str(exc)) from exc
     out = _out_dir(args)
     data = write_synthetic(spec, out / "corpus.jsonl", out / "annotations.csv")
     print(

@@ -59,25 +59,18 @@ class ForestError(ValueError):
 class ForestParams:
     """Training hyperparameters.
 
-    ``features_per_split`` defaults to ceil(sqrt(d)) at fit time when left
-    as None; ``max_depth`` None means unlimited.
+    Every tree grows to full size, as in Breiman (2001): a node becomes a
+    leaf only when it is pure or no cut on its candidate features lowers
+    its Gini impurity, so a leaf may hold one row, and each split draws
+    ceil(sqrt(d)) candidate features.
     """
 
     n_trees: int = 100
-    max_depth: int | None = None
-    features_per_split: int | None = None
-    min_leaf: int = 1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ForestError("n_trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ForestError("max_depth must be >= 1 or None")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ForestError("features_per_split must be >= 1 or None")
-        if self.min_leaf < 1:
-            raise ForestError("min_leaf must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,6 @@ def _best_splits(
     matrix: np.ndarray,
     ranks: np.ndarray,
     y: np.ndarray,
-    min_leaf: int,
     nodes: list[np.ndarray],
     candidates: np.ndarray,
     class_counts: np.ndarray,
@@ -185,14 +177,13 @@ def _best_splits(
     keys >>= shift
     cut = keys[:, 1:] != keys[:, :-1]
     del keys
-    left_sizes = np.arange(1, width) - starts[segment[:-1]]
-    cut &= (left_sizes >= min_leaf) & (sizes[segment[:-1]] - left_sizes >= min_leaf)
+    cut &= segment[1:] == segment[:-1]  # no cut between two nodes
     flat = np.flatnonzero(cut)
     del cut
     pos = flat % (width - 1)
     flat += flat // (width - 1)  # index into the (mtry, N) block
     at = segment.take(pos)
-    left_sizes = left_sizes.take(pos)
+    left_sizes = pos + 1 - starts.take(at)
     del pos
 
     # class counts left of each cut: cumulative counts along the row, less
@@ -266,16 +257,14 @@ class _Growing:
         self.left: list[int] = [-1]
         self.right: list[int] = [-1]
         self.leaf_class: list[int] = [-1]
-        # (node, rows, depth, class counts); the left child goes on top, so
-        # nodes pop in depth-first, left-before-right order
-        self.stack: list[tuple[int, np.ndarray, int, list[int]]] = [
-            (0, rows, 0, counts)
-        ]
+        # (node, rows, class counts); the left child goes on top, so nodes
+        # pop in depth-first, left-before-right order
+        self.stack: list[tuple[int, np.ndarray, list[int]]] = [(0, rows, counts)]
 
     def leaf(self, node: int, counts: list[int]) -> None:
         self.leaf_class[node] = counts.index(max(counts))  # smallest class index
 
-    def split(self, node: int, depth: int, feature: int, threshold: float,
+    def split(self, node: int, feature: int, threshold: float,
               left_rows: np.ndarray, right_rows: np.ndarray,
               left_counts: list[int], right_counts: list[int]) -> None:
         left = len(self.feature)
@@ -288,8 +277,8 @@ class _Growing:
         self.left += (-1, -1)
         self.right += (-1, -1)
         self.leaf_class += (-1, -1)
-        self.stack.append((left + 1, right_rows, depth + 1, right_counts))
-        self.stack.append((left, left_rows, depth + 1, left_counts))
+        self.stack.append((left + 1, right_rows, right_counts))
+        self.stack.append((left, left_rows, left_counts))
 
     def tree(self) -> Tree:
         return Tree(
@@ -306,7 +295,6 @@ def _grow_forest(
     y: np.ndarray,
     n_classes: int,
     params: ForestParams,
-    mtry: int,
 ) -> tuple[Tree, ...]:
     """Grow all trees in lockstep, each exactly as if grown alone.
 
@@ -316,8 +304,7 @@ def _grow_forest(
     alone. Only the split search is shared by the step's nodes.
     """
     n, d = matrix.shape
-    max_depth = math.inf if params.max_depth is None else params.max_depth
-    min_rows = 2 * params.min_leaf
+    mtry = math.ceil(math.sqrt(d))
     ranks = _dense_ranks(matrix)
     growing = []
     for t in range(params.n_trees):
@@ -328,16 +315,16 @@ def _grow_forest(
 
     def search(chunk: list[tuple]) -> None:
         splits = _best_splits(
-            matrix, ranks, y, params.min_leaf,
+            matrix, ranks, y,
             [entry[2] for entry in chunk],
-            np.array([entry[5] for entry in chunk]),
             np.array([entry[4] for entry in chunk]),
+            np.array([entry[3] for entry in chunk]),
         )
-        for (tree, node, _, depth, counts, _), split in zip(chunk, splits):
+        for (tree, node, _, counts, _), split in zip(chunk, splits):
             if split is None:
                 tree.leaf(node, counts)
             else:
-                tree.split(node, depth, *split)
+                tree.split(node, *split)
 
     active = growing
     while active:
@@ -346,15 +333,15 @@ def _grow_forest(
         chunk: list[tuple] = []
         pairs = 0
         for tree in active:
-            node, rows, depth, counts = tree.stack.pop()
-            if max(counts) == len(rows) or depth >= max_depth or len(rows) < min_rows:
+            node, rows, counts = tree.stack.pop()
+            if max(counts) == len(rows):  # pure, which a single row always is
                 tree.leaf(node, counts)
                 continue
             candidates = np.sort(tree.rng.choice(d, size=mtry, replace=False))
             if chunk and pairs + mtry * len(rows) > _CHUNK_PAIRS:
                 search(chunk)
                 chunk, pairs = [], 0
-            chunk.append((tree, node, rows, depth, counts, candidates))
+            chunk.append((tree, node, rows, counts, candidates))
             pairs += mtry * len(rows)
         if chunk:
             search(chunk)
@@ -398,11 +385,7 @@ def train_forest(
     d = matrix.shape[1]
     if d == 0:
         raise ForestError("cannot train on zero features")
-    mtry = params.features_per_split or math.ceil(math.sqrt(d))
-    if mtry > d:
-        raise ForestError(f"features_per_split {mtry} exceeds feature count {d}")
-
-    trees = _grow_forest(matrix, y, len(classes), params, mtry)
+    trees = _grow_forest(matrix, y, len(classes), params)
     return Forest(params=params, classes=classes, n_features=d, trees=trees)
 
 
@@ -561,30 +544,3 @@ def cross_validate(
 
     return eval_metrics(*confusion_from_pairs(truth, predicted, sorted(set(labels))))
 
-
-_FORMAT_VERSION = 1
-
-
-def forest_to_dict(forest: Forest) -> dict:
-    return {
-        "format_version": _FORMAT_VERSION,
-        "classes": list(forest.classes),
-        "n_features": forest.n_features,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "max_depth": forest.params.max_depth,
-            "features_per_split": forest.params.features_per_split,
-            "min_leaf": forest.params.min_leaf,
-            "rng_seed": forest.params.rng_seed,
-        },
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "leaf_class": tree.leaf_class.tolist(),
-            }
-            for tree in forest.trees
-        ],
-    }

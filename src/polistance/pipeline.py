@@ -85,7 +85,6 @@ _FIELD_TYPES = {
     "str": (str,),
     "str | None": (str, type(None)),
     "int": (int,),
-    "int | None": (int, type(None)),
     "bool": (bool,),
 }
 
@@ -110,9 +109,6 @@ class RunConfig:
     method: str = "text"
     dimension: str = "pro"
     n_trees: int = 100
-    max_depth: int | None = None
-    features_per_split: int | None = None
-    min_leaf: int = 1
     cv_mode: str = "kfold"
     cv_k: int = 10
     balance: bool = False
@@ -146,13 +142,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def forest_params(self) -> ForestParams:
-        return ForestParams(
-            n_trees=self.n_trees,
-            max_depth=self.max_depth,
-            features_per_split=self.features_per_split,
-            min_leaf=self.min_leaf,
-            rng_seed=self.rng_seed,
-        )
+        return ForestParams(n_trees=self.n_trees, rng_seed=self.rng_seed)
 
     def lexicon(self) -> PartyLexicon:
         if self.lexicon_path is None:

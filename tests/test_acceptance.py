@@ -21,11 +21,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from forest_dump import forest_to_dict
 from polistance.analytics import day_hour_matrix, volume_series
 from polistance.annotation import LABELS, agreement_stats, kappa_from_agreement
 from polistance.cli import main
 from polistance.features import TermCounts, build_text_matrix
-from polistance.forest import ForestParams, cross_validate, forest_to_dict, train_forest
+from polistance.forest import ForestParams, cross_validate, train_forest
 from polistance.graph import InteractionGraph, louvain, modularity
 from polistance.metrics import f_measure
 from polistance.pipeline import RunConfig, run

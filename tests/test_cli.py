@@ -132,11 +132,49 @@ class TestExitCodes:
             "corpus_path": corpus_of(workspace),
             "annotations_path": annotations_of(workspace),
             "out_dir": str(tmp_path / "out"),
-            "max_depth": 0,
+            "n_trees": 0,
         }))
         assert main(["classify", "--config", str(config)]) == 2
-        assert "config error: max_depth must be >= 1" in capsys.readouterr().err
+        assert "config error: n_trees must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_depth", 6), ("features_per_split", 3), ("min_leaf", 1),
+    ])
+    def test_classify_with_removed_forest_key(self, key, value, tmp_path,
+                                              workspace, capsys):
+        # trees grow to full size on ceil(sqrt(d)) features a split; a config
+        # written for the old knobs fails rather than runs something else
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / "out"),
+            key: value,
+        }))
+        assert main(["classify", "--config", str(config)]) == 2
+        assert f"config error: unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "CORPUS"],
+        ["agree", "ANNOTATIONS"],
+        ["featurize", "CORPUS"],
+        ["graph", "CORPUS"],
+        ["analyze", "CORPUS"],
+        ["synth", "--users", "2", "--tweets", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_out_that_is_a_file_is_config_error(self, argv, tmp_path, workspace,
+                                                capsys):
+        inputs = {"CORPUS": corpus_of(workspace),
+                  "ANNOTATIONS": annotations_of(workspace)}
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        argv = [inputs.get(arg, arg) for arg in argv] + ["--out", str(taken)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot create output directory {taken}" in err
+        assert taken.read_text() == "keep\n"
 
     def test_strict_ingest_on_malformed_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -334,6 +372,18 @@ class TestSynthCommand:
         out = capsys.readouterr().out
         # 613 users x 30 tweets
         assert "18390 tweets" in out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--users", "0", "users_per_party"),
+        ("--tweets", "0", "tweets_per_user"),
+        ("--noise", "2", "annotator_noise"),
+    ])
+    def test_out_of_range_flag_is_config_error(self, flag, value, message,
+                                               tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        assert main(["synth", flag, value, "--out", str(out_dir)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestClassifyCommand:

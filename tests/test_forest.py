@@ -1,7 +1,5 @@
 """Tests for forest training, prediction, balancing, and cross-validation."""
 
-import hashlib
-import json
 from collections import Counter
 
 import numpy as np
@@ -9,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forest_dump import forest_digest, forest_to_dict
 from polistance import forest
 from polistance.forest import (
     Forest,
@@ -19,7 +18,6 @@ from polistance.forest import (
     _dense_ranks,
     balance_classes,
     cross_validate,
-    forest_to_dict,
     predict_many,
     stratified_folds,
     train_forest,
@@ -74,11 +72,6 @@ def tall_narrow():
     return rows, labels
 
 
-def forest_digest(forest):
-    dump = json.dumps(forest_to_dict(forest), sort_keys=True)
-    return hashlib.sha256(dump.encode()).hexdigest()
-
-
 def leaf_tree(class_index):
     return Tree(
         feature=np.array([-1]),
@@ -122,8 +115,8 @@ class TestTrain:
     @pytest.mark.parametrize("make, params, digest", [
         (sparse_wide, ForestParams(n_trees=20, rng_seed=3),
          "06b9b06f17d02ac44cdb77ed1ecfb6a952b309c99089dc52cb58070198caeb75"),
-        (tall_narrow, ForestParams(n_trees=20, min_leaf=2, max_depth=6, rng_seed=4),
-         "190226b8ac86fc4719cad7dad2f3c0c409493498e6bcf4f61e39ed074de4ec0d"),
+        (tall_narrow, ForestParams(n_trees=20, rng_seed=4),
+         "cd1e44ecb62a2746a98f67018c494cd3b41618591f418c03ea7633fea0628b6a"),
     ], ids=["sparse_wide", "tall_narrow"])
     def test_golden_forest_digest(self, make, params, digest):
         rows, labels = make()
@@ -136,19 +129,10 @@ class TestTrain:
             train_forest(np.zeros((2, 3)), ["A"])
         with pytest.raises(ForestError):
             train_forest(np.zeros((2, 0)), ["A", "B"])
-        with pytest.raises(ForestError):
-            train_forest(np.zeros((2, 2)), ["A", "B"],
-                         ForestParams(features_per_split=5))
 
     def test_param_validation(self):
-        for bad in (
-            dict(n_trees=0),
-            dict(max_depth=0),
-            dict(min_leaf=0),
-            dict(features_per_split=0),
-        ):
-            with pytest.raises(ForestError):
-                ForestParams(**bad)
+        with pytest.raises(ForestError):
+            ForestParams(n_trees=0)
 
     def test_split_features_in_range(self):
         rows, labels, _ = make_blobs(per_class=10)
@@ -158,20 +142,13 @@ class TestTrain:
             internal = tree.feature[tree.feature >= 0]
             assert internal.size == 0 or internal.max() < forest.n_features
 
-    def test_max_depth_one_gives_stumps(self):
-        rows, labels, _ = make_blobs(per_class=10)
-        forest = train_forest(rows, labels,
-                              ForestParams(n_trees=5, max_depth=1, rng_seed=1))
-        for tree in forest.trees:
-            assert len(tree.feature) <= 3
-
     @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (1e308, 1.7e308)],
                              ids=["infinities", "sum_overflows"])
     def test_midpoint_that_is_not_finite_still_separates(self, lo, hi):
         # (lo + hi) / 2 is nan or inf here; the split must still send lo left
         rows = [[lo]] * 10 + [[hi]] * 10
         labels = ["a"] * 10 + ["b"] * 10
-        forest = train_forest(rows, labels, ForestParams(n_trees=3, max_depth=3))
+        forest = train_forest(rows, labels, ForestParams(n_trees=3))
         assert predict_many(forest, rows) == labels
 
     def test_scaling_a_column_changes_no_prediction(self):
@@ -188,20 +165,21 @@ class TestTrain:
 
 
 # Before NaN was rejected, the cut between the two NaNs had a NaN threshold
-# that sent every row right, so training never ended; max_depth makes such
-# a regression fail instead of hang.
+# that sent every row right, so training never ended. Trees have no depth
+# cap, so such a regression would hang here; the CI job's timeout-minutes
+# turns the hang into a failure.
 NAN_ROWS = [[0.0], [1.0], [np.nan], [np.nan], [2.0], [3.0]]
 NAN_LABELS = ["a", "a", "b", "b", "b", "a"]
-DEPTH_CAPPED = ForestParams(n_trees=2, max_depth=4)
+TWO_TREES = ForestParams(n_trees=2)
 
 
 class TestNaN:
     @pytest.mark.parametrize("call", [
-        lambda: train_forest(NAN_ROWS, NAN_LABELS, DEPTH_CAPPED),
-        lambda: cross_validate(NAN_ROWS, NAN_LABELS, DEPTH_CAPPED, k=2),
+        lambda: train_forest(NAN_ROWS, NAN_LABELS, TWO_TREES),
+        lambda: cross_validate(NAN_ROWS, NAN_LABELS, TWO_TREES, k=2),
         lambda: balance_classes(NAN_ROWS, NAN_LABELS),
         lambda: predict_many(
-            train_forest([[0.0], [1.0]], ["a", "b"], DEPTH_CAPPED), NAN_ROWS
+            train_forest([[0.0], [1.0]], ["a", "b"], TWO_TREES), NAN_ROWS
         ),
     ], ids=["train_forest", "cross_validate", "balance_classes", "predict_many"])
     def test_rows_with_nan_are_rejected(self, call):
@@ -368,11 +346,10 @@ def split_problems(draw):
         sorted(draw(st.sets(st.integers(0, d - 1), min_size=mtry, max_size=mtry)))
         for _ in nodes
     ]
-    min_leaf = draw(st.integers(1, 3))
-    return columns, labels, n_classes, nodes, features, min_leaf
+    return columns, labels, n_classes, nodes, features
 
 
-def brute_force_split(columns, labels, n_classes, node_idx, features, min_leaf):
+def brute_force_split(columns, labels, n_classes, node_idx, features):
     """Oracle: try every (feature, midpoint) pair with plain Python loops.
 
     A split's score is the sum over both children of sum(count^2)/size, the
@@ -395,21 +372,19 @@ def brute_force_split(columns, labels, n_classes, node_idx, features, min_leaf):
                 threshold = lo
             left = [i for i in node_idx if columns[feature][i] <= threshold]
             right = [i for i in node_idx if columns[feature][i] > threshold]
-            if len(left) < min_leaf or len(right) < min_leaf:
-                continue
             gain = score(left) + score(right)
             if gain > parent and (best is None or gain > best[0]):
                 best = (gain, feature, threshold)
     return None if best is None else (best[1], best[2])
 
 
-def segmented_splits(columns, labels, n_classes, nodes, features, min_leaf):
+def segmented_splits(columns, labels, n_classes, nodes, features):
     """All nodes through one _best_splits call, children checked per node."""
     matrix = np.array(columns, dtype=np.float64).T
     y = np.array(labels, dtype=np.int64)
     node_rows = [np.array(idx, dtype=np.int32) for idx in nodes]
     counts = np.array([np.bincount(y[rows], minlength=n_classes) for rows in node_rows])
-    results = _best_splits(matrix, _dense_ranks(matrix), y, min_leaf, node_rows,
+    results = _best_splits(matrix, _dense_ranks(matrix), y, node_rows,
                            np.array(features, dtype=np.int64), counts)
     found = []
     for rows, result in zip(node_rows, results):
@@ -430,9 +405,9 @@ class TestBestSplit:
     @settings(max_examples=300, deadline=None)
     @given(split_problems())
     def test_matches_brute_force(self, problem):
-        columns, labels, n_classes, nodes, features, min_leaf = problem
+        columns, labels, n_classes, nodes, features = problem
         assert segmented_splits(*problem) == [
-            brute_force_split(columns, labels, n_classes, idx, cand, min_leaf)
+            brute_force_split(columns, labels, n_classes, idx, cand)
             for idx, cand in zip(nodes, features)
         ]
 
@@ -442,13 +417,13 @@ class TestBestSplit:
         column = [0.0, 1.0, 2.0, 3.0]
         columns, labels = [column, column], [0, 1, 1, 0]
         nodes, features = [[0, 0, 1], [0, 1, 2, 3]], [[0, 1], [0, 1]]
-        assert segmented_splits(columns, labels, 2, nodes, features, 1) == [
+        assert segmented_splits(columns, labels, 2, nodes, features) == [
             (0, 0.5), (0, 0.5),
         ]
-        assert brute_force_split(columns, labels, 2, nodes[1], [0, 1], 1) == (0, 0.5)
+        assert brute_force_split(columns, labels, 2, nodes[1], [0, 1]) == (0, 0.5)
 
     def test_midpoint_that_rounds_up_keeps_rows_apart(self):
-        problem = ([[1.0 + 2.0**-52, 1.0 + 2.0**-51]], [0, 1], 2, [[0, 1]], [[0]], 1)
+        problem = ([[1.0 + 2.0**-52, 1.0 + 2.0**-51]], [0, 1], 2, [[0, 1]], [[0]])
         assert segmented_splits(*problem) == [(0, 1.0 + 2.0**-52)]
 
 

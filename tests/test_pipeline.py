@@ -92,10 +92,6 @@ WRONG_TYPES = [
     ("n_trees", "many"),
     ("n_trees", True),
     ("n_trees", 100.0),
-    ("max_depth", "4"),
-    ("max_depth", False),
-    ("features_per_split", 2.5),
-    ("min_leaf", True),
     ("cv_mode", 10),
     ("cv_k", "10"),
     ("balance", "false"),
@@ -121,9 +117,6 @@ class TestRunConfig:
             {"cv_k": 1},
             {"strictness": "lenient"},
             {"n_trees": 0},
-            {"max_depth": 0},
-            {"features_per_split": 0},
-            {"min_leaf": 0},
         ],
     )
     def test_rejects_bad_values(self, small_inputs, tmp_path, kwargs):
