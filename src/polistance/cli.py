@@ -43,7 +43,7 @@ from .corpus import (
     parse_corpus,
     write_corpus,
 )
-from .features import FEATURE_NAMES, FeatureError, default_lexicon, write_matrix
+from .features import FEATURE_NAMES, PARTIES, FeatureError, default_lexicon, write_matrix
 from .forest import ForestError
 from .graph import GraphError, build_interaction_graph, louvain, write_edges, write_partition
 from .metrics import MetricsError
@@ -254,20 +254,25 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    # each corpus flag with the SyntheticSpec field it sets; None if not given
+    given = [(flag, name, value) for flag, name, value in (
+        ("--users", "users_per_party", args.users),
+        ("--tweets", "tweets_per_user", args.tweets),
+        ("--p-intra", "p_intra", args.p_intra),
+        ("--p-cross", "p_cross", args.p_cross),
+        ("--noise", "annotator_noise", args.noise),
+    ) if value is not None]
     if args.preset == "skewed":
+        if given:
+            flags = ", ".join(flag for flag, _, _ in given)
+            raise ConfigError(f"--preset skewed fixes the corpus; it takes no {flags}")
         spec = skewed_preset(rng_seed=seed)
     else:
+        settings = {name: value for _, name, value in given}
+        if args.users is not None:
+            settings["users_per_party"] = dict.fromkeys(PARTIES, args.users)
         try:
-            spec = SyntheticSpec(
-                users_per_party={
-                    "AAP": args.users, "BJP": args.users, "CONG": args.users
-                },
-                tweets_per_user=args.tweets,
-                p_intra=args.p_intra,
-                p_cross=args.p_cross,
-                annotator_noise=args.noise,
-                rng_seed=seed,
-            )
+            spec = SyntheticSpec(**settings, rng_seed=seed)
         except SynthError as exc:  # an out-of-range flag
             raise ConfigError(str(exc)) from exc
     out = _out_dir(args)
@@ -320,13 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
                      ["--seed"])
     p.add_argument("--preset", default="default",
                    choices=["default", "skewed"])
-    p.add_argument("--users", type=int, default=40,
-                   help="users per party")
-    p.add_argument("--tweets", type=int, default=30,
-                   help="tweets per user")
-    p.add_argument("--p-intra", type=float, default=0.3, dest="p_intra")
-    p.add_argument("--p-cross", type=float, default=0.02, dest="p_cross")
-    p.add_argument("--noise", type=float, default=0.1)
+    # the default preset fills in an unset corpus flag; skewed takes none
+    p.add_argument("--users", type=int, default=None,
+                   help="users per party (default 40)")
+    p.add_argument("--tweets", type=int, default=None,
+                   help="tweets per user (default 30)")
+    p.add_argument("--p-intra", type=float, default=None, dest="p_intra",
+                   help="default 0.3")
+    p.add_argument("--p-cross", type=float, default=None, dest="p_cross",
+                   help="default 0.02")
+    p.add_argument("--noise", type=float, default=None,
+                   help="annotator flip probability (default 0.1)")
 
     return parser
 

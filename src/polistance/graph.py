@@ -2,9 +2,13 @@
 
 The interaction graph is undirected and simple: an edge says one user
 retweeted or mentioned another at least once, and repeat interactions add
-no parallel edges (a weighted mode exists behind a flag). Communities come
-from Louvain modularity maximization (Blondel et al. 2008) on numpy edge
-arrays, with the fast local move of Traag, Waltman and van Eck (2019):
+no parallel edges (a weighted mode exists behind a flag). A graph holds its
+sorted node names once; each edge is an int32 id into those names at either
+end and a float64 weight, so a held edge costs 16 bytes and no Python
+object. Ids follow sorted names, so edges sorted by ids are sorted by
+names. Communities come from Louvain modularity maximization (Blondel et
+al. 2008) on those arrays, with the fast local move of Traag, Waltman and
+van Eck (2019):
 every node starts queued in a seeded order, and when a node moves, only
 its neighbors outside its new community are queued again. Results are
 reproducible for a given seed. An emptied queue does not make a level
@@ -21,6 +25,7 @@ below a size threshold stay UNLABELED.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,23 +67,67 @@ class GraphError(ValueError):
     """Raised for invalid graph inputs."""
 
 
-@dataclass(frozen=True)
 class InteractionGraph:
-    """Simple undirected graph; nodes and edges kept in sorted order.
+    """Simple undirected graph over node names, held as id arrays.
 
-    ``weights`` aligns with ``edges``; unweighted graphs carry all-ones.
+    Edge ``i`` joins ``nodes[heads[i]]`` and ``nodes[tails[i]]`` with
+    weight ``weights[i]``; unweighted graphs carry all-ones. The arrays
+    are read-only. The builders give sorted nodes and edges sorted by
+    (head, tail) with ``head < tail``, through ``from_keys``; the
+    constructor converts name pairs and float weights once.
     """
 
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    weights: tuple[float, ...]
+    __slots__ = ("nodes", "heads", "tails", "weights")
+
+    def __init__(
+        self,
+        nodes: Sequence[str],
+        edges: Sequence[tuple[str, str]],
+        weights: Sequence[float],
+    ) -> None:
+        index = {node: i for i, node in enumerate(nodes)}
+        try:
+            heads = np.fromiter((index[a] for a, _ in edges), dtype=np.int32,
+                                count=len(edges))
+            tails = np.fromiter((index[b] for _, b in edges), dtype=np.int32,
+                                count=len(edges))
+        except KeyError as exc:
+            raise GraphError(f"edge endpoint {exc.args[0]!r} is not a node") from None
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != heads.shape:
+            raise GraphError(f"{weights.size} weights for {heads.size} edges")
+        self._hold(tuple(nodes), heads, tails, weights)
+
+    @classmethod
+    def from_keys(cls, nodes: tuple[str, ...], keys: np.ndarray,
+                  weights: np.ndarray) -> "InteractionGraph":
+        """The graph whose edge ``i`` has key ``head * len(nodes) + tail``."""
+        graph = cls.__new__(cls)
+        n = len(nodes)
+        graph._hold(nodes, (keys // n).astype(np.int32), (keys % n).astype(np.int32),
+                    weights)
+        return graph
+
+    def _hold(self, nodes, heads, tails, weights) -> None:
+        self.nodes = nodes
+        self.heads, self.tails, self.weights = heads, tails, weights
+        for values in (heads, tails, weights):
+            values.flags.writeable = False
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return int(self.heads.size)
 
     def total_weight(self) -> float:
-        return float(sum(self.weights))
+        return float(self.weights.sum())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionGraph):
+            return NotImplemented
+        return self.nodes == other.nodes and all(
+            np.array_equal(mine, theirs) for mine, theirs in (
+                (self.heads, other.heads), (self.tails, other.tails),
+                (self.weights, other.weights)))
 
 
 def build_interaction_graph(
@@ -89,24 +138,32 @@ def build_interaction_graph(
 
     Both interaction kinds contribute the same edges; self-interactions
     are skipped. With ``weighted`` the edge weight counts interaction
-    events instead of collapsing to 1.
+    events instead of collapsing to 1. Each name is looked up in one dict
+    and each event is kept as two C ints, never as a Python pair.
     """
-    counts: Counter[tuple[str, str]] = Counter()
+    index: dict[str, int] = {}
+    authors, targets = array("i"), array("i")
     for tweet in tweets:
         author = tweet.author_screen_name
-        targets = []
+        others = []
         if tweet.retweet_of is not None:
-            targets.append(tweet.retweet_of)
-        targets.extend(tweet.mentions)
-        for target in targets:
-            if target == author:
-                continue
-            counts[(min(author, target), max(author, target))] += 1
+            others.append(tweet.retweet_of)
+        others.extend(tweet.mentions)
+        for other in others:
+            if other != author:
+                authors.append(index.setdefault(author, len(index)))
+                targets.append(index.setdefault(other, len(index)))
 
-    edges = tuple(sorted(counts))
-    nodes = tuple(sorted({endpoint for edge in edges for endpoint in edge}))
-    weights = tuple(float(counts[edge]) if weighted else 1.0 for edge in edges)
-    return InteractionGraph(nodes=nodes, edges=edges, weights=weights)
+    # renumber the first-seen ids so that ids follow sorted names
+    nodes = tuple(sorted(index))
+    rank = np.empty(len(nodes), dtype=np.int64)
+    rank[[index[node] for node in nodes]] = np.arange(len(nodes))
+    a = rank[np.frombuffer(authors, dtype=np.intc)]
+    b = rank[np.frombuffer(targets, dtype=np.intc)]
+    keys, counts = np.unique(np.minimum(a, b) * len(nodes) + np.maximum(a, b),
+                             return_counts=True)
+    weights = counts.astype(np.float64) if weighted else np.ones(keys.size)
+    return InteractionGraph.from_keys(nodes, keys, weights)
 
 
 @dataclass(frozen=True)
@@ -137,19 +194,22 @@ def modularity(graph: InteractionGraph, assignment: Mapping[str, int]) -> float:
     if missing:
         raise GraphError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
 
+    # each endpoint's community, head then tail per edge: bincount sums in
+    # that order and communities are summed in order of first appearance,
+    # which is how a per-edge loop would add them
+    ends = np.fromiter((assignment[node] for node in graph.nodes), dtype=np.int64,
+                       count=len(graph.nodes))[np.column_stack((graph.heads, graph.tails))]
+    first, dense = np.unique(ends, return_index=True, return_inverse=True)[1:]
+    dense = dense.reshape(ends.shape)
+    strength = np.bincount(dense.ravel(), np.repeat(graph.weights, 2)).tolist()
+    inside = dense[:, 0] == dense[:, 1]
+    intra = np.bincount(dense[inside, 0], graph.weights[inside],
+                        minlength=first.size).tolist()
     total = graph.total_weight()
-    intra: Counter[int] = Counter()
-    strength: Counter[int] = Counter()
-    for (a, b), w in zip(graph.edges, graph.weights):
-        ca, cb = assignment[a], assignment[b]
-        strength[ca] += w
-        strength[cb] += w
-        if ca == cb:
-            intra[ca] += w
     return float(
         sum(
             intra[c] / total - (strength[c] / (2.0 * total)) ** 2
-            for c in strength
+            for c in np.argsort(first, kind="stable").tolist()
         )
     )
 
@@ -208,8 +268,9 @@ class _Level:
     strength: np.ndarray
 
     @classmethod
-    def from_edges(cls, a: np.ndarray, b: np.ndarray, w: np.ndarray, n: int) -> "_Level":
-        """The base level from edge endpoint ids and weights; loops allowed."""
+    def from_graph(cls, graph: InteractionGraph) -> "_Level":
+        """The base level of a graph's id arrays; loops allowed."""
+        a, b, w, n = graph.heads, graph.tails, graph.weights, len(graph.nodes)
         loop = a == b
         loops = np.bincount(a[loop], w[loop], minlength=n)
         strength = np.bincount(a, w, minlength=n) + np.bincount(b, w, minlength=n)
@@ -313,14 +374,6 @@ def _move_nodes(
     return moved
 
 
-def _edge_arrays(graph: InteractionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint ids (int32, in ``graph.nodes`` order) and weights per edge."""
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    ends = np.fromiter((index[node] for edge in graph.edges for node in edge),
-                       dtype=np.int32, count=2 * graph.m)
-    return ends[0::2], ends[1::2], np.asarray(graph.weights, dtype=np.float64)
-
-
 def _dense(community) -> np.ndarray:
     """Community ids renumbered 0..k-1, keeping their order."""
     return np.unique(community, return_inverse=True)[1].astype(np.int32)
@@ -369,7 +422,7 @@ def louvain(graph: InteractionGraph, rng_seed: int = 0) -> Partition:
     if graph.m == 0:
         raise GraphError("cannot detect communities in an empty graph")
 
-    base = _Level.from_edges(*_edge_arrays(graph), len(graph.nodes))
+    base = _Level.from_graph(graph)
     total = graph.total_weight()
     rng = np.random.default_rng((rng_seed & _SEED_MASK, _LOUVAIN_STREAM))
     membership = _communities(base, total, rng)
@@ -483,13 +536,17 @@ def community_classify(
 def write_edges(graph: InteractionGraph, path: str | Path) -> None:
     """One "nodeA nodeB" line per edge, sorted, lowercase; weight appended
     only for weighted graphs."""
-    weighted = any(w != 1.0 for w in graph.weights)
+    weighted = bool(np.any(graph.weights != 1.0))
+    nodes = graph.nodes
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for (a, b), w in zip(graph.edges, graph.weights):
+        for start in range(0, graph.m, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            ends = zip(graph.heads[chunk].tolist(), graph.tails[chunk].tolist())
             if weighted:
-                handle.write(f"{a} {b} {w:g}\n")
+                handle.writelines(f"{nodes[a]} {nodes[b]} {w:g}\n" for (a, b), w
+                                  in zip(ends, graph.weights[chunk].tolist()))
             else:
-                handle.write(f"{a} {b}\n")
+                handle.writelines(f"{nodes[a]} {nodes[b]}\n" for a, b in ends)
 
 
 def write_partition(partition: Partition, path: str | Path) -> None:

@@ -330,6 +330,14 @@ def run(config: RunConfig) -> RunResult:
                 raise ConfigError(f"{label} does not exist: {path}")
         if config.lexicon_path is not None and not Path(config.lexicon_path).exists():
             raise ConfigError(f"lexicon_path does not exist: {config.lexicon_path}")
+        # the report stage makes out_dir; a file at it or above it would stop
+        # that only after every other stage had run
+        out = Path(config.out_dir)
+        standing = next(path for path in (out, *out.parents) if path.exists())
+        if not standing.is_dir():
+            raise ConfigError(
+                f"cannot create output directory {out}: {standing} is not a directory"
+            )
         lexicon = config.lexicon()
 
         stage = "ingest"
@@ -421,7 +429,6 @@ def run(config: RunConfig) -> RunResult:
 
         stage = "report"
         t0 = time.perf_counter()
-        out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name in ("manifest.json", *_ARTIFACTS):
             (out / name).unlink(missing_ok=True)

@@ -340,17 +340,17 @@ def planted_partition_graph(
         offset += size
 
     rng = np.random.default_rng((rng_seed & _SEED_MASK, 7100))
-    edges: list[tuple[str, str]] = []
+    # edge keys head * n + tail per block pair; an id is a position in the
+    # sorted names, and every pair is drawn once with head < tail
+    keys: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
 
     for b, size in enumerate(block_sizes):
-        base = starts[b]
         if size < 2:
             continue
         draws = rng.random((size, size))
         upper = np.triu_indices(size, k=1)
         hit = draws[upper] < p_in
-        for i, j in zip(upper[0][hit], upper[1][hit]):
-            edges.append((names[base + int(i)], names[base + int(j)]))
+        keys.append((starts[b] + upper[0][hit]) * n + starts[b] + upper[1][hit])
 
     if p_out > 0.0:
         for a in range(len(block_sizes)):
@@ -359,15 +359,10 @@ def planted_partition_graph(
                 k = int(rng.binomial(n_pairs, p_out))
                 if k == 0:
                     continue
-                flat = rng.choice(n_pairs, size=k, replace=False)
-                for pair in np.sort(flat):
-                    i, j = divmod(int(pair), block_sizes[b])
-                    edges.append((names[starts[a] + i], names[starts[b] + j]))
+                i, j = np.divmod(rng.choice(n_pairs, size=k, replace=False),
+                                 block_sizes[b])
+                keys.append((starts[a] + i) * n + starts[b] + j)
 
-    edges = sorted(set(edges))
-    graph = InteractionGraph(
-        nodes=tuple(names),
-        edges=tuple(edges),
-        weights=tuple(1.0 for _ in edges),
-    )
+    edges = np.sort(np.concatenate(keys))
+    graph = InteractionGraph.from_keys(tuple(names), edges, np.ones(edges.size))
     return graph, membership

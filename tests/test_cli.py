@@ -60,6 +60,20 @@ ANALYZE_GOLDEN = {
     },
 }
 
+# sha256 of each graph file on the default synthetic corpus, unweighted and
+# with --weighted, pinned so a change to how graphs are stored cannot move
+# an edge, a weight or a community unnoticed
+GRAPH_GOLDEN = {
+    (): {
+        "graph.edges": "c2a0b8dd36d780f3a76ca2fc2646762495bf0eb8476afc8fb33f6c2f8b9ab00a",
+        "partition.txt": "0704aea214b4d130822d9a997d4789a5a13d6e0e047b144796c9e7b59fcd8aad",
+    },
+    ("--weighted",): {
+        "graph.edges": "3ce4aaedd5e4e882bada441eec3a2381f93914861610a71906369e604e954c29",
+        "partition.txt": "fd5052065f84cf50a96270d65d5e64dfad546e0c1b964a57aa3ebc7dd8b13dd7",
+    },
+}
+
 
 def corpus_of(workspace) -> str:
     return str(workspace / "data" / "corpus.jsonl")
@@ -175,6 +189,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: cannot create output directory {taken}" in err
         assert taken.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["at", "under"])
+    def test_classify_out_dir_at_or_under_a_file_is_config_error(
+            self, out, tmp_path, workspace, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / out),
+            "method": "network",
+        }))
+        assert main(["classify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: [config] cannot create output directory {tmp_path / out}: "
+                f"{taken} is not a directory") in err
+        assert taken.read_text() == "keep\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json", "taken"]
 
     def test_strict_ingest_on_malformed_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -311,6 +344,15 @@ class TestGraphCommand:
         edges = (out_dir / "graph.edges").read_text().splitlines()
         assert edges == sorted(edges)
 
+    @pytest.mark.parametrize("flags", sorted(GRAPH_GOLDEN), ids=["unweighted", "weighted"])
+    def test_golden_digests(self, flags, default_corpus, tmp_path, capsys):
+        assert main(["graph", default_corpus, *flags, "--out", str(tmp_path)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert digests == GRAPH_GOLDEN[flags]
+
 
 class TestAnalyzeCommand:
     def test_artifacts_and_conservation(self, workspace, tmp_path, capsys):
@@ -383,6 +425,20 @@ class TestSynthCommand:
         out_dir = tmp_path / "data"
         assert main(["synth", flag, value, "--out", str(out_dir)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--users", "-1"), ("--tweets", "5"), ("--noise", "0.0"),
+        ("--p-intra", "0.5"), ("--p-cross", "0.1"),
+    ])
+    def test_skewed_preset_with_a_corpus_flag_is_config_error(
+            self, flag, value, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        assert main(["synth", "--preset", "skewed", flag, value,
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --preset skewed fixes the corpus; it takes no {flag}" in err
         assert not out_dir.exists()
 
 

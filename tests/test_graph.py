@@ -1,7 +1,8 @@
 """Tests for interaction graphs, modularity, Louvain, and community labels."""
 
-import dataclasses
+import hashlib
 import math
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -24,10 +25,16 @@ from polistance.graph import (
     write_edges,
     write_partition,
 )
-from polistance.graph import _edge_arrays, _Level
+from polistance.graph import _Level
 from polistance.synth import planted_partition_graph
 
 UTC = timezone.utc
+
+
+def name_pairs(graph):
+    """The two node names of each edge, read from its ids."""
+    return [(graph.nodes[a], graph.nodes[b])
+            for a, b in zip(graph.heads.tolist(), graph.tails.tolist())]
 
 
 def make_graph(edges, nodes=None):
@@ -60,7 +67,7 @@ def oracle_q(graph: InteractionGraph, assignment) -> float:
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     A = np.zeros((n, n))
-    for (a, b), w in zip(graph.edges, graph.weights):
+    for (a, b), w in zip(name_pairs(graph), graph.weights):
         A[idx[a], idx[b]] += w
         A[idx[b], idx[a]] += w
     k = A.sum(axis=1)
@@ -79,7 +86,8 @@ def planted(seed, sizes, p_in, p_out, weighted=False):
     graph, blocks = planted_partition_graph(sizes, p_in, p_out, rng_seed=seed)
     if weighted:
         counts = np.random.default_rng(seed).integers(1, 5, graph.m)
-        graph = dataclasses.replace(graph, weights=tuple(map(float, counts)))
+        graph = InteractionGraph(nodes=graph.nodes, edges=name_pairs(graph),
+                                 weights=counts.tolist())
     return graph, blocks
 
 
@@ -241,7 +249,7 @@ class TestLouvain:
 
 
 def aggregate(graph, membership):
-    base = _Level.from_edges(*_edge_arrays(graph), len(graph.nodes))
+    base = _Level.from_graph(graph)
     return base.aggregate(np.asarray(membership))
 
 
@@ -261,9 +269,9 @@ class TestAggregation:
         graph, _ = planted(seed, [6, 5, 4], 0.5, 0.2, weighted)
         rng = np.random.default_rng(seed)
         looped = [graph.nodes[i] for i in rng.choice(len(graph.nodes), n_loops)]
-        edges = graph.edges + tuple((v, v) for v in looped)
+        edges = name_pairs(graph) + [(v, v) for v in looped]
         graph = InteractionGraph(nodes=graph.nodes, edges=edges,
-                                 weights=graph.weights + (2.0,) * n_loops)
+                                 weights=graph.weights.tolist() + [2.0] * n_loops)
         assume(graph.m > 0)
         membership = np.unique(rng.integers(0, k, len(graph.nodes)),
                                return_inverse=True)[1]
@@ -306,8 +314,8 @@ class TestBuildInteractionGraph:
             tweet(2, "carol", mentions=["alice", "dan"]),
         ]
         g = build_interaction_graph(tweets)
-        assert g.edges == (("alice", "bob"), ("alice", "carol"), ("carol", "dan"))
-        assert g.weights == (1.0, 1.0, 1.0)
+        assert name_pairs(g) == [("alice", "bob"), ("alice", "carol"), ("carol", "dan")]
+        assert g.weights.tolist() == [1.0, 1.0, 1.0]
 
     def test_self_interaction_skipped(self):
         g = build_interaction_graph([tweet(1, "alice", mentions=["alice"])])
@@ -316,8 +324,8 @@ class TestBuildInteractionGraph:
     def test_duplicate_interactions_collapse(self):
         tweets = [tweet(i, "alice", retweet_of="bob") for i in range(5)]
         g = build_interaction_graph(tweets)
-        assert g.edges == (("alice", "bob"),)
-        assert g.weights == (1.0,)
+        assert name_pairs(g) == [("alice", "bob")]
+        assert g.weights.tolist() == [1.0]
 
     def test_duplicated_corpus_gives_identical_graph(self):
         tweets = [
@@ -331,8 +339,8 @@ class TestBuildInteractionGraph:
         tweets = [tweet(i, "alice", retweet_of="bob") for i in range(3)]
         tweets.append(tweet(10, "bob", mentions=["alice"]))
         g = build_interaction_graph(tweets, weighted=True)
-        assert g.edges == (("alice", "bob"),)
-        assert g.weights == (4.0,)
+        assert name_pairs(g) == [("alice", "bob")]
+        assert g.weights.tolist() == [4.0]
 
     def test_against_set_oracle_on_generated_fixture(self):
         rng = np.random.default_rng(20140416)
@@ -359,9 +367,10 @@ class TestBuildInteractionGraph:
                     expected.add(frozenset((t.author_screen_name, other)))
 
         g = build_interaction_graph(tweets)
-        assert {frozenset(e) for e in g.edges} == expected
+        pairs = name_pairs(g)
+        assert {frozenset(e) for e in pairs} == expected
         assert g.m == len(expected)
-        assert list(g.edges) == sorted(g.edges)
+        assert pairs == sorted(pairs)
 
 
 KNOWN = {"a": "AAP", "e": "BJP"}
@@ -466,6 +475,56 @@ class TestCommunityClassify:
         lab = label_communities(part, KNOWN)
         with pytest.raises(GraphError, match="no truth user"):
             community_classify(part, lab, {"nope": "AAP"})
+
+
+class TestConstructor:
+    def test_name_pairs_become_ids_into_the_nodes(self):
+        g = InteractionGraph(nodes=("a", "b", "c"), edges=(("a", "c"), ("b", "c")),
+                             weights=(2.0, 1.0))
+        assert (g.heads.tolist(), g.tails.tolist()) == ([0, 1], [2, 2])
+        assert g.heads.dtype == np.int32 and g.weights.dtype == np.float64
+        assert not g.weights.flags.writeable
+
+    @pytest.mark.parametrize("edges, weights, message", [
+        ((("a", "z"),), (1.0,), "edge endpoint 'z' is not a node"),
+        ((("a", "b"),), (), "0 weights for 1 edges"),
+    ])
+    def test_rejects_inconsistent_input(self, edges, weights, message):
+        with pytest.raises(GraphError, match=message):
+            InteractionGraph(nodes=("a", "b"), edges=edges, weights=weights)
+
+
+class TestPlantedStorage:
+    """The louvain-planted workload's graph shape at a tenth of its blocks."""
+
+    @staticmethod
+    def build():
+        return planted_partition_graph((100,) * 50, 0.1, 4e-4, rng_seed=1)[0]
+
+    def test_edge_list_and_partition_golden(self, tmp_path):
+        g = self.build()
+        write_edges(g, tmp_path / "graph.edges")
+        write_partition(louvain(g), tmp_path / "partition.txt")
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("graph.edges", "partition.txt")]
+        assert digests == [
+            "6ba4e9340259276a7f23d94a423d7c044eb93e1b4092de746f47d93ef990bcb4",
+            "3b7cc0a7f2f12943cfddfc60b77ba15bd121d81907aa5ed75b6254835dd8d471",
+        ]
+
+    def test_held_graph_costs_under_40_bytes_per_edge(self):
+        # names, int32 endpoint ids and float64 weights come to about 26
+        # bytes per edge here; a tuple of name pairs per edge costs about 82
+        tracemalloc.start()
+        try:
+            g = self.build()
+            held = tracemalloc.get_traced_memory()[0]
+            m = g.m
+            del g
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (held - left) / m < 40
 
 
 class TestExports:

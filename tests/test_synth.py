@@ -25,6 +25,12 @@ SMALL = SyntheticSpec(
 )
 
 
+def name_pairs(graph):
+    """The two node names of each edge, read from its ids."""
+    return [(graph.nodes[a], graph.nodes[b])
+            for a, b in zip(graph.heads.tolist(), graph.tails.tolist())]
+
+
 class TestSpecValidation:
     def test_defaults_are_valid(self):
         spec = SyntheticSpec()
@@ -121,7 +127,7 @@ class TestGenerateCorpus:
         graph = build_interaction_graph(data.tweets)
 
         adjacency = defaultdict(set)
-        for a, b in graph.edges:
+        for a, b in name_pairs(graph):
             adjacency[a].add(b)
             adjacency[b].add(a)
         seen = set()
@@ -195,7 +201,7 @@ class TestPlantedPartition:
     def test_p_in_one_gives_complete_blocks(self):
         graph, membership = planted_partition_graph([4, 4], 1.0, 0.0)
         intra = Counter()
-        for a, b in graph.edges:
+        for a, b in name_pairs(graph):
             assert membership[a] == membership[b]
             intra[membership[a]] += 1
         assert intra == {0: 6, 1: 6}
@@ -203,20 +209,21 @@ class TestPlantedPartition:
     def test_p_out_zero_has_no_cross_edges(self):
         graph, membership = planted_partition_graph([10, 10], 0.4, 0.0,
                                                     rng_seed=2)
-        assert all(membership[a] == membership[b] for a, b in graph.edges)
+        assert all(membership[a] == membership[b] for a, b in name_pairs(graph))
 
     def test_deterministic_and_sorted(self):
         g1, _ = planted_partition_graph([8, 8, 8], 0.3, 0.05, rng_seed=9)
         g2, _ = planted_partition_graph([8, 8, 8], 0.3, 0.05, rng_seed=9)
         assert g1 == g2
-        assert list(g1.edges) == sorted(g1.edges)
-        assert all(a < b for a, b in g1.edges)
+        pairs = name_pairs(g1)
+        assert pairs == sorted(pairs)
+        assert all(a < b for a, b in pairs)
 
     def test_cross_edges_appear_at_high_p_out(self):
         graph, membership = planted_partition_graph([10, 10], 0.0, 0.9,
                                                     rng_seed=4)
         assert graph.m > 0
-        assert all(membership[a] != membership[b] for a, b in graph.edges)
+        assert all(membership[a] != membership[b] for a, b in name_pairs(graph))
 
     def test_parameter_validation(self):
         with pytest.raises(SynthError):
