@@ -163,9 +163,9 @@ def _cmd_featurize(args) -> int:
         path = out / "features.csv"
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["user_id"] + list(FEATURE_NAMES))
+            writer.writerow(["user_id", *FEATURE_NAMES])
             for name, vector in features.items():
-                writer.writerow([name] + list(vector.as_tuple()))
+                writer.writerow([name, *vector])
         print(f"wrote {path} ({len(features)} users x {len(FEATURE_NAMES)})")
         return 0
 

@@ -11,7 +11,9 @@ A corpus is a JSON Lines file mixing two record kinds, distinguished by a
 All screen names, hashtags, and mentions are lowercased at ingestion; stored
 hashtags carry no leading ``#`` and mentions no ``@``. A name or entity that
 is empty or contains whitespace makes its record malformed, because the
-line-based artifacts hold one name per whitespace-separated field.
+line-based artifacts hold one name per whitespace-separated field. A
+string holding a lone UTF-16 surrogate, which only a JSON escape can
+produce, makes its record malformed too: no UTF-8 artifact can hold it.
 Timestamps are normalized to UTC with second precision. ``write_corpus``
 emits a canonical byte form (sorted keys, compact separators, ``Z``-suffixed
 timestamps) so that writing a parsed corpus and re-parsing it is lossless.
@@ -257,7 +259,8 @@ def _parse_tweet(obj: dict) -> Tweet:
         _require(isinstance(geo, dict) and set(geo) == {"lat", "lon"}, "bad 'geo'")
         lat, lon = geo["lat"], geo["lon"]
         _require(
-            isinstance(lat, (int, float)) and isinstance(lon, (int, float)),
+            all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in (lat, lon)),
             "geo coordinates must be numbers",
         )
         _require(-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0, "geo out of range")
@@ -340,6 +343,13 @@ def parse_corpus(
                 # without its "\n", so JSON error positions stay on line 1
                 obj = json.loads(raw.removesuffix(b"\n").decode("utf-8"))
                 _require(isinstance(obj, dict), "record is not an object")
+                # only a \u escape can decode to a lone surrogate, which no
+                # UTF-8 artifact can hold
+                if b"\\u" in raw:
+                    try:
+                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise _Malformed("a string holds a lone surrogate") from None
                 kind = obj.get("kind")
                 if kind == "tweet":
                     tweet = _parse_tweet(obj)

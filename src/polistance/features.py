@@ -37,7 +37,6 @@ __all__ = [
     "PartyLexicon",
     "PartyTerms",
     "TermCounts",
-    "UserFeatureVector",
     "VocabTerm",
     "build_hashtag_matrix",
     "build_text_matrix",
@@ -315,43 +314,15 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class UserFeatureVector:
-    """Eleven per-user numbers, in the fixed FEATURE_NAMES order."""
-
-    friends_count: int
-    followers_count: int
-    following_aap: int
-    following_bjp: int
-    following_cong: int
-    aap_words: int
-    bjp_words: int
-    cong_words: int
-    aap_hashtags: int
-    bjp_hashtags: int
-    cong_hashtags: int
-
-    def __post_init__(self) -> None:
-        for name in ("following_aap", "following_bjp", "following_cong"):
-            if getattr(self, name) not in (0, 1):
-                raise FeatureError(f"{name} must be 0 or 1")
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in FEATURE_NAMES)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=np.float64)
-
-
 def user_feature_vector(
     profile: UserProfile,
     tweets: Sequence[Tweet],
     lexicon: PartyLexicon,
-) -> UserFeatureVector:
-    """Build the 11-dimension vector for one user.
+) -> tuple[int, ...]:
+    """The user's 11 features, in FEATURE_NAMES order.
 
     Word and hashtag counts are occurrence totals over all the user's
-    tweets, not distinct-term counts.
+    tweets, not distinct-term counts; each following bit is 0 or 1.
     """
     for tweet in tweets:
         if tweet.author_screen_name != profile.screen_name:
@@ -377,18 +348,12 @@ def user_feature_vector(
     def follows(party: str) -> int:
         return int(bool(profile.following & lexicon.terms(party).seed_accounts))
 
-    return UserFeatureVector(
-        friends_count=profile.friends_count,
-        followers_count=profile.followers_count,
-        following_aap=follows("AAP"),
-        following_bjp=follows("BJP"),
-        following_cong=follows("CONG"),
-        aap_words=word_count("AAP"),
-        bjp_words=word_count("BJP"),
-        cong_words=word_count("CONG"),
-        aap_hashtags=hashtag_count("AAP"),
-        bjp_hashtags=hashtag_count("BJP"),
-        cong_hashtags=hashtag_count("CONG"),
+    return (
+        profile.friends_count,
+        profile.followers_count,
+        *map(follows, PARTIES),
+        *map(word_count, PARTIES),
+        *map(hashtag_count, PARTIES),
     )
 
 

@@ -33,7 +33,6 @@ from .metrics import EvalReport, confusion_from_pairs, eval_metrics
 
 __all__ = [
     "ForestError",
-    "ForestParams",
     "Forest",
     "Tree",
     "balance_classes",
@@ -53,24 +52,6 @@ CV_MODES = ("kfold", "repeated-holdout-66/34")
 
 class ForestError(ValueError):
     """Raised for invalid training or prediction inputs."""
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    """Training hyperparameters.
-
-    Every tree grows to full size, as in Breiman (2001): a node becomes a
-    leaf only when it is pure or no cut on its candidate features lowers
-    its Gini impurity, so a leaf may hold one row, and each split draws
-    ceil(sqrt(d)) candidate features.
-    """
-
-    n_trees: int = 100
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ForestError("n_trees must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -103,7 +84,6 @@ class Tree:
 
 @dataclass(frozen=True)
 class Forest:
-    params: ForestParams
     classes: tuple[str, ...]
     n_features: int
     trees: tuple[Tree, ...] = field(repr=False)
@@ -294,7 +274,8 @@ def _grow_forest(
     matrix: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    params: ForestParams,
+    n_trees: int,
+    rng_seed: int,
 ) -> tuple[Tree, ...]:
     """Grow all trees in lockstep, each exactly as if grown alone.
 
@@ -307,8 +288,8 @@ def _grow_forest(
     mtry = math.ceil(math.sqrt(d))
     ranks = _dense_ranks(matrix)
     growing = []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng((params.rng_seed & _SEED_MASK, t))
+    for t in range(n_trees):
+        rng = np.random.default_rng((rng_seed & _SEED_MASK, t))
         bootstrap = rng.integers(0, n, size=n)
         counts = np.bincount(y[bootstrap], minlength=n_classes).tolist()
         growing.append(_Growing(rng, bootstrap.astype(np.int32), counts))
@@ -363,15 +344,21 @@ def _as_matrix(rows) -> np.ndarray:
 def train_forest(
     rows,
     labels: Sequence[str],
-    params: ForestParams | None = None,
+    n_trees: int = 100,
+    rng_seed: int = 0,
 ) -> Forest:
     """Train a forest on a dense matrix (or anything ndarray-like).
 
-    All trees grow in lockstep on the calling thread (see the module
-    docstring). Training is deterministic for a given (data, params):
-    every tree draws from its own (rng_seed, tree_index) stream.
+    Every tree grows to full size, as in Breiman (2001): a node becomes a
+    leaf only when it is pure or no cut on its candidate features lowers
+    its Gini impurity, so a leaf may hold one row, and each split draws
+    ceil(sqrt(d)) candidate features. All trees grow in lockstep on the
+    calling thread (see the module docstring). Training is deterministic
+    for a given (data, n_trees, rng_seed): every tree draws from its own
+    (rng_seed, tree_index) stream.
     """
-    params = params or ForestParams()
+    if n_trees < 1:
+        raise ForestError("n_trees must be >= 1")
     matrix = _as_matrix(rows)
     if len(matrix) == 0:
         raise ForestError("cannot train on zero rows")
@@ -385,8 +372,8 @@ def train_forest(
     d = matrix.shape[1]
     if d == 0:
         raise ForestError("cannot train on zero features")
-    trees = _grow_forest(matrix, y, len(classes), params)
-    return Forest(params=params, classes=classes, n_features=d, trees=trees)
+    trees = _grow_forest(matrix, y, len(classes), n_trees, rng_seed)
+    return Forest(classes=classes, n_features=d, trees=trees)
 
 
 def _vote_matrix(forest: Forest, matrix: np.ndarray) -> np.ndarray:
@@ -484,7 +471,7 @@ def stratified_folds(
 def cross_validate(
     rows,
     labels: Sequence[str],
-    params: ForestParams | None = None,
+    n_trees: int = 100,
     k: int = 10,
     mode: str = "kfold",
     rng_seed: int = 0,
@@ -497,9 +484,9 @@ def cross_validate(
     with 66% of each class for training. Either way the per-split
     confusion matrices are summed before computing metrics, so the
     reported accuracy is the fraction of all test predictions that were
-    correct.
+    correct. The one ``rng_seed`` seeds the folds or holdout splits and
+    every forest's trees.
     """
-    params = params or ForestParams()
     matrix = _as_matrix(rows)
     if len(labels) != len(matrix):
         raise ForestError(f"{len(matrix)} rows but {len(labels)} labels")
@@ -514,7 +501,7 @@ def cross_validate(
 
     def run_split(train_idx: np.ndarray, test_idx: np.ndarray) -> None:
         forest = train_forest(
-            matrix[train_idx], [labels[i] for i in train_idx], params
+            matrix[train_idx], [labels[i] for i in train_idx], n_trees, rng_seed
         )
         truth.extend(labels[i] for i in test_idx)
         predicted.extend(predict_many(forest, matrix[test_idx]))

@@ -35,14 +35,13 @@ from .corpus import (
 from .features import (
     FeatureMatrix,
     PartyLexicon,
-    UserFeatureVector,
     build_hashtag_matrix,
     build_text_matrix,
     default_lexicon,
     user_feature_vector,
     write_matrix,
 )
-from .forest import CV_MODES, ForestError, ForestParams, balance_classes, cross_validate
+from .forest import CV_MODES, balance_classes, cross_validate
 from .graph import (
     build_interaction_graph,
     community_classify,
@@ -136,13 +135,8 @@ class RunConfig:
             raise ConfigError("cv_k must be >= 2")
         if self.strictness not in STRICTNESS:
             raise ConfigError(f"unknown strictness {self.strictness!r}")
-        try:
-            self.forest_params()
-        except ForestError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def forest_params(self) -> ForestParams:
-        return ForestParams(n_trees=self.n_trees, rng_seed=self.rng_seed)
+        if self.n_trees < 1:
+            raise ConfigError("n_trees must be >= 1")
 
     def lexicon(self) -> PartyLexicon:
         if self.lexicon_path is None:
@@ -277,7 +271,7 @@ def featurize(
     tweets: list[Tweet],
     profiles: list[UserProfile],
     lexicon: PartyLexicon,
-) -> FeatureMatrix | dict[str, UserFeatureVector]:
+) -> FeatureMatrix | dict[str, tuple[int, ...]]:
     """Features of one forest method, over tweets grouped once by author.
 
     ``text`` and ``hashtag`` give the TF-IDF matrix of every author with at
@@ -386,7 +380,7 @@ def run(config: RunConfig) -> RunResult:
                 vectors = featurize(config.method, tweets, labelled, lexicon)
                 if not vectors:
                     raise ConfigError("no profiled user carries a label")
-                rows = np.array([v.as_array() for v in vectors.values()], dtype=float)
+                rows = np.array(list(vectors.values()), dtype=np.float64)
                 labels = [truth[name] for name in vectors]
             else:
                 matrix = featurize(config.method, tweets, profiles, lexicon)
@@ -404,7 +398,7 @@ def run(config: RunConfig) -> RunResult:
             report = cross_validate(
                 rows,
                 labels,
-                params=config.forest_params(),
+                n_trees=config.n_trees,
                 k=config.cv_k,
                 mode=config.cv_mode,
                 rng_seed=config.rng_seed,

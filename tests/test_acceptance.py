@@ -26,7 +26,7 @@ from polistance.analytics import day_hour_matrix, volume_series
 from polistance.annotation import LABELS, agreement_stats, kappa_from_agreement
 from polistance.cli import main
 from polistance.features import TermCounts, build_text_matrix
-from polistance.forest import ForestParams, cross_validate, train_forest
+from polistance.forest import cross_validate, train_forest
 from polistance.graph import InteractionGraph, louvain, modularity
 from polistance.metrics import f_measure
 from polistance.pipeline import RunConfig, run
@@ -323,23 +323,16 @@ class TestForestSanity:
             for rep in range(20):
                 rng = np.random.default_rng(1000 + rep)
                 permuted = [labels[i] for i in rng.permutation(len(labels))]
-                report = cross_validate(
-                    rows,
-                    permuted,
-                    ForestParams(n_trees=15, rng_seed=rep),
-                    k=3,
-                    rng_seed=rep,
-                )
+                report = cross_validate(rows, permuted, n_trees=15, k=3, rng_seed=rep)
                 accuracies.append(report.accuracy)
         mean = sum(accuracies) / len(accuracies)
         assert abs(mean - 0.33) <= 0.1, f"mean permuted accuracy {mean:.3f}"
 
     def test_equal_seeds_are_bitwise_identical_to_golden(self):
         rows, labels = three_blobs()
-        params = ForestParams(n_trees=20, rng_seed=9)
         with budget(30.0):
-            first = forest_to_dict(train_forest(rows, labels, params))
-            second = forest_to_dict(train_forest(rows, labels, params))
+            first = forest_to_dict(train_forest(rows, labels, n_trees=20, rng_seed=9), 9)
+            second = forest_to_dict(train_forest(rows, labels, n_trees=20, rng_seed=9), 9)
         dumps = [json.dumps(d, sort_keys=True) for d in (first, second)]
         assert dumps[0] == dumps[1]
         assert hashlib.sha256(dumps[0].encode()).hexdigest() == (

@@ -74,6 +74,34 @@ GRAPH_GOLDEN = {
     },
 }
 
+# sha256 of each featurize file on the default synthetic corpus, pinned so a
+# change to how features are built or passed cannot move a byte unnoticed
+FEATURIZE_GOLDEN = {
+    "text": {
+        "matrix.triplets": "72739b035d3a927c583e43b3e49ed649d3bc754f328bbe0ca26c5327b087f12e",
+        "users.txt": "e52020a99fd7cc42884f4710587945a25c87e26f12b1222a6a28c2b65ae95a80",
+        "vocabulary.tsv": "92f3986735559f8e72ec1d45ddfa5f56e0c49e531a36679afe9c5b99ac8a25a7",
+    },
+    "hashtag": {
+        "matrix.triplets": "7ac66ec8c8b19db32747e574ee593515c085b83a4676b4d6fa6315b97748a4cf",
+        "users.txt": "e52020a99fd7cc42884f4710587945a25c87e26f12b1222a6a28c2b65ae95a80",
+        "vocabulary.tsv": "c77c277c03407e363b3df85bdfcb138eb26a9261b22235b2b4c3ec2816d4d9be",
+    },
+    "user-features": {
+        "features.csv": "9b7a3362380030da8b0f4ac5a334f523006de8d8ca0604bfb25c55942926b3a5",
+    },
+}
+
+# sha256 of report.json from classify with 10 trees and 3 folds on the
+# default synthetic corpus, its paths given relative to the corpus
+# directory so the config digest inside the report does not depend on
+# where the test runs
+REPORT_GOLDEN = {
+    "text": "c32d86a02fa171d6e1df5d7d9fa5a6e2e645cc983a0b94579569c65f7e0ed235",
+    "hashtag": "88bb61288b46c999075c63451cc4b0966f4254789ff30c00319847b86aa26c00",
+    "user-features": "09c369ff06ea7f66e09186bc7b69bc47a0f00474343867e348652aabacd7846e",
+}
+
 
 def corpus_of(workspace) -> str:
     return str(workspace / "data" / "corpus.jsonl")
@@ -329,6 +357,16 @@ class TestFeaturize:
         assert len(rows[0]) == 12  # id column plus 11 features
         assert len(rows) > 1
 
+    @pytest.mark.parametrize("method", sorted(FEATURIZE_GOLDEN))
+    def test_golden_digests(self, method, default_corpus, tmp_path, capsys):
+        assert main(["featurize", default_corpus, "--method", method,
+                     "--out", str(tmp_path)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert digests == FEATURIZE_GOLDEN[method]
+
 
 class TestGraphCommand:
     def test_summary_and_files(self, workspace, tmp_path, capsys):
@@ -471,3 +509,18 @@ class TestClassifyCommand:
         other = json.loads((tmp_path / "b" / "report.json").read_text())
         assert base["config"] != other["config"]
         assert other["seed"] == 7
+
+    @pytest.mark.parametrize("method", sorted(REPORT_GOLDEN))
+    def test_forest_report_golden_digest(self, method, default_corpus, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(Path(default_corpus).parent)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": "corpus.jsonl",
+            "annotations_path": "annotations.csv",
+            "out_dir": str(tmp_path / "run"),
+            "method": method, "n_trees": 10, "cv_k": 3,
+        }))
+        assert main(["classify", "--config", str(config)]) == 0
+        report = (tmp_path / "run" / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == REPORT_GOLDEN[method]

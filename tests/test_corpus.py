@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from polistance import corpus
 from polistance.corpus import (
     DEFAULT_STOPWORDS,
+    STRICTNESS,
     CorpusError,
     Tweet,
     UserProfile,
@@ -275,6 +276,43 @@ class TestParseCorpus:
         with pytest.raises(CorpusError, match=f":2: bad name in '{field}'"):
             parse_corpus(path, strictness="strict")
 
+    @pytest.mark.parametrize("field,value", [
+        ("text", "hi \ud800"),
+        ("author_screen_name", "a\udc00"),
+        ("mentions", ["ok", "\ud83dx"]),
+        ("following", ["fine", "\udfff"]),
+        ("location", "delhi \ud800"),
+    ], ids=["text", "author", "mention", "following", "location"])
+    def test_lone_surrogate_skipped_or_strict_error(self, tmp_path, field, value):
+        # json.dumps writes a lone surrogate as a valid \u escape, and no
+        # UTF-8 file written from the record could hold it
+        tweet = {"kind": "tweet", "tweet_id": "1", "author_id": "a",
+                 "author_screen_name": "A", "created_at": "2014-01-01T00:00:00Z",
+                 "text": "x"}
+        profile = {"kind": "profile", "user_id": "u1", "screen_name": "B",
+                   "followers_count": 1, "friends_count": 2, "statuses_count": 3}
+        if field in ("following", "location"):
+            bad = dict(profile, **{field: value})
+        else:
+            bad = dict(tweet, tweet_id="2", **{field: value})
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(tweet) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        tweets, profiles, skipped = parse_corpus(path)
+        assert (len(tweets), len(profiles), skipped) == (1, 0, 1)
+        with pytest.raises(CorpusError, match=":2: a string holds a lone surrogate"):
+            parse_corpus(path, strictness="strict")
+
+    def test_escaped_surrogate_pair_accepted(self, tmp_path):
+        record = {"kind": "tweet", "tweet_id": "1", "author_id": "a",
+                  "author_screen_name": "A", "created_at": "2014-01-01T00:00:00Z",
+                  "text": "vote \ud83d\ude00"}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+        tweets, _, _ = parse_corpus(path, strictness="strict")
+        assert tweets[0].text == "vote \U0001f600"
+
     def test_duplicate_tweet_id_skipped_or_strict_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = {"kind": "tweet", "tweet_id": "1", "author_id": "a",
@@ -312,6 +350,24 @@ class TestParseCorpus:
         tweets, _, skipped = parse_corpus(path)
         assert tweets[0].geo == (28.6, 77.2)
         assert skipped == 1
+
+    @pytest.mark.parametrize("strictness", STRICTNESS)
+    def test_boolean_geo_rejected(self, tmp_path, strictness):
+        # bool is an int subclass, but true is not a latitude
+        good = {"kind": "tweet", "tweet_id": "1", "author_id": "a",
+                "author_screen_name": "A", "created_at": "2014-01-01T00:00:00Z",
+                "text": "x", "geo": {"lat": 1, "lon": 0.0}}
+        bad = dict(good, tweet_id="2", geo={"lat": True, "lon": False})
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        if strictness == "strict":
+            with pytest.raises(CorpusError, match=":2: geo coordinates must be numbers"):
+                parse_corpus(path, strictness=strictness)
+        else:
+            tweets, _, skipped = parse_corpus(path, strictness=strictness)
+            assert [tweet.geo for tweet in tweets] == [(1.0, 0.0)]
+            assert skipped == 1
 
     def test_unknown_strictness_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from polistance import forest
 from polistance.forest import (
     Forest,
     ForestError,
-    ForestParams,
     Tree,
     _best_splits,
     _dense_ranks,
@@ -85,42 +84,41 @@ def leaf_tree(class_index):
 class TestTrain:
     def test_single_class_constant_predictor(self):
         rows = np.arange(20, dtype=float).reshape(10, 2)
-        forest = train_forest(rows, ["BJP"] * 10, ForestParams(n_trees=5))
+        forest = train_forest(rows, ["BJP"] * 10, n_trees=5)
         assert predict_many(forest, rows) == ["BJP"] * 10
 
     def test_separable_blobs_memorized(self):
         rows, labels, means = make_blobs()
         assert nearest_centroid_accuracy(rows, labels, means) == 1.0
-        forest = train_forest(rows, labels, ForestParams(n_trees=100, rng_seed=3))
+        forest = train_forest(rows, labels, n_trees=100, rng_seed=3)
         assert predict_many(forest, rows) == labels
 
     def test_same_seed_same_forest(self):
         rows, labels, _ = make_blobs()
-        params = ForestParams(n_trees=20, rng_seed=11)
-        first = train_forest(rows, labels, params)
-        second = train_forest(rows, labels, params)
-        assert forest_to_dict(first) == forest_to_dict(second)
+        first = train_forest(rows, labels, n_trees=20, rng_seed=11)
+        second = train_forest(rows, labels, n_trees=20, rng_seed=11)
+        assert forest_to_dict(first, 11) == forest_to_dict(second, 11)
         assert predict_many(first, rows) == predict_many(second, rows)
 
     def test_repeat_runs_match_golden_digest(self):
         rows, labels, _ = make_blobs(per_class=15)
-        params = ForestParams(n_trees=16, rng_seed=5)
-        first = train_forest(rows, labels, params)
-        second = train_forest(rows, labels, params)
-        assert forest_to_dict(first) == forest_to_dict(second)
-        assert forest_digest(first) == (
+        first = train_forest(rows, labels, n_trees=16, rng_seed=5)
+        second = train_forest(rows, labels, n_trees=16, rng_seed=5)
+        assert forest_to_dict(first, 5) == forest_to_dict(second, 5)
+        assert forest_digest(first, 5) == (
             "7c9c800a800f174f8990c7762112b9b0dbdccada159effecdcee108ae88032bf"
         )
 
-    @pytest.mark.parametrize("make, params, digest", [
-        (sparse_wide, ForestParams(n_trees=20, rng_seed=3),
+    @pytest.mark.parametrize("make, seed, digest", [
+        (sparse_wide, 3,
          "06b9b06f17d02ac44cdb77ed1ecfb6a952b309c99089dc52cb58070198caeb75"),
-        (tall_narrow, ForestParams(n_trees=20, rng_seed=4),
+        (tall_narrow, 4,
          "cd1e44ecb62a2746a98f67018c494cd3b41618591f418c03ea7633fea0628b6a"),
     ], ids=["sparse_wide", "tall_narrow"])
-    def test_golden_forest_digest(self, make, params, digest):
+    def test_golden_forest_digest(self, make, seed, digest):
         rows, labels = make()
-        assert forest_digest(train_forest(rows, labels, params)) == digest
+        forest = train_forest(rows, labels, n_trees=20, rng_seed=seed)
+        assert forest_digest(forest, seed) == digest
 
     def test_errors(self):
         with pytest.raises(ForestError):
@@ -131,12 +129,13 @@ class TestTrain:
             train_forest(np.zeros((2, 0)), ["A", "B"])
 
     def test_param_validation(self):
-        with pytest.raises(ForestError):
-            ForestParams(n_trees=0)
+        rows, labels, _ = make_blobs(per_class=10)
+        with pytest.raises(ForestError, match="n_trees must be >= 1"):
+            train_forest(rows, labels, n_trees=0)
 
     def test_split_features_in_range(self):
         rows, labels, _ = make_blobs(per_class=10)
-        forest = train_forest(rows, labels, ForestParams(n_trees=10, rng_seed=2))
+        forest = train_forest(rows, labels, n_trees=10, rng_seed=2)
         assert len(forest.trees) == 10
         for tree in forest.trees:
             internal = tree.feature[tree.feature >= 0]
@@ -148,19 +147,22 @@ class TestTrain:
         # (lo + hi) / 2 is nan or inf here; the split must still send lo left
         rows = [[lo]] * 10 + [[hi]] * 10
         labels = ["a"] * 10 + ["b"] * 10
-        forest = train_forest(rows, labels, ForestParams(n_trees=3))
+        forest = train_forest(rows, labels, n_trees=3)
         assert predict_many(forest, rows) == labels
 
     def test_scaling_a_column_changes_no_prediction(self):
         rows, labels, _ = make_blobs(per_class=20, rng_seed=9)
         test_rows = rows[::3].copy()
-        params = ForestParams(n_trees=30, rng_seed=4)
-        baseline = predict_many(train_forest(rows, labels, params), test_rows)
+        baseline = predict_many(
+            train_forest(rows, labels, n_trees=30, rng_seed=4), test_rows
+        )
         scaled = rows.copy()
         scaled[:, 2] *= 4.0  # power of two: exact, order preserved
         scaled_test = test_rows.copy()
         scaled_test[:, 2] *= 4.0
-        rescored = predict_many(train_forest(scaled, labels, params), scaled_test)
+        rescored = predict_many(
+            train_forest(scaled, labels, n_trees=30, rng_seed=4), scaled_test
+        )
         assert rescored == baseline
 
 
@@ -170,16 +172,15 @@ class TestTrain:
 # turns the hang into a failure.
 NAN_ROWS = [[0.0], [1.0], [np.nan], [np.nan], [2.0], [3.0]]
 NAN_LABELS = ["a", "a", "b", "b", "b", "a"]
-TWO_TREES = ForestParams(n_trees=2)
 
 
 class TestNaN:
     @pytest.mark.parametrize("call", [
-        lambda: train_forest(NAN_ROWS, NAN_LABELS, TWO_TREES),
-        lambda: cross_validate(NAN_ROWS, NAN_LABELS, TWO_TREES, k=2),
+        lambda: train_forest(NAN_ROWS, NAN_LABELS, n_trees=2),
+        lambda: cross_validate(NAN_ROWS, NAN_LABELS, n_trees=2, k=2),
         lambda: balance_classes(NAN_ROWS, NAN_LABELS),
         lambda: predict_many(
-            train_forest([[0.0], [1.0]], ["a", "b"], TWO_TREES), NAN_ROWS
+            train_forest([[0.0], [1.0]], ["a", "b"], n_trees=2), NAN_ROWS
         ),
     ], ids=["train_forest", "cross_validate", "balance_classes", "predict_many"])
     def test_rows_with_nan_are_rejected(self, call):
@@ -190,7 +191,6 @@ class TestNaN:
 class TestPredict:
     def test_three_leaf_trees_plurality(self):
         forest = Forest(
-            params=ForestParams(n_trees=3),
             classes=("AAP", "BJP"),
             n_features=2,
             trees=(leaf_tree(0), leaf_tree(0), leaf_tree(1)),
@@ -199,7 +199,6 @@ class TestPredict:
 
     def test_tie_goes_to_lexicographic_smallest(self):
         forest = Forest(
-            params=ForestParams(n_trees=2),
             classes=("AAP", "BJP"),
             n_features=1,
             trees=(leaf_tree(1), leaf_tree(0)),
@@ -208,14 +207,14 @@ class TestPredict:
 
     def test_single_tree_forest(self):
         rows, labels, _ = make_blobs(per_class=10)
-        forest = train_forest(rows, labels, ForestParams(n_trees=1, rng_seed=0))
+        forest = train_forest(rows, labels, n_trees=1, rng_seed=0)
         tree = forest.trees[0]
         idx = tree.predict_class_indices(rows)
         assert predict_many(forest, rows) == [forest.classes[i] for i in idx]
 
     def test_dimension_mismatch(self):
         rows, labels, _ = make_blobs(per_class=10)
-        forest = train_forest(rows, labels, ForestParams(n_trees=2))
+        forest = train_forest(rows, labels, n_trees=2)
         with pytest.raises(ForestError):
             predict_many(forest, [[1.0, 2.0]])
 
@@ -277,30 +276,27 @@ class TestStratifiedFolds:
 class TestCrossValidate:
     def test_separable_blobs_high_accuracy(self):
         rows, labels, _ = make_blobs(per_class=20, rng_seed=13)
-        report = cross_validate(rows, labels, ForestParams(n_trees=25, rng_seed=1),
-                                k=10)
+        report = cross_validate(rows, labels, n_trees=25, k=10, rng_seed=1)
         assert report.accuracy >= 0.95
         assert report.total == len(labels)
 
     def test_single_class_degenerate(self):
         rows = np.arange(24, dtype=float).reshape(12, 2)
-        report = cross_validate(rows, ["BJP"] * 12,
-                                ForestParams(n_trees=3, rng_seed=0), k=3)
+        report = cross_validate(rows, ["BJP"] * 12, n_trees=3, k=3)
         assert report.accuracy == 1.0
         assert report.classes == ("BJP",)
 
     def test_deterministic_and_matches_golden_confusion(self):
         rows, labels, _ = make_blobs(per_class=12, rng_seed=21)
-        params = ForestParams(n_trees=10, rng_seed=5)
-        a = cross_validate(rows, labels, params, k=4, rng_seed=17)
-        b = cross_validate(rows, labels, params, k=4, rng_seed=17)
+        a = cross_validate(rows, labels, n_trees=10, k=4, rng_seed=17)
+        b = cross_validate(rows, labels, n_trees=10, k=4, rng_seed=17)
         assert a == b
         assert a.confusion == ((12, 0, 0), (0, 12, 0), (0, 0, 12))
 
     def test_holdout_mode_pools_k_test_sets(self):
         rows, labels, _ = make_blobs(per_class=15, rng_seed=2)
         report = cross_validate(
-            rows, labels, ForestParams(n_trees=10, rng_seed=1),
+            rows, labels, n_trees=10,
             k=5, mode="repeated-holdout-66/34", rng_seed=3,
         )
         # 15 per class, 66% of 15 rounds to 10 train, 5 test, 3 classes, 5 reps
@@ -435,7 +431,7 @@ class TestLockstepChunks:
         # the one test_golden_forest_digest pins for the default.
         monkeypatch.setattr(forest, "_CHUNK_PAIRS", chunk_pairs)
         rows, labels = sparse_wide()
-        grown = train_forest(rows, labels, ForestParams(n_trees=20, rng_seed=3))
-        assert forest_digest(grown) == (
+        grown = train_forest(rows, labels, n_trees=20, rng_seed=3)
+        assert forest_digest(grown, 3) == (
             "06b9b06f17d02ac44cdb77ed1ecfb6a952b309c99089dc52cb58070198caeb75"
         )

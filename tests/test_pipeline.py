@@ -280,8 +280,8 @@ class TestRunText:
         rows = np.asarray(matrix.dense(range(matrix.shape[0])), dtype=float)[keep]
         labels = [truth[matrix.user_ids[i]] for i in keep]
         expected = cross_validate(
-            rows, labels, params=config.forest_params(),
-            k=4, rng_seed=2,
+            rows, labels, n_trees=config.n_trees,
+            k=4, rng_seed=config.rng_seed,
         )
         assert result.report == expected
         assert result.n_attributes == matrix.shape[1]
@@ -353,8 +353,9 @@ class TestRunUserFeatures:
         truth = {u: u.split("_")[0].upper() for u in vectors if "_" in u}
         assert 0 < len(truth) < len(vectors)
         expected = cross_validate(
-            np.array([vectors[u].as_array() for u in truth]), list(truth.values()),
-            params=config.forest_params(), k=4, rng_seed=2,
+            np.array([vectors[u] for u in truth], dtype=np.float64),
+            list(truth.values()),
+            n_trees=config.n_trees, k=4, rng_seed=config.rng_seed,
         )
         assert result.report == expected
         assert result.n_instances == len(truth)
