@@ -103,6 +103,41 @@ REPORT_GOLDEN = {
 }
 
 
+# a hand-written corpus with one of each field form that ingest normalizes:
+# int ids, offset, fractional, lowercase-z and space-separated timestamps,
+# explicit and absent entity lists, marked entities, an "@Name" retweet,
+# geo, following, and one bad line
+HAND_CORPUS = [
+    {"kind": "tweet", "tweet_id": 101, "author_id": 7, "author_screen_name": "NaMo",
+     "created_at": "2014-04-01T10:00:00+05:30", "text": "Vote #BJP with @AmitShah"},
+    {"kind": "tweet", "tweet_id": "102", "author_id": "8", "author_screen_name": "fan",
+     "created_at": "2014-04-01T10:00:00.750Z", "text": "RT see #NaMo",
+     "hashtags": ["#NaMo", "Vote", "namo"], "mentions": ["@NaMo", "Rahul"],
+     "retweet_of": "@NaMo"},
+    {"kind": "tweet", "tweet_id": "103", "author_id": "8", "author_screen_name": "FAN",
+     "created_at": "2014-04-02t23:59:59z", "text": "no tags here #x @y",
+     "hashtags": [], "mentions": [], "geo": {"lat": 28.6, "lon": 77}},
+    {"kind": "tweet", "tweet_id": "104", "author_id": "9", "author_screen_name": "Rahul",
+     "created_at": "2014-04-03 08:15:30-02:00", "text": "@fan hi", "retweet_of": "rahul"},
+    {"kind": "profile", "user_id": 7, "screen_name": "NaMo", "followers_count": 10,
+     "friends_count": 2, "statuses_count": 5, "following": ["@AmitShah", "FAN"],
+     "location": "Delhi"},
+    {"kind": "profile", "user_id": "8", "screen_name": "fan", "followers_count": 0,
+     "friends_count": 1, "statuses_count": 2},
+    {"kind": "tweet", "tweet_id": "105", "author_id": "9", "author_screen_name": "Rahul",
+     "created_at": "2014-04-03T08:15:30", "text": "naive timestamp, skipped"},
+]
+
+# sha256 of corpus.normalized.jsonl and the counts line of ingest --out,
+# pinned so a change to the parser cannot move a byte unnoticed
+INGEST_GOLDEN = {
+    "default": ("7195acf5d9875ab4e0de8d685cd8c2d33a03eeec218be1d712bdbb3655c7da00",
+                "tweets=3600 profiles=130 skipped=0"),
+    "hand": ("3cae04f7720eb5888e60e02dab40f8b5aa95fa1dfdaabdc6291cd14846fdea20",
+             "tweets=4 profiles=2 skipped=1"),
+}
+
+
 def corpus_of(workspace) -> str:
     return str(workspace / "data" / "corpus.jsonl")
 
@@ -268,6 +303,21 @@ class TestIngest:
         assert main(["ingest", corpus_of(workspace), "--out", str(out_dir)]) == 0
         normalized = (out_dir / "corpus.normalized.jsonl").read_bytes()
         assert normalized == Path(corpus_of(workspace)).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(INGEST_GOLDEN))
+    def test_golden_digest(self, name, default_corpus, tmp_path, capsys):
+        if name == "default":
+            path = default_corpus
+        else:
+            path = tmp_path / "hand.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in HAND_CORPUS),
+                            encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["ingest", str(path), "--out", str(out_dir)]) == 0
+        counts = capsys.readouterr().out.splitlines()[0]
+        digest = hashlib.sha256(
+            (out_dir / "corpus.normalized.jsonl").read_bytes()).hexdigest()
+        assert (digest, counts) == INGEST_GOLDEN[name]
 
 
 class TestAgree:
