@@ -459,6 +459,53 @@ class TestSharedNames:
         with pytest.raises(dataclasses.FrozenInstanceError):
             profile.screen_name = "other"
 
+    # None marks a rejected record
+    @pytest.mark.parametrize("raw,expected", [
+        ("#Modi", {"author": "#modi", "hashtag": "modi", "mention": None,
+                   "retweet_of": "#modi", "following": "#modi", "screen_name": "#modi"}),
+        ("@Modi", {"author": "@modi", "hashtag": None, "mention": "modi",
+                   "retweet_of": "modi", "following": "modi", "screen_name": "@modi"}),
+        ("Mo di", {"author": None, "hashtag": None, "mention": None,
+                   "retweet_of": None, "following": None, "screen_name": None}),
+    ])
+    def test_each_field_normalizes_a_spelling_its_own_way(self, tmp_path, raw, expected):
+        # parse_corpus remembers the spellings each name field accepted; a
+        # field must never take another field's result, and a spelling
+        # rejected once is rejected on every later line
+        records = [{"kind": "profile", "user_id": "s", "screen_name": raw,
+                    "followers_count": 0, "friends_count": 0, "statuses_count": 0}]
+        for round_ in "12":
+            records += [
+                dict(TWEET, tweet_id=round_ + "author", author_screen_name=raw),
+                dict(TWEET, tweet_id=round_ + "hashtag", hashtags=[raw]),
+                dict(TWEET, tweet_id=round_ + "mention", mentions=[raw]),
+                dict(TWEET, tweet_id=round_ + "retweet_of", retweet_of=raw),
+                {"kind": "profile", "user_id": round_ + "following",
+                 "screen_name": "fan" + round_, "followers_count": 0,
+                 "friends_count": 0, "statuses_count": 0, "following": [raw]},
+            ]
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        tweets, profiles, skipped = parse_corpus(path)
+        by_id = {t.tweet_id: t for t in tweets} | {p.user_id: p for p in profiles}
+
+        def name(record_id, read):
+            record = by_id.get(record_id)
+            return None if record is None else read(record)
+
+        for round_ in "12":
+            found = {
+                "author": name(round_ + "author", lambda t: t.author_screen_name),
+                "hashtag": name(round_ + "hashtag", lambda t: t.hashtags[0]),
+                "mention": name(round_ + "mention", lambda t: t.mentions[0]),
+                "retweet_of": name(round_ + "retweet_of", lambda t: t.retweet_of),
+                "following": name(round_ + "following", lambda p: min(p.following)),
+                "screen_name": name("s", lambda p: p.screen_name),
+            }
+            assert found == expected
+        assert skipped == 2 * list(expected.values()).count(None) - (
+            expected["screen_name"] is None)
+
 
 class TestRoundTrip:
     def test_write_parse_write_is_fixed_point(self, tmp_path):
