@@ -20,6 +20,12 @@ timestamps) so that writing a parsed corpus and re-parsing it is lossless.
 
 ``parse_corpus`` streams the file line by line and interns every screen
 name, hashtag and mention, so repeated names share one string object.
+Each field first tries its common shape: a line that is exactly one JSON
+value, a non-empty string id, a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp, a
+name spelling that the same field accepted on an earlier line. Any other
+value goes to the field's checking helper (``_as_id``, ``parse_rfc3339``,
+``_as_name``, ...), which accepts it or rejects the record, so every
+rejection and its message come from the one helper.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ STRICTNESS = ("skip-malformed", "strict")
 _HASHTAG_RE = re.compile(r"#(\w+)")
 _MENTION_RE = re.compile(r"@(\w+)")
 _URL_PREFIXES = ("http", "www.")
+# the marker an explicit entity list may put before each entry
+_MARKERS = {"hashtags": "#", "mentions": "@"}
+
+_fromisoformat = datetime.fromisoformat
+_scan_once = json.JSONDecoder().scan_once
 
 
 class CorpusError(ValueError):
@@ -195,8 +206,7 @@ def _word(value: str, field: str) -> str:
     return sys.intern(value)
 
 
-def _as_name(obj: dict, key: str) -> str:
-    value = obj.get(key)
+def _as_name(value: object, key: str) -> str:
     _require(isinstance(value, str), f"missing {key!r}")
     return _word(value.lower(), key)
 
@@ -210,36 +220,110 @@ def _as_count(obj: dict, key: str) -> int:
     return value
 
 
-def _entity_list(obj: dict, key: str, marker: str) -> tuple[str, ...] | None:
+def _as_timestamp(value: object) -> datetime:
+    """``parse_rfc3339(value)``, its ``ValueError`` made a malformed record.
+
+    The common ``YYYY-MM-DDTHH:MM:SSZ`` form skips parse_rfc3339's strip,
+    conversion and truncation: it hands ``fromisoformat`` the very string
+    parse_rfc3339 would, and a result already on ``timezone.utc`` at a
+    whole second is what parse_rfc3339 would return. Anything else, such
+    as a fractional or basic form that ``fromisoformat`` also reads,
+    goes through parse_rfc3339.
+    """
+    if type(value) is str and len(value) == 20 and value[19] == "Z" and not value[0].isspace():
+        try:
+            parsed = _fromisoformat(value[:19] + "+00:00")
+        except ValueError:
+            pass
+        else:
+            if parsed.tzinfo is timezone.utc and not parsed.microsecond:
+                return parsed
+    try:
+        return parse_rfc3339(value)
+    except ValueError as exc:
+        raise _Malformed(str(exc)) from None
+
+
+def _entity(item: object, key: str) -> str:
+    _require(isinstance(item, str), f"{key!r} entries must be strings")
+    entity = item.lower()
+    marker = _MARKERS[key]
+    if entity.startswith(marker):
+        entity = entity[len(marker):]
+    _require("#" not in entity and "@" not in entity, f"bad entry in {key!r}: {item!r}")
+    return _word(entity, key)
+
+
+def _entity_list(obj: dict, key: str, names: dict[str, str]) -> tuple[str, ...] | None:
     """Normalize an explicit hashtag/mention list; None when absent."""
-    if key not in obj:
-        return None
-    values = obj[key]
-    _require(isinstance(values, list), f"{key!r} must be a list")
+    values = obj.get(key)
+    if type(values) is not list:
+        if key not in obj:
+            return None
+        raise _Malformed(f"{key!r} must be a list")
     out: dict[str, None] = {}
     for item in values:
-        _require(isinstance(item, str), f"{key!r} entries must be strings")
-        entity = item.lower()
-        if entity.startswith(marker):
-            entity = entity[len(marker):]
-        _require("#" not in entity and "@" not in entity, f"bad entry in {key!r}: {item!r}")
-        out[_word(entity, key)] = None
+        out[_cached(names, item, _entity, key)] = None
     return tuple(out)
 
 
-def _parse_tweet(obj: dict) -> Tweet:
-    tweet_id = _as_id(obj, "tweet_id")
-    author_id = sys.intern(_as_id(obj, "author_id"))
-    author = _as_name(obj, "author_screen_name")
-    try:
-        created_at = parse_rfc3339(obj.get("created_at"))
-    except ValueError as exc:
-        raise _Malformed(str(exc)) from None
-    text = obj.get("text")
-    _require(isinstance(text, str), "missing 'text'")
+def _followed_name(name: object, key: str) -> str:
+    _require(isinstance(name, str), "'following' entries must be names")
+    return _word(name.lower().lstrip("@"), key)
 
-    hashtags = _entity_list(obj, "hashtags", "#")
-    mentions = _entity_list(obj, "mentions", "@")
+
+def _retweeted_name(name: object, key: str) -> str:
+    _require(isinstance(name, str), "bad 'retweet_of'")
+    return _word(name.lower().lstrip("@"), key)
+
+
+def _cached(names: dict[str, str], raw: object, normalize, key: str) -> str:
+    """``normalize(raw, key)``, remembered in ``names`` once it is accepted."""
+    name = names.get(raw) if type(raw) is str else None
+    if name is None:
+        name = names[raw] = normalize(raw, key)
+    return name
+
+
+class _Names:
+    """Each name field's accepted raw spellings, mapped to their interned names.
+
+    One per ``parse_corpus`` call. Fields never share a map: ``"#Modi"`` is
+    ``#modi`` as an author, ``modi`` as a hashtag and malformed as a
+    mention. A rejected spelling is never stored, so it fails its checks
+    again wherever it recurs.
+    """
+
+    __slots__ = ("authors", "hashtags", "mentions", "retweets", "following")
+
+    def __init__(self) -> None:
+        self.authors: dict[str, str] = {}
+        self.hashtags: dict[str, str] = {}
+        self.mentions: dict[str, str] = {}
+        self.retweets: dict[str, str] = {}
+        self.following: dict[str, str] = {}
+
+
+def _parse_tweet(obj: dict, names: _Names) -> Tweet:
+    # each field tries its common shape first and otherwise calls the
+    # checking helper, which accepts it or raises the record's message;
+    # the fields are checked in the same order as ever, so the first bad
+    # one still names the record's error
+    tweet_id = obj.get("tweet_id")
+    if type(tweet_id) is not str or not tweet_id:
+        tweet_id = _as_id(obj, "tweet_id")
+    author_id = obj.get("author_id")
+    if type(author_id) is not str or not author_id:
+        author_id = _as_id(obj, "author_id")
+    author = _cached(names.authors, obj.get("author_screen_name"), _as_name,
+                     "author_screen_name")
+    created_at = _as_timestamp(obj.get("created_at"))
+    text = obj.get("text")
+    if type(text) is not str:
+        raise _Malformed("missing 'text'")
+
+    hashtags = _entity_list(obj, "hashtags", names.hashtags)
+    mentions = _entity_list(obj, "mentions", names.mentions)
     if hashtags is None or mentions is None:
         found_tags, found_mentions = extract_entities(text)
         if hashtags is None:
@@ -249,10 +333,8 @@ def _parse_tweet(obj: dict) -> Tweet:
 
     retweet_of = obj.get("retweet_of")
     if retweet_of is not None:
-        _require(isinstance(retweet_of, str), "bad 'retweet_of'")
-        retweet_of = _word(retweet_of.lower().lstrip("@"), "retweet_of")
-        if retweet_of == author:
-            retweet_of = None  # self-retweets carry no relation
+        name = _cached(names.retweets, retweet_of, _retweeted_name, "retweet_of")
+        retweet_of = None if name == author else name  # self-retweets carry no relation
 
     geo = obj.get("geo")
     if geo is not None:
@@ -266,46 +348,34 @@ def _parse_tweet(obj: dict) -> Tweet:
         _require(-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0, "geo out of range")
         geo = (float(lat), float(lon))
 
-    return Tweet(
-        tweet_id=tweet_id,
-        author_id=author_id,
-        author_screen_name=author,
-        created_at=created_at,
-        text=text,
-        hashtags=hashtags,
-        mentions=mentions,
-        retweet_of=retweet_of,
-        geo=geo,
-    )
+    # positional: a frozen dataclass takes keywords about 30% slower
+    return Tweet(tweet_id, sys.intern(author_id), author, created_at, text,
+                 hashtags, mentions, retweet_of, geo)
 
 
-def _parse_profile(obj: dict) -> UserProfile:
-    user_id = _as_id(obj, "user_id")
-    screen_name = _as_name(obj, "screen_name")
-    followers = _as_count(obj, "followers_count")
-    friends = _as_count(obj, "friends_count")
-    statuses = _as_count(obj, "statuses_count")
+def _parse_profile(obj: dict, names: _Names) -> UserProfile:
+    user_id = obj.get("user_id")
+    if type(user_id) is not str or not user_id:
+        user_id = _as_id(obj, "user_id")
+    screen_name = _cached(names.authors, obj.get("screen_name"), _as_name, "screen_name")
+    counts = []
+    for key in ("followers_count", "friends_count", "statuses_count"):
+        count = obj.get(key)
+        if type(count) is not int or count < 0:
+            count = _as_count(obj, key)
+        counts.append(count)
 
     following_raw = obj.get("following", [])
     _require(isinstance(following_raw, list), "'following' must be a list")
     following = set()
-    for name in following_raw:
-        _require(isinstance(name, str), "'following' entries must be names")
-        following.add(_word(name.lower().lstrip("@"), "following"))
+    for raw in following_raw:
+        following.add(_cached(names.following, raw, _followed_name, "following"))
 
     location = obj.get("location")
     if location is not None:
         _require(isinstance(location, str), "'location' must be a string")
 
-    return UserProfile(
-        user_id=user_id,
-        screen_name=screen_name,
-        followers_count=followers,
-        friends_count=friends,
-        statuses_count=statuses,
-        following=frozenset(following),
-        location=location,
-    )
+    return UserProfile(user_id, screen_name, *counts, frozenset(following), location)
 
 
 def parse_corpus(
@@ -332,6 +402,7 @@ def parse_corpus(
     skipped = 0
     seen_tweet_ids: set[str] = set()
     seen_screen_names: set[str] = set()
+    names = _Names()
 
     with handle:
         # a last line without "\n" is still a line; a trailing "\n" opens none
@@ -341,26 +412,35 @@ def parse_corpus(
                 continue
             try:
                 # without its "\n", so JSON error positions stay on line 1
-                obj = json.loads(raw.removesuffix(b"\n").decode("utf-8"))
+                text = raw.removesuffix(b"\n").decode("utf-8")
+                # a line that is one JSON value with nothing around it decodes
+                # as json.loads would; json.loads takes any other line, so
+                # every error message is its own
+                try:
+                    obj, end = _scan_once(text, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != len(text):
+                    obj = json.loads(text)
                 _require(isinstance(obj, dict), "record is not an object")
                 # only a \u escape can decode to a lone surrogate, which no
-                # UTF-8 artifact can hold
-                if b"\\u" in raw:
+                # UTF-8 artifact can hold (a lone backslash is the cheap test)
+                if "\\" in text and "\\u" in text:
                     try:
                         json.dumps(obj, ensure_ascii=False).encode("utf-8")
                     except UnicodeEncodeError:
                         raise _Malformed("a string holds a lone surrogate") from None
                 kind = obj.get("kind")
                 if kind == "tweet":
-                    tweet = _parse_tweet(obj)
-                    _require(tweet.tweet_id not in seen_tweet_ids,
-                             f"duplicate tweet_id {tweet.tweet_id!r}")
+                    tweet = _parse_tweet(obj, names)
+                    if tweet.tweet_id in seen_tweet_ids:
+                        raise _Malformed(f"duplicate tweet_id {tweet.tweet_id!r}")
                     seen_tweet_ids.add(tweet.tweet_id)
                     tweets.append(tweet)
                 elif kind == "profile":
-                    profile = _parse_profile(obj)
-                    _require(profile.screen_name not in seen_screen_names,
-                             f"duplicate profile {profile.screen_name!r}")
+                    profile = _parse_profile(obj, names)
+                    if profile.screen_name in seen_screen_names:
+                        raise _Malformed(f"duplicate profile {profile.screen_name!r}")
                     seen_screen_names.add(profile.screen_name)
                     profiles.append(profile)
                 else:

@@ -267,8 +267,9 @@ TIMESTAMPS = [
     "201\u0664-04-01T00:00:00Z", "+014-04-01T00:00:00Z", "2014-04-01T00:00:00ZZ",
     "2014-04-01T00:00:00+00:00Z", "2014-04-01T00+05:30Z", "2014-04-01T00:00Z",
     "2014-04-01T00:00:00_Z", "2014_04_01T00:00:00Z", "2014-04-01T00:00:00 Z",
-    "2014-W14-2T00:00:00Z", "2014-091T00:00:00Z", "0001-01-01T00:00:00+00:01",
-    "9999-12-31T23:59:59-00:01", "", "Z", 20140401, None, True,
+    "2014-W14-2T00:00:00Z", "2014-091T00:00:00Z", "2014-04-01+05:30:00Z",
+    "0001-01-01T00:00:00+00:01", "9999-12-31T23:59:59-00:01", "", "Z", 20140401,
+    None, True,
 ]
 IDS = ["1", "2", "", " ", "1 2", 1, 0, -3, 10 ** 20, True, False, 1.5, None, ["1"]]
 TEXTS = ["x", "", "hi #Tag @User #tag", "RT @Modi: #NaMo", "hi \ud800",
