@@ -290,8 +290,9 @@ class _Names:
 
     One per ``parse_corpus`` call. Fields never share a map: ``"#Modi"`` is
     ``#modi`` as an author, ``modi`` as a hashtag and malformed as a
-    mention. A rejected spelling is never stored, so it fails its checks
-    again wherever it recurs.
+    mention. ``authors`` serves tweet authors and profile screen names,
+    which normalize alike. A rejected spelling is never stored, so it fails
+    its checks again wherever it recurs.
     """
 
     __slots__ = ("authors", "hashtags", "mentions", "retweets", "following")
@@ -307,8 +308,7 @@ class _Names:
 def _parse_tweet(obj: dict, names: _Names) -> Tweet:
     # each field tries its common shape first and otherwise calls the
     # checking helper, which accepts it or raises the record's message;
-    # the fields are checked in the same order as ever, so the first bad
-    # one still names the record's error
+    # fields are checked in a fixed order, so the first bad one names it
     tweet_id = obj.get("tweet_id")
     if type(tweet_id) is not str or not tweet_id:
         tweet_id = _as_id(obj, "tweet_id")
