@@ -124,7 +124,10 @@ def parse_rfc3339(value: str) -> datetime:
         raise ValueError(f"unparseable timestamp {value!r}") from None
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp {value!r} has no UTC offset")
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:  # the UTC instant falls outside datetime's years
+        raise ValueError(f"timestamp {value!r} is out of range") from None
 
 
 def format_timestamp(dt: datetime) -> str:

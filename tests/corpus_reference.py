@@ -44,7 +44,10 @@ def _parse_rfc3339(value):
         raise ValueError(f"unparseable timestamp {value!r}") from None
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp {value!r} has no UTC offset")
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:  # the UTC instant falls outside datetime's years
+        raise ValueError(f"timestamp {value!r} is out of range") from None
 
 
 def _extract_entities(text):

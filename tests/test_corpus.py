@@ -3,6 +3,7 @@
 import builtins
 import dataclasses
 import json
+import re
 import unicodedata
 from datetime import datetime, timezone
 
@@ -312,6 +313,23 @@ class TestParseCorpus:
         assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
         tweets, _, _ = parse_corpus(path, strictness="strict")
         assert tweets[0].text == "vote \U0001f600"
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+00:01",
+                                       "9999-12-31T23:59:59-00:01"])
+    def test_out_of_range_timestamp_skipped_or_strict_error(self, tmp_path, stamp):
+        # the offset moves the instant before year 1 or past year 9999
+        tweet = {"kind": "tweet", "tweet_id": "1", "author_id": "a",
+                 "author_screen_name": "A", "created_at": "2014-01-01T00:00:00Z",
+                 "text": "x"}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(tweet) + "\n"
+                        + json.dumps(dict(tweet, tweet_id="2", created_at=stamp)) + "\n",
+                        encoding="utf-8")
+        tweets, profiles, skipped = parse_corpus(path)
+        assert (len(tweets), len(profiles), skipped) == (1, 0, 1)
+        message = f":2: timestamp '{stamp}' is out of range"
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            parse_corpus(path, strictness="strict")
 
     def test_duplicate_tweet_id_skipped_or_strict_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
