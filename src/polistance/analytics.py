@@ -1,4 +1,4 @@
-"""Corpus-level descriptive statistics over tweet streams.
+"""Corpus-level descriptive statistics, gathered in one pass over the tweets.
 
 Everything here buckets tweets by local wall-clock time after applying a
 fixed utc offset, +05:30 by default. Tweet volume is bucketed by day;
@@ -14,267 +14,171 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .corpus import Tweet, format_timestamp, tokenize
+from .corpus import Tweet, canonical_dumps, format_timestamp, tokenize
 from .features import PARTIES, PartyLexicon
 
 __all__ = [
     "IST_OFFSET_MINUTES",
     "STDDEV_KIND",
-    "AnalyticsError",
-    "DayHourMatrix",
-    "TimeSeries",
-    "day_hour_matrix",
-    "party_mentions",
-    "top_hashtags",
-    "unique_user_stats",
-    "volume_series",
-    "write_day_hour",
-    "write_series",
-    "write_top_hashtags",
+    "Analysis",
+    "analyze",
+    "write_analysis",
 ]
 
 IST_OFFSET_MINUTES = 330
 STDDEV_KIND = "population"
 
-# the width of each granularity a series can have
-_BUCKET_WIDTHS = {"day": timedelta(days=1), "week": timedelta(days=7)}
 # how many hashtags each week ranks, and how many tweeters the summary names
 _TOP_K = 5
 
-
-class AnalyticsError(ValueError):
-    """Raised for invalid analytics inputs."""
-
-
-def _local_zone(tz_offset_minutes: int) -> timezone:
-    return timezone(timedelta(minutes=tz_offset_minutes))
-
-
-def _floor_bucket(moment: datetime, granularity: str) -> datetime:
-    day = moment.replace(hour=0, minute=0, second=0, microsecond=0)
-    if granularity == "week":
-        return day - timedelta(days=day.weekday())  # ISO weeks start Monday
-    return day
+# (bucket start, count) pairs, gap-free and in time order
+Series = tuple[tuple[datetime, int], ...]
 
 
 @dataclass(frozen=True)
-class TimeSeries:
-    """Gap-free bucketed values; bucket starts carry the local offset."""
+class Analysis:
+    """The descriptive statistics of one corpus at one utc offset.
 
-    granularity: str
+    Bucket starts are local midnights carrying the offset. ``day_hour``
+    is 7 x 24, Sunday first. Every party's weekly series spans the weeks
+    of the first and last local day, so all plot on a common axis.
+    ``top_hashtags`` holds only weeks with a hashtag, in time order.
+    Rankings are count desc, ties alphabetical.
+    """
+
     tz_offset_minutes: int
-    points: tuple[tuple[datetime, float], ...]
-
-    def __post_init__(self) -> None:
-        width = _BUCKET_WIDTHS.get(self.granularity)
-        if width is None:
-            raise AnalyticsError(f"unknown granularity {self.granularity!r}")
-        for (a, _), (b, _) in zip(self.points, self.points[1:]):
-            if b - a != width:
-                raise AnalyticsError(
-                    f"buckets not gap-free at {a.isoformat()} -> {b.isoformat()}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
-
-    def mean(self) -> float:
-        if not self.points:
-            raise AnalyticsError("mean of an empty series")
-        return math.fsum(self.values) / len(self.points)
-
-    def stddev(self) -> float:
-        """Population standard deviation over the buckets."""
-        if not self.points:
-            raise AnalyticsError("stddev of an empty series")
-        center = self.mean()
-        return math.sqrt(
-            math.fsum((v - center) ** 2 for v in self.values) / len(self.points)
-        )
+    n_tweets: int
+    volume: Series
+    day_hour: tuple[tuple[int, ...], ...]
+    mentions: Mapping[str, Series]
+    top_hashtags: tuple[tuple[datetime, tuple[tuple[str, int], ...]], ...]
+    n_users: int
+    top_tweeters: tuple[tuple[str, int], ...]
+    volume_mean: float | None
+    volume_stddev: float | None
 
 
-def _filled_series(
-    counts: Mapping[datetime, int],
-    granularity: str,
-    tz_offset_minutes: int,
-    span: tuple[datetime, datetime] | None = None,
-) -> TimeSeries:
-    if not counts and span is None:
-        return TimeSeries(granularity, tz_offset_minutes, ())
-    lo, hi = span if span is not None else (min(counts), max(counts))
-    width = _BUCKET_WIDTHS[granularity]
-    points = []
-    bucket = lo
-    while bucket <= hi:
-        points.append((bucket, float(counts.get(bucket, 0))))
-        bucket += width
-    return TimeSeries(granularity, tz_offset_minutes, tuple(points))
+def _week(day: date) -> date:
+    return day - timedelta(days=day.weekday())  # ISO weeks start Monday
 
 
-def volume_series(
-    tweets: Sequence[Tweet],
-    tz_offset_minutes: int = IST_OFFSET_MINUTES,
-) -> TimeSeries:
-    """Tweet counts per local day, zero-filled between first and last day."""
-    zone = _local_zone(tz_offset_minutes)
-    counts: dict[datetime, int] = {}
-    for tweet in tweets:
-        day = _floor_bucket(tweet.created_at.astimezone(zone), "day")
-        counts[day] = counts.get(day, 0) + 1
-    return _filled_series(counts, "day", tz_offset_minutes)
+def _top(counts: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
+    return tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:_TOP_K])
 
 
-@dataclass(frozen=True)
-class DayHourMatrix:
-    """Tweet counts by (day of week, hour of day); day 1 is Sunday."""
-
-    counts: tuple[tuple[int, ...], ...]
-    tz_offset_minutes: int
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != 7 or any(len(row) != 24 for row in self.counts):
-            raise AnalyticsError("day-hour matrix must be 7 x 24")
-
-    def at(self, day: int, hour: int) -> int:
-        if not 1 <= day <= 7:
-            raise AnalyticsError(f"day must be 1..7, got {day}")
-        if not 0 <= hour <= 23:
-            raise AnalyticsError(f"hour must be 0..23, got {hour}")
-        return self.counts[day - 1][hour]
-
-
-def day_hour_matrix(
-    tweets: Sequence[Tweet],
-    tz_offset_minutes: int = IST_OFFSET_MINUTES,
-) -> DayHourMatrix:
-    """7x24 histogram of local posting times, Sunday-first."""
-    zone = _local_zone(tz_offset_minutes)
-    grid = [[0] * 24 for _ in range(7)]
-    for tweet in tweets:
-        local = tweet.created_at.astimezone(zone)
-        day = (local.weekday() + 1) % 7  # Monday-based 0..6 -> Sunday-based
-        grid[day][local.hour] += 1
-    return DayHourMatrix(
-        counts=tuple(tuple(row) for row in grid),
-        tz_offset_minutes=tz_offset_minutes,
-    )
-
-
-def party_mentions(
-    tweets: Sequence[Tweet],
+def analyze(
+    tweets: Iterable[Tweet],
     lexicon: PartyLexicon,
     tz_offset_minutes: int = IST_OFFSET_MINUTES,
-) -> dict[str, TimeSeries]:
-    """Per-party tweet counts per local ISO week.
+) -> Analysis:
+    """Volume, day-hour, party mentions, top hashtags and tweeters in one pass.
 
     A tweet counts toward a party when any of its tokens matches the
     party's keywords or any of its hashtags matches the party's hashtags;
-    one tweet may count toward several parties. All returned series share
-    the full corpus span so they plot on a common axis.
+    one tweet may count toward several parties.
     """
-    zone = _local_zone(tz_offset_minutes)
-    per_party: dict[str, dict[datetime, int]] = {p: {} for p in PARTIES}
-    span_lo: datetime | None = None
-    span_hi: datetime | None = None
+    zone = timezone(timedelta(minutes=tz_offset_minutes))
+    party_terms = [(party, lexicon.terms(party)) for party in PARTIES]
+    per_day: dict[date, int] = {}
+    grid = [[0] * 24 for _ in range(7)]
+    per_party: dict[str, dict[date, int]] = {party: {} for party in PARTIES}
+    tags_per_week: dict[date, dict[str, int]] = {}
+    per_author: dict[str, int] = {}
     for tweet in tweets:
-        bucket = _floor_bucket(tweet.created_at.astimezone(zone), "week")
-        if span_lo is None or bucket < span_lo:
-            span_lo = bucket
-        if span_hi is None or bucket > span_hi:
-            span_hi = bucket
+        local = tweet.created_at.astimezone(zone)
+        day = local.date()
+        per_day[day] = per_day.get(day, 0) + 1
+        grid[(day.weekday() + 1) % 7][local.hour] += 1  # Monday-based -> Sunday-based
+        name = tweet.author_screen_name
+        per_author[name] = per_author.get(name, 0) + 1
+        week = _week(day)
         tokens = set(tokenize(tweet.text))
         tags = set(tweet.hashtags)
-        for party in PARTIES:
-            terms = lexicon.terms(party)
+        for party, terms in party_terms:
             if tokens & terms.keywords or tags & terms.hashtags:
                 counts = per_party[party]
-                counts[bucket] = counts.get(bucket, 0) + 1
-    span = None if span_lo is None else (span_lo, span_hi)
-    return {
-        party: _filled_series(per_party[party], "week", tz_offset_minutes, span)
-        for party in PARTIES
-    }
+                counts[week] = counts.get(week, 0) + 1
+        if tweet.hashtags:
+            counts = tags_per_week.setdefault(week, {})
+            for tag in tweet.hashtags:
+                counts[tag] = counts.get(tag, 0) + 1
 
+    def start(day: date) -> datetime:
+        return datetime(day.year, day.month, day.day, tzinfo=zone)
 
-def top_hashtags(
-    tweets: Sequence[Tweet],
-    tz_offset_minutes: int = IST_OFFSET_MINUTES,
-) -> dict[datetime, tuple[tuple[str, int], ...]]:
-    """The five most frequent hashtags of each local ISO week.
+    def filled(counts: Mapping[date, int], lo: date, hi: date, step: int) -> Series:
+        days = (lo + timedelta(days=k) for k in range(0, (hi - lo).days + 1, step))
+        return tuple((start(day), counts.get(day, 0)) for day in days)
 
-    Ranking is count desc, ties alphabetical.
-    """
-    zone = _local_zone(tz_offset_minutes)
-    per_window: dict[datetime, dict[str, int]] = {}
-    for tweet in tweets:
-        if not tweet.hashtags:
-            continue
-        bucket = _floor_bucket(tweet.created_at.astimezone(zone), "week")
-        counts = per_window.setdefault(bucket, {})
-        for tag in tweet.hashtags:
-            counts[tag] = counts.get(tag, 0) + 1
-    out: dict[datetime, tuple[tuple[str, int], ...]] = {}
-    for bucket in sorted(per_window):
-        ranked = sorted(per_window[bucket].items(),
-                        key=lambda item: (-item[1], item[0]))
-        out[bucket] = tuple(ranked[:_TOP_K])
-    return out
-
-
-def unique_user_stats(
-    tweets: Sequence[Tweet],
-) -> tuple[int, tuple[tuple[str, int], ...]]:
-    """Distinct author count and the five heaviest tweeters.
-
-    Ranking is tweet count desc, ties alphabetical.
-    """
-    counts: dict[str, int] = {}
-    for tweet in tweets:
-        name = tweet.author_screen_name
-        counts[name] = counts.get(name, 0) + 1
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return len(counts), tuple(ranked[:_TOP_K])
+    volume: Series = ()
+    mentions: dict[str, Series] = dict.fromkeys(PARTIES, ())
+    mean = stddev = None
+    if per_day:
+        first, last = min(per_day), max(per_day)
+        volume = filled(per_day, first, last, 1)
+        mentions = {party: filled(per_party[party], _week(first), _week(last), 7)
+                    for party in PARTIES}
+        values = [value for _, value in volume]
+        mean = math.fsum(values) / len(values)
+        stddev = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+    return Analysis(
+        tz_offset_minutes=tz_offset_minutes,
+        n_tweets=sum(per_day.values()),
+        volume=volume,
+        day_hour=tuple(tuple(row) for row in grid),
+        mentions=mentions,
+        top_hashtags=tuple((start(week), _top(tags_per_week[week]))
+                           for week in sorted(tags_per_week)),
+        n_users=len(per_author),
+        top_tweeters=_top(per_author),
+        volume_mean=mean,
+        volume_stddev=stddev,
+    )
 
 
 def _utc_stamp(bucket: datetime) -> str:
     return format_timestamp(bucket.astimezone(timezone.utc))
 
 
-def write_series(series: TimeSeries, path: str | Path) -> None:
-    """CSV with bucket_start (RFC 3339, utc) and value columns."""
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["bucket_start", "value"])
-        for bucket, value in series.points:
-            writer.writerow([_utc_stamp(bucket), repr(value)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_day_hour(matrix: DayHourMatrix, path: str | Path) -> None:
-    """Tidy CSV: one (day, hour, count) row per cell, day 1 = Sunday."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["day", "hour", "count"])
-        for day in range(1, 8):
-            for hour in range(24):
-                writer.writerow([day, hour, matrix.at(day, hour)])
+def write_analysis(result: Analysis, out_dir: str | Path) -> None:
+    """Write the five analysis files into ``out_dir``, which must exist.
 
-
-def write_top_hashtags(
-    ranked: Mapping[datetime, tuple[tuple[str, int], ...]],
-    path: str | Path,
-) -> None:
-    """CSV of per-window hashtag rankings."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["window_start", "rank", "hashtag", "count"])
-        for bucket in sorted(ranked):
-            for rank, (tag, count) in enumerate(ranked[bucket], start=1):
-                writer.writerow([_utc_stamp(bucket), rank, tag, count])
+    Bucket starts are written as RFC 3339 utc; volume and mention counts
+    as floats, as the files have always held them.
+    """
+    out = Path(out_dir)
+    _write_csv(out / "volume_day.csv", ["bucket_start", "value"],
+               ([_utc_stamp(bucket), repr(float(value))] for bucket, value in result.volume))
+    _write_csv(out / "day_hour.csv", ["day", "hour", "count"],
+               ([day, hour, count]
+                for day, row in enumerate(result.day_hour, start=1)
+                for hour, count in enumerate(row)))
+    _write_csv(out / "top_hashtags.csv", ["window_start", "rank", "hashtag", "count"],
+               ([_utc_stamp(bucket), rank, tag, count]
+                for bucket, ranking in result.top_hashtags
+                for rank, (tag, count) in enumerate(ranking, start=1)))
+    _write_csv(out / "party_mentions.csv", ["party", "bucket_start", "value"],
+               ([party, _utc_stamp(bucket), float(value)]
+                for party in sorted(result.mentions)
+                for bucket, value in result.mentions[party]))
+    summary = {
+        "tweets": result.n_tweets,
+        "unique_users": result.n_users,
+        "top_tweeters": [[name, count] for name, count in result.top_tweeters],
+        "volume_mean": result.volume_mean,
+        "volume_stddev": result.volume_stddev,
+        "stddev_kind": STDDEV_KIND,
+        "tz_offset_minutes": result.tz_offset_minutes,
+    }
+    (out / "summary.json").write_text(canonical_dumps(summary) + "\n", encoding="utf-8")

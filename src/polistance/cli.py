@@ -16,19 +16,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analytics import (
-    IST_OFFSET_MINUTES,
-    STDDEV_KIND,
-    AnalyticsError,
-    day_hour_matrix,
-    party_mentions,
-    top_hashtags,
-    unique_user_stats,
-    volume_series,
-    write_day_hour,
-    write_series,
-    write_top_hashtags,
-)
+from .analytics import IST_OFFSET_MINUTES, analyze, write_analysis
 from .annotation import (
     DIMENSIONS,
     AnnotationError,
@@ -36,13 +24,7 @@ from .annotation import (
     read_annotations,
     resolve_majority,
 )
-from .corpus import (
-    CorpusError,
-    canonical_dumps,
-    format_timestamp,
-    parse_corpus,
-    write_corpus,
-)
+from .corpus import CorpusError, parse_corpus, write_corpus
 from .features import FEATURE_NAMES, PARTIES, FeatureError, default_lexicon, write_matrix
 from .forest import ForestError
 from .graph import GraphError, build_interaction_graph, louvain, write_edges, write_partition
@@ -65,7 +47,6 @@ _DATA_ERRORS = (
     MetricsError,
     ForestError,
     GraphError,
-    AnalyticsError,
     FileNotFoundError,
 )
 
@@ -220,35 +201,10 @@ def _cmd_graph(args) -> int:
 def _cmd_analyze(args) -> int:
     tz = _tz_minutes(args)
     tweets, _, _ = _read_corpus(args)
+    result = analyze(tweets, default_lexicon(), tz)
     out = _out_dir(args)
-
-    daily = volume_series(tweets, tz)
-    write_series(daily, out / "volume_day.csv")
-    write_day_hour(day_hour_matrix(tweets, tz), out / "day_hour.csv")
-    write_top_hashtags(top_hashtags(tweets, tz), out / "top_hashtags.csv")
-
-    mentions = party_mentions(tweets, default_lexicon(), tz)
-    with open(out / "party_mentions.csv", "w", encoding="utf-8",
-              newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["party", "bucket_start", "value"])
-        for party in sorted(mentions):
-            for bucket, value in mentions[party].points:
-                writer.writerow([party, format_timestamp(bucket), value])
-
-    n_users, top = unique_user_stats(tweets)
-    summary = {
-        "tweets": len(tweets),
-        "unique_users": n_users,
-        "top_tweeters": [[name, count] for name, count in top],
-        "volume_mean": daily.mean() if len(daily) else None,
-        "volume_stddev": daily.stddev() if len(daily) else None,
-        "stddev_kind": STDDEV_KIND,
-        "tz_offset_minutes": tz,
-    }
-    (out / "summary.json").write_text(canonical_dumps(summary) + "\n",
-                                      encoding="utf-8")
-    print(f"analyzed {len(tweets)} tweets into {out}")
+    write_analysis(result, out)
+    print(f"analyzed {result.n_tweets} tweets into {out}")
     return 0
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "FeatureMatrix",
     "PartyLexicon",
     "PartyTerms",
-    "TermCounts",
     "VocabTerm",
     "build_hashtag_matrix",
     "build_text_matrix",
@@ -51,22 +50,6 @@ PARTIES = ("AAP", "BJP", "CONG")
 
 class FeatureError(ValueError):
     """Raised for invalid feature-extraction inputs."""
-
-
-@dataclass(frozen=True)
-class TermCounts:
-    """Occurrence counts for one user's terms."""
-
-    counts: Mapping[str, int]
-    token_total: int
-
-    @classmethod
-    def from_tokens(cls, tokens: Sequence[str]) -> "TermCounts":
-        return cls(counts=dict(Counter(tokens)), token_total=len(tokens))
-
-    def tf_map(self) -> dict[str, float]:
-        """Normalized term frequency n_ij / token_total of each term."""
-        return {term: count / self.token_total for term, count in self.counts.items()}
 
 
 @dataclass(frozen=True)
@@ -111,22 +94,21 @@ def idf(user_count: int, term_user_count: int) -> float:
 
 
 def _build_matrix(
-    term_lists: Mapping[str, Sequence[str]],
+    term_counts: Mapping[str, Mapping[str, int]],
     min_user_support: int,
     what: str,
 ) -> FeatureMatrix:
     if min_user_support < 1:
         raise FeatureError("min_user_support must be >= 1")
 
-    kept = [(user_id, TermCounts.from_tokens(terms))
-            for user_id, terms in term_lists.items() if len(terms) > 0]
+    kept = [(user_id, counts) for user_id, counts in term_counts.items() if counts]
     if not kept:
         raise FeatureError(f"no users with {what}; matrix would be empty")
 
     n_users = len(kept)  # |U|: users with a term, counted before pruning
     support: Counter[str] = Counter()
     for _, counts in kept:
-        support.update(counts.counts.keys())
+        support.update(counts.keys())
 
     vocabulary = tuple(
         VocabTerm(term=term, user_count=support[term], idf=idf(n_users, support[term]))
@@ -138,11 +120,12 @@ def _build_matrix(
     user_ids = []
     rows = []
     for user_id, counts in kept:
+        total = sum(counts.values())  # every token, pruned or not
         row = {}
-        for term, tf in counts.tf_map().items():
+        for term, count in counts.items():
             j = column.get(term)
             if j is not None:
-                row[j] = tf * vocabulary[j].idf
+                row[j] = count / total * vocabulary[j].idf
         if row:
             user_ids.append(user_id)
             rows.append(row)
@@ -155,29 +138,31 @@ def _build_matrix(
 
 
 def build_text_matrix(
-    tokenized_users: Mapping[str, Sequence[str]],
+    token_counts: Mapping[str, Mapping[str, int]],
     min_user_support: int = 5,
 ) -> FeatureMatrix:
     """TF-IDF matrix over word tokens, one row per user.
 
-    Users with zero tokens are left out of the matrix and of |U|. Users
-    whose every token is pruned are left out of the matrix but count in
-    |U|. Raises FeatureError when no user is left.
+    ``token_counts`` maps each user to the occurrence count of each of
+    their tokens. Users with zero tokens are left out of the matrix and
+    of |U|. Users whose every token is pruned are left out of the matrix
+    but count in |U|. Raises FeatureError when no user is left.
     """
-    return _build_matrix(tokenized_users, min_user_support, "tokens")
+    return _build_matrix(token_counts, min_user_support, "tokens")
 
 
 def build_hashtag_matrix(
-    hashtag_users: Mapping[str, Sequence[str]],
+    hashtag_counts: Mapping[str, Mapping[str, int]],
     min_user_support: int = 2,
 ) -> FeatureMatrix:
     """TF-IDF matrix over hashtag occurrences, one row per user.
 
-    Users with no hashtags are left out of the matrix and of |U|; users
-    whose every hashtag is pruned are left out of the matrix but count in
-    |U|. Raises FeatureError when no user is left.
+    ``hashtag_counts`` maps each user to the occurrence count of each of
+    their hashtags. Users with no hashtags are left out of the matrix and
+    of |U|; users whose every hashtag is pruned are left out of the matrix
+    but count in |U|. Raises FeatureError when no user is left.
     """
-    return _build_matrix(hashtag_users, min_user_support, "hashtags")
+    return _build_matrix(hashtag_counts, min_user_support, "hashtags")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -268,21 +269,22 @@ def _truth_map(annotations, dimension: str) -> dict[str, str]:
 
 def featurize(
     method: str,
-    tweets: list[Tweet],
+    tweets: Iterable[Tweet],
     profiles: list[UserProfile],
     lexicon: PartyLexicon,
 ) -> FeatureMatrix | dict[str, tuple[int, ...]]:
-    """Features of one forest method, over tweets grouped once by author.
+    """Features of one forest method, read from one pass over the tweets.
 
-    ``text`` and ``hashtag`` give the TF-IDF matrix of every author with at
-    least one term that survives support pruning (the others are dropped).
-    ``user-features`` gives one vector per profile, keyed by screen name in
-    sorted order; the lexicon is read only there.
+    ``text`` and ``hashtag`` count each author's terms tweet by tweet and
+    give the TF-IDF matrix of every author with at least one term that
+    survives support pruning (the others are dropped). ``user-features``
+    groups the tweets by author and gives one vector per profile, keyed by
+    screen name in sorted order; the lexicon is read only there.
     """
-    by_user: dict[str, list[Tweet]] = {}
-    for tweet in tweets:
-        by_user.setdefault(tweet.author_screen_name, []).append(tweet)
     if method == "user-features":
+        by_user: dict[str, list[Tweet]] = {}
+        for tweet in tweets:
+            by_user.setdefault(tweet.author_screen_name, []).append(tweet)
         return {
             profile.screen_name: user_feature_vector(
                 profile, by_user.get(profile.screen_name, []), lexicon
@@ -292,11 +294,14 @@ def featurize(
     if method not in ("text", "hashtag"):
         raise ConfigError(f"featurize takes text, hashtag or user-features, not {method!r}")
     text = method == "text"
-    bags = {
-        user: [term for tweet in own
-               for term in (tokenize(tweet.text) if text else tweet.hashtags)]
-        for user, own in by_user.items()
-    }
+    # every author gets a Counter at their first tweet, so authors keep
+    # first-tweet order and each Counter its first-seen term order
+    bags: defaultdict[str, Counter[str]] = defaultdict(Counter)
+    for tweet in tweets:
+        terms = tokenize(tweet.text) if text else tweet.hashtags
+        bag = bags[tweet.author_screen_name]
+        if terms:
+            bag.update(terms)
     return (build_text_matrix if text else build_hashtag_matrix)(bags)
 
 

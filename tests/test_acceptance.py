@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,10 +23,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from forest_dump import forest_to_dict
-from polistance.analytics import day_hour_matrix, volume_series
+from polistance.analytics import analyze
 from polistance.annotation import LABELS, agreement_stats, kappa_from_agreement
 from polistance.cli import main
-from polistance.features import TermCounts, build_text_matrix
+from polistance.features import build_text_matrix, default_lexicon
 from polistance.forest import cross_validate, train_forest
 from polistance.graph import InteractionGraph, louvain, modularity
 from polistance.metrics import f_measure
@@ -96,7 +97,10 @@ class TestTfidfOracle:
     def test_tfidf_matches_bruteforce_oracle(self):
         with budget(1.0):
             token_lists = self._corpus()
-            matrix = build_text_matrix(token_lists, min_user_support=1)
+            matrix = build_text_matrix(
+                {user: Counter(toks) for user, toks in token_lists.items()},
+                min_user_support=1,
+            )
 
             terms = sorted({t for toks in token_lists.values() for t in toks})
             users_with = {
@@ -119,9 +123,18 @@ class TestTfidfOracle:
             assert np.max(np.abs(dense - expected)) <= 1e-12
 
     def test_unpruned_tf_rows_sum_to_one(self):
+        # with no pruning, a row divided by its columns' idf is the user's
+        # TF, which sums to 1; no idf on this corpus is near 0
         with budget(1.0):
-            for toks in self._corpus().values():
-                total = sum(TermCounts.from_tokens(toks).tf_map().values())
+            token_lists = self._corpus()
+            matrix = build_text_matrix(
+                {user: Counter(toks) for user, toks in token_lists.items()},
+                min_user_support=1,
+            )
+            assert matrix.shape[0] == len(token_lists)
+            for row in matrix.rows:
+                total = math.fsum(value / matrix.vocabulary[j].idf
+                                  for j, value in row.items())
                 assert abs(total - 1.0) <= 1e-12
 
 
@@ -381,9 +394,9 @@ class TestAnalyticsConservation:
         )
         tweets = corpus.tweets
         for tz_offset in (330, 0, -345):
-            assert sum(volume_series(tweets, tz_offset).values) == len(tweets)
-            grid = day_hour_matrix(tweets, tz_offset).counts
-            assert sum(map(sum, grid)) == len(tweets)
+            result = analyze(tweets, default_lexicon(), tz_offset)
+            assert sum(value for _, value in result.volume) == len(tweets)
+            assert sum(map(sum, result.day_hour)) == len(tweets)
 
 
 # --------------------------------------------------------- reproducibility

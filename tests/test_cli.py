@@ -478,6 +478,28 @@ class TestAnalyzeCommand:
         }
         assert digests == ANALYZE_GOLDEN[tz]
 
+    def test_profiles_only_corpus_gives_header_only_files(self, tmp_path, capsys):
+        corpus = tmp_path / "profiles.jsonl"
+        corpus.write_text(json.dumps({
+            "kind": "profile", "user_id": "u1", "screen_name": "a",
+            "followers_count": 1, "friends_count": 2, "statuses_count": 3,
+        }) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "an"
+        assert main(["analyze", str(corpus), "--out", str(out_dir)]) == 0
+        for name, header in (
+            ("volume_day.csv", "bucket_start,value"),
+            ("party_mentions.csv", "party,bucket_start,value"),
+            ("top_hashtags.csv", "window_start,rank,hashtag,count"),
+        ):
+            assert (out_dir / name).read_text().splitlines() == [header]
+        # the day-hour grid is always 7 x 24, here all zeros
+        with open(out_dir / "day_hour.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) == 1 + 7 * 24 and {count for _, _, count in rows[1:]} == {"0"}
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert (summary["tweets"], summary["unique_users"]) == (0, 0)
+        assert summary["volume_mean"] is None and summary["volume_stddev"] is None
+
     def test_tz_out_of_range_is_config_error(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "an"
         assert main(["analyze", corpus_of(workspace), "--tz", "+24:00",

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from datetime import datetime, timezone
 
 import numpy as np
@@ -16,7 +17,6 @@ from polistance.features import (
     FeatureError,
     PartyLexicon,
     PartyTerms,
-    TermCounts,
     build_hashtag_matrix,
     build_text_matrix,
     default_lexicon,
@@ -24,6 +24,11 @@ from polistance.features import (
     user_feature_vector,
     write_matrix,
 )
+
+
+def counts_of(term_lists):
+    """Each user's term list as the per-user term counts the builders take."""
+    return {user: Counter(terms) for user, terms in term_lists.items()}
 
 
 def oracle_matrix(term_lists, min_support):
@@ -62,15 +67,26 @@ class TestIdf:
             idf(5, 6)
 
 
+def single_user_tf(tokens):
+    """TF of one user's terms, read back from a one-user unpruned matrix.
+
+    Its every idf is ln(1/2), so each cell divided by its idf is the TF.
+    """
+    matrix = build_text_matrix({"u1": Counter(tokens)}, min_user_support=1)
+    (row,) = matrix.rows
+    return {matrix.vocabulary[j].term: value / matrix.vocabulary[j].idf
+            for j, value in row.items()}
+
+
 class TestTermCounts:
     def test_normalized_frequencies(self):
-        counts = TermCounts.from_tokens(["modi", "modi", "aap", "rally"])
-        assert counts.tf_map() == {"modi": 0.5, "aap": 0.25, "rally": 0.25}
+        tf = single_user_tf(["modi", "modi", "aap", "rally"])
+        assert tf == {"modi": 0.5, "aap": 0.25, "rally": 0.25}
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=50))
     def test_tf_sums_to_one(self, tokens):
-        total = math.fsum(TermCounts.from_tokens(tokens).tf_map().values())
+        total = math.fsum(single_user_tf(tokens).values())
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -82,7 +98,7 @@ class TestTextMatrix:
             f"user{i}": [words[rng.integers(0, 30)] for _ in range(rng.integers(5, 40))]
             for i in range(20)
         }
-        matrix = build_text_matrix(term_lists, min_user_support=5)
+        matrix = build_text_matrix(counts_of(term_lists), min_user_support=5)
         users, vocab, cells = oracle_matrix(term_lists, 5)
 
         assert list(matrix.user_ids) == users
@@ -100,7 +116,7 @@ class TestTextMatrix:
             f"user{i}": [words[rng.integers(0, 400)] for _ in range(25)]
             for i in range(613)
         }
-        matrix = build_text_matrix(term_lists, min_user_support=5)
+        matrix = build_text_matrix(counts_of(term_lists), min_user_support=5)
         _, vocab, _ = oracle_matrix(term_lists, 5)
         assert matrix.shape == (613, len(vocab))
 
@@ -111,25 +127,25 @@ class TestTextMatrix:
             "u2": ["shared"],
             "u3": ["shared"],
         }
-        matrix = build_text_matrix(term_lists, min_user_support=3)
+        matrix = build_text_matrix(counts_of(term_lists), min_user_support=3)
         assert [v.term for v in matrix.vocabulary] == ["shared"]
         expected = 0.5 * math.log(3 / 4)
         assert matrix.dense([0])[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_empty_user_error_and_drop(self):
         term_lists = {"u1": ["a"], "u2": []}
-        matrix = build_text_matrix(term_lists, min_user_support=1)
+        matrix = build_text_matrix(counts_of(term_lists), min_user_support=1)
         assert matrix.user_ids == ("u1",)
         # |U| counts kept users only
         assert matrix.vocabulary[0].idf == pytest.approx(math.log(1 / 2), abs=1e-15)
 
     def test_all_users_empty_rejected(self):
         with pytest.raises(FeatureError):
-            build_text_matrix({"u1": []}, min_user_support=1)
+            build_text_matrix({"u1": Counter()}, min_user_support=1)
 
     def test_user_with_every_term_pruned_dropped_but_counted_in_idf(self):
         term_lists = {"u1": ["a"], "u2": ["a", "b"], "u3": ["c"], "u4": ["d", "d"]}
-        matrix = build_text_matrix(term_lists, min_user_support=2)
+        matrix = build_text_matrix(counts_of(term_lists), min_user_support=2)
         assert [v.term for v in matrix.vocabulary] == ["a"]
         assert matrix.user_ids == ("u1", "u2")
         assert matrix.shape == (2, 1)
@@ -138,7 +154,7 @@ class TestTextMatrix:
 
     def test_every_term_pruned_rejected(self):
         with pytest.raises(FeatureError, match="matrix would be empty"):
-            build_text_matrix({"u1": ["a"], "u2": ["b"]}, min_user_support=2)
+            build_text_matrix(counts_of({"u1": ["a"], "u2": ["b"]}), min_user_support=2)
 
     @settings(max_examples=60)
     @given(
@@ -155,7 +171,8 @@ class TestTextMatrix:
 
         def kept_terms(min_user_support):
             try:
-                matrix = build_text_matrix(term_lists, min_user_support=min_user_support)
+                matrix = build_text_matrix(counts_of(term_lists),
+                                           min_user_support=min_user_support)
             except FeatureError:  # every term pruned
                 return set()
             return {v.term for v in matrix.vocabulary}
@@ -174,8 +191,8 @@ class TestTextMatrix:
     def test_doubling_tokens_changes_nothing(self, raw):
         term_lists = {f"u{k}": v for k, v in raw.items()}
         doubled = {u: list(v) + list(v) for u, v in term_lists.items()}
-        a = build_text_matrix(term_lists, min_user_support=1)
-        b = build_text_matrix(doubled, min_user_support=1)
+        a = build_text_matrix(counts_of(term_lists), min_user_support=1)
+        b = build_text_matrix(counts_of(doubled), min_user_support=1)
         assert a.vocabulary == b.vocabulary
         every_row = range(a.shape[0])
         assert np.array_equal(a.dense(every_row), b.dense(every_row))
@@ -184,10 +201,10 @@ class TestTextMatrix:
 class TestHashtagMatrix:
     def test_no_tag_reaches_support(self):
         with pytest.raises(FeatureError, match="no hashtags used by 2 or more users"):
-            build_hashtag_matrix({"u1": ["namo", "namo"], "u2": ["aap"]})
+            build_hashtag_matrix(counts_of({"u1": ["namo", "namo"], "u2": ["aap"]}))
 
     def test_shared_tag_kept(self):
-        matrix = build_hashtag_matrix({"u1": ["namo"], "u2": ["namo", "aap"]})
+        matrix = build_hashtag_matrix(counts_of({"u1": ["namo"], "u2": ["namo", "aap"]}))
         assert [v.term for v in matrix.vocabulary] == ["namo"]
 
     def test_matches_oracle(self):
@@ -197,7 +214,7 @@ class TestHashtagMatrix:
             f"user{i}": [tags[rng.integers(0, 25)] for _ in range(rng.integers(1, 12))]
             for i in range(99)
         }
-        matrix = build_hashtag_matrix(term_lists, min_user_support=2)
+        matrix = build_hashtag_matrix(counts_of(term_lists), min_user_support=2)
         users, vocab, cells = oracle_matrix(term_lists, 2)
         assert [v.term for v in matrix.vocabulary] == vocab
         dense = matrix.dense(range(matrix.shape[0]))
@@ -318,7 +335,7 @@ class TestLexicon:
 class TestExport:
     def test_triplets_round_trip_exactly(self, tmp_path):
         term_lists = {"u1": ["a", "a", "b"], "u2": ["a", "c"], "u3": ["b", "c", "c"]}
-        matrix = build_text_matrix(term_lists, min_user_support=2)
+        matrix = build_text_matrix(counts_of(term_lists), min_user_support=2)
         write_matrix(
             matrix,
             tmp_path / "m.triplets",

@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polistance
-from polistance.corpus import parse_corpus, tokenize
+from polistance.analytics import analyze
+from polistance.corpus import Tweet, parse_corpus, tokenize
 from polistance.features import (
     FeatureMatrix,
     VocabTerm,
@@ -20,6 +23,7 @@ from polistance.features import (
     default_lexicon,
 )
 from polistance.forest import cross_validate
+from polistance.graph import build_interaction_graph
 from polistance.metrics import eval_metrics
 from polistance.pipeline import (
     METHODS,
@@ -35,7 +39,7 @@ from polistance.pipeline import (
     run,
 )
 from polistance.pipeline import _rows_for_users
-from polistance.synth import SyntheticSpec, write_synthetic
+from polistance.synth import SyntheticSpec, generate_corpus, write_synthetic
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -271,10 +275,10 @@ class TestRunText:
 
         # independent composition of the same stages from module calls
         tweets, _, _ = parse_corpus(config.corpus_path)
-        term_lists = {}
+        term_counts = {}
         for t in tweets:
-            term_lists.setdefault(t.author_screen_name, []).extend(tokenize(t.text))
-        matrix = build_text_matrix(term_lists)
+            term_counts.setdefault(t.author_screen_name, Counter()).update(tokenize(t.text))
+        matrix = build_text_matrix(term_counts)
         truth = {u: u.split("_")[0].upper() for u in matrix.user_ids}
         keep = [i for i, u in enumerate(matrix.user_ids) if u in truth]
         rows = np.asarray(matrix.dense(range(matrix.shape[0])), dtype=float)[keep]
@@ -518,3 +522,39 @@ class TestFeaturize:
         tweets, profiles, _ = parse_corpus(small_inputs / "corpus.jsonl")
         with pytest.raises(ConfigError, match="network"):
             featurize("network", tweets, profiles, default_lexicon())
+
+
+class TestSinglePass:
+    """Each tweet consumer reads its tweets once, so an iterator will do."""
+
+    @pytest.fixture(scope="class")
+    def tweets(self):
+        return generate_corpus(SyntheticSpec()).tweets
+
+    @pytest.mark.parametrize("method", ["text", "hashtag"])
+    def test_featurize(self, tweets, method):
+        lexicon = default_lexicon()
+        assert (featurize(method, iter(tweets), [], lexicon)
+                == featurize(method, tweets, [], lexicon))
+
+    @pytest.mark.parametrize("tz", [330, 0, -345])
+    def test_analyze(self, tweets, tz):
+        lexicon = default_lexicon()
+        assert analyze(iter(tweets), lexicon, tz) == analyze(tweets, lexicon, tz)
+
+    def test_build_interaction_graph(self, tweets):
+        once = build_interaction_graph(iter(tweets))
+        listed = build_interaction_graph(tweets)
+        assert once.nodes == listed.nodes
+        for name in ("heads", "tails", "weights"):
+            assert np.array_equal(getattr(once, name), getattr(listed, name))
+
+    def test_authors_keep_first_tweet_order(self):
+        # u0's first tweet has no token, yet u0 still comes first, as when
+        # tweets were grouped by author before counting
+        when = datetime(2014, 4, 1, tzinfo=timezone.utc)
+        tweets = [Tweet("t0", "i0", "u0", when, "#only", ("only",))]
+        tweets += [Tweet(f"t{k}", f"i{k}", f"u{k}", when, "word") for k in range(4, 0, -1)]
+        tweets.append(Tweet("t5", "i0", "u0", when, "word"))
+        matrix = featurize("text", tweets, [], default_lexicon())
+        assert matrix.user_ids == ("u0", "u4", "u3", "u2", "u1")
