@@ -18,7 +18,7 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import Tweet, canonical_dumps, format_timestamp, tokenize
+from .corpus import CorpusError, Tweet, canonical_dumps, format_timestamp, tokenize
 from .features import PARTIES, PartyLexicon
 
 __all__ = [
@@ -79,9 +79,15 @@ def analyze(
 
     A tweet counts toward a party when any of its tokens matches the
     party's keywords or any of its hashtags matches the party's hashtags;
-    one tweet may count toward several parties.
+    one tweet may count toward several parties. A tweet whose local time,
+    or the start of its local day or week, has no utc ``datetime`` at this
+    offset is a ``CorpusError``, raised before anything is written.
     """
     zone = timezone(timedelta(minutes=tz_offset_minutes))
+
+    def start(day: date) -> datetime:
+        return datetime(day.year, day.month, day.day, tzinfo=zone)
+
     party_terms = [(party, lexicon.terms(party)) for party in PARTIES]
     per_day: dict[date, int] = {}
     grid = [[0] * 24 for _ in range(7)]
@@ -89,8 +95,16 @@ def analyze(
     tags_per_week: dict[date, dict[str, int]] = {}
     per_author: dict[str, int] = {}
     for tweet in tweets:
-        local = tweet.created_at.astimezone(zone)
-        day = local.date()
+        try:
+            local = tweet.created_at.astimezone(zone)
+            day = local.date()
+            if day not in per_day:
+                # the start of a new day's week is the earliest bucket start it adds
+                start(_week(day)).astimezone(timezone.utc)
+        except OverflowError:
+            raise CorpusError(
+                f"tweet {tweet.tweet_id} at {zone}: its local time or the start of its "
+                "local day or week is outside the datetime range") from None
         per_day[day] = per_day.get(day, 0) + 1
         grid[(day.weekday() + 1) % 7][local.hour] += 1  # Monday-based -> Sunday-based
         name = tweet.author_screen_name
@@ -106,9 +120,6 @@ def analyze(
             counts = tags_per_week.setdefault(week, {})
             for tag in tweet.hashtags:
                 counts[tag] = counts.get(tag, 0) + 1
-
-    def start(day: date) -> datetime:
-        return datetime(day.year, day.month, day.day, tzinfo=zone)
 
     def filled(counts: Mapping[date, int], lo: date, hi: date, step: int) -> Series:
         days = (lo + timedelta(days=k) for k in range(0, (hi - lo).days + 1, step))

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "CANT_SAY",
@@ -218,33 +218,39 @@ def read_annotations(path: str | Path) -> list[Annotation]:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise AnnotationError(f"cannot read annotations {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
+    try:
+        with handle:
+            return _parse_annotations(path, csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise AnnotationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_annotations(path: str | Path, reader: Iterator[list[str]]) -> list[Annotation]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise AnnotationError(f"{path}: empty annotations file") from None
+    if header != _CSV_HEADER:
+        raise AnnotationError(
+            f"{path}: expected header {','.join(_CSV_HEADER)}, got {','.join(header)}"
+        )
+    seen: set[tuple[str, str]] = set()
+    annotations = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise AnnotationError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        user_id, annotator_id, pro, anti = (field.strip() for field in row)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise AnnotationError(f"{path}: empty annotations file") from None
-        if header != _CSV_HEADER:
-            raise AnnotationError(
-                f"{path}: expected header {','.join(_CSV_HEADER)}, got {','.join(header)}"
-            )
-        seen: set[tuple[str, str]] = set()
-        annotations = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise AnnotationError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            user_id, annotator_id, pro, anti = (field.strip() for field in row)
-            try:
-                ann = Annotation(user_id, annotator_id, pro, anti)
-            except AnnotationError as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            key = (user_id, annotator_id)
-            if key in seen:
-                raise AnnotationError(f"{path}:{lineno}: duplicate annotation for {key}")
-            seen.add(key)
-            annotations.append(ann)
+            ann = Annotation(user_id, annotator_id, pro, anti)
+        except AnnotationError as exc:
+            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
+        key = (user_id, annotator_id)
+        if key in seen:
+            raise AnnotationError(f"{path}:{lineno}: duplicate annotation for {key}")
+        seen.add(key)
+        annotations.append(ann)
     return annotations
 
 

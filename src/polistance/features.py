@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,25 +217,40 @@ class PartyLexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PartyLexicon":
+        """The lexicon of a JSON file: ``{party: {bucket: [entry, ...]}}``."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FeatureError(f"cannot read lexicon {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise FeatureError(f"{path}: lexicon must be an object keyed by party")
-        parties = {}
-        for party, buckets in raw.items():
-            if not isinstance(buckets, dict):
-                raise FeatureError(f"{path}: party {party!r} must map to an object")
-            unknown = set(buckets) - {"keywords", "hashtags", "seed_accounts"}
-            if unknown:
-                raise FeatureError(f"{path}: unknown bucket {sorted(unknown)} in {party!r}")
-            parties[party] = PartyTerms(
-                keywords=frozenset(buckets.get("keywords", [])),
-                hashtags=frozenset(buckets.get("hashtags", [])),
-                seed_accounts=frozenset(buckets.get("seed_accounts", [])),
-            )
-        return cls(parties=parties)
+        try:
+            return cls(parties={party: _party_terms(party, buckets)
+                                for party, buckets in raw.items()})
+        except FeatureError as exc:
+            raise FeatureError(f"{path}: {exc}") from None
+
+
+def _party_terms(party: str, buckets: object) -> PartyTerms:
+    """One party's buckets as read from a lexicon file."""
+    if not isinstance(buckets, dict):
+        raise FeatureError(f"party {party!r} must map to an object")
+    unknown = set(buckets) - {"keywords", "hashtags", "seed_accounts"}
+    if unknown:
+        raise FeatureError(f"unknown bucket {sorted(unknown)} in {party!r}")
+    for bucket, entries in buckets.items():
+        # a bare string would otherwise become a set of its letters
+        if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
+            raise FeatureError(f"party {party!r} bucket {bucket!r} must be a list of "
+                               f"strings, got {reprlib.repr(entries)}")
+    try:
+        return PartyTerms(
+            keywords=frozenset(buckets.get("keywords", [])),
+            hashtags=frozenset(buckets.get("hashtags", [])),
+            seed_accounts=frozenset(buckets.get("seed_accounts", [])),
+        )
+    except FeatureError as exc:
+        raise FeatureError(f"party {party!r}: {exc}") from None
 
 
 def default_lexicon() -> PartyLexicon:

@@ -19,8 +19,8 @@ every node without a move, which makes the final partition stable under
 every single-node move.
 
 Detected communities are labeled with the plurality party among their
-known members (seed accounts or annotated users); ties and communities
-below a size threshold stay UNLABELED.
+known members (seed accounts or annotated users); ties, communities with
+no known member and communities below a size threshold stay unnamed.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ from .corpus import Tweet
 from .metrics import EvalReport, confusion_from_pairs, eval_metrics
 
 __all__ = [
-    "UNLABELED",
     "CommunityEval",
-    "CommunityLabeling",
     "GraphError",
     "InteractionGraph",
     "Partition",
@@ -52,8 +50,6 @@ __all__ = [
     "write_edges",
     "write_partition",
 ]
-
-UNLABELED = "UNLABELED"
 
 _SEED_MASK = (1 << 64) - 1
 _LOUVAIN_STREAM = 5015
@@ -177,12 +173,9 @@ class Partition:
     def n_communities(self) -> int:
         return len(set(self.assignment.values()))
 
-    def sizes(self) -> dict[int, int]:
-        return dict(Counter(self.assignment.values()))
-
 
 def modularity(graph: InteractionGraph, assignment: Mapping[str, int]) -> float:
-    """Newman modularity Q = sum_c [ e_c/m - (d_c/2m)^2 ].
+    """Newman modularity Q = sum_c [ e_c/m - (d_c/2m)^2 ], as Louvain reports it.
 
     ``e_c`` counts intra-community edge weight, ``d_c`` sums community
     strengths, ``m`` is the total edge weight; with unit weights this is
@@ -193,25 +186,9 @@ def modularity(graph: InteractionGraph, assignment: Mapping[str, int]) -> float:
     missing = [node for node in graph.nodes if node not in assignment]
     if missing:
         raise GraphError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
-
-    # each endpoint's community, head then tail per edge: bincount sums in
-    # that order and communities are summed in order of first appearance,
-    # which is how a per-edge loop would add them
-    ends = np.fromiter((assignment[node] for node in graph.nodes), dtype=np.int64,
-                       count=len(graph.nodes))[np.column_stack((graph.heads, graph.tails))]
-    first, dense = np.unique(ends, return_index=True, return_inverse=True)[1:]
-    dense = dense.reshape(ends.shape)
-    strength = np.bincount(dense.ravel(), np.repeat(graph.weights, 2)).tolist()
-    inside = dense[:, 0] == dense[:, 1]
-    intra = np.bincount(dense[inside, 0], graph.weights[inside],
-                        minlength=first.size).tolist()
-    total = graph.total_weight()
-    return float(
-        sum(
-            intra[c] / total - (strength[c] / (2.0 * total)) ** 2
-            for c in np.argsort(first, kind="stable").tolist()
-        )
-    )
+    ids = np.fromiter((assignment[node] for node in graph.nodes), dtype=np.int64,
+                      count=len(graph.nodes))
+    return _Level.from_graph(graph).modularity(_dense(ids), graph.total_weight())
 
 
 def _sum_duplicates(
@@ -304,7 +281,7 @@ class _Level:
                       strength=np.bincount(community, self.strength, minlength=n_next))
 
     def modularity(self, community: np.ndarray, total: float) -> float:
-        """Q = sum_c [e_c/m - (d_c/2m)^2] of dense ids, as ``modularity()``."""
+        """Q = sum_c [e_c/m - (d_c/2m)^2] of dense ids; the one Q formula."""
         cu = community[self.rows]
         inside = cu == community[self.cols]
         degree = np.bincount(community, self.strength)
@@ -437,28 +414,15 @@ def louvain(graph: InteractionGraph, rng_seed: int = 0) -> Partition:
                      modularity_q=base.modularity(final, total))
 
 
-@dataclass(frozen=True)
-class CommunityLabeling:
-    """Party label (or UNLABELED) per community id."""
-
-    labels: Mapping[int, str]
-
-    def label_of(self, community: int) -> str:
-        return self.labels.get(community, UNLABELED)
-
-
-def label_communities(
-    partition: Partition, known: Mapping[str, str]
-) -> CommunityLabeling:
-    """Name each community after the plurality party of its known members.
+def label_communities(partition: Partition, known: Mapping[str, str]) -> dict[int, str]:
+    """Party of each named community: the plurality of its known members.
 
     Communities smaller than ``_MIN_SIZE_FRACTION`` (0.05%) of all nodes,
-    with no known members, or with a tied plurality are UNLABELED.
+    with no known members, or with a tied plurality stay out of the map.
     """
     if not known:
         raise GraphError("no known node labels supplied")
-    total_nodes = len(partition.assignment)
-    sizes = partition.sizes()
+    sizes = Counter(partition.assignment.values())
     votes: dict[int, Counter[str]] = {}
     for node, party in known.items():
         community = partition.assignment.get(node)
@@ -466,23 +430,14 @@ def label_communities(
             votes.setdefault(community, Counter())[party] += 1
 
     labels: dict[int, str] = {}
-    for community, size in sizes.items():
-        if size / total_nodes < _MIN_SIZE_FRACTION:
-            labels[community] = UNLABELED
-            continue
-        tally = votes.get(community)
-        if not tally:
-            labels[community] = UNLABELED
-            continue
-        ranked = tally.most_common()
-        if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-            labels[community] = UNLABELED
-        else:
+    for community, tally in votes.items():
+        ranked = tally.most_common(2)
+        if (sizes[community] / len(partition.assignment) >= _MIN_SIZE_FRACTION
+                and (len(ranked) == 1 or ranked[0][1] > ranked[1][1])):
             labels[community] = ranked[0][0]
-
-    if all(label == UNLABELED for label in labels.values()):
+    if not labels:
         raise GraphError("no labelable community (all below threshold or unknown)")
-    return CommunityLabeling(labels=labels)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -497,14 +452,14 @@ class CommunityEval:
 
 def community_classify(
     partition: Partition,
-    labeling: CommunityLabeling,
+    labels: Mapping[int, str],
     truth: Mapping[str, str],
 ) -> CommunityEval:
     """Score community labels against per-user truth.
 
-    Truth users missing from the graph, or sitting in UNLABELED
-    communities, are excluded from the confusion matrix and reported via
-    ``coverage`` = evaluated / truth.
+    Truth users missing from the graph, or sitting in a community that
+    ``labels`` does not name, are excluded from the confusion matrix and
+    reported via ``coverage`` = evaluated / truth.
     """
     if not truth:
         raise GraphError("empty truth mapping")
@@ -516,8 +471,8 @@ def community_classify(
         if community is None:
             n_missing += 1
             continue
-        predicted = labeling.label_of(community)
-        if predicted == UNLABELED:
+        predicted = labels.get(community)
+        if predicted is None:
             n_unlabeled += 1
             continue
         pairs.append((truth[user], predicted))

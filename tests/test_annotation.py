@@ -313,3 +313,11 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(AnnotationError):
             read_annotations(tmp_path / "none.csv")
+
+    def test_non_utf8_file_rejected_by_name(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        text = "user_id,annotator_id,pro,anti\nJosé,a,AAP,BJP\n"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(AnnotationError) as caught:
+            read_annotations(path)
+        assert str(caught.value).startswith(f"{path}: not UTF-8 text")

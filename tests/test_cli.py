@@ -92,14 +92,15 @@ FEATURIZE_GOLDEN = {
     },
 }
 
-# sha256 of report.json from classify with 10 trees and 3 folds on the
-# default synthetic corpus, its paths given relative to the corpus
-# directory so the config digest inside the report does not depend on
-# where the test runs
+# sha256 of report.json from classify of each method (the forests with 10
+# trees and 3 folds) on the default synthetic corpus, its paths given
+# relative to the corpus directory so the config digest inside the report
+# does not depend on where the test runs
 REPORT_GOLDEN = {
     "text": "c32d86a02fa171d6e1df5d7d9fa5a6e2e645cc983a0b94579569c65f7e0ed235",
     "hashtag": "88bb61288b46c999075c63451cc4b0966f4254789ff30c00319847b86aa26c00",
     "user-features": "09c369ff06ea7f66e09186bc7b69bc47a0f00474343867e348652aabacd7846e",
+    "network": "5290e3e17430b8f116c24fd946dd14f263a7c7aa2cdf76d8b269162b0b09ac98",
 }
 
 
@@ -272,6 +273,24 @@ class TestExitCodes:
         assert taken.read_text() == "keep\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json", "taken"]
 
+    def test_classify_with_string_lexicon_bucket_is_data_error(self, tmp_path, workspace,
+                                                               capsys):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"AAP": {"keywords": "kejriwal"}, "BJP": {},
+                                       "CONG": {}}), encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "lexicon_path": str(lexicon),
+            "out_dir": str(tmp_path / "out"),
+            "method": "user-features", "n_trees": 5, "cv_k": 2,
+        }))
+        assert main(["classify", "--config", str(config)]) == 3
+        assert (f"error: [config] {lexicon}: party 'AAP' bucket 'keywords' must be a "
+                "list of strings") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_strict_ingest_on_malformed_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"tweet_id": "1"}\n')
@@ -333,6 +352,22 @@ class TestAgree:
             rows = list(csv.reader(handle))
         assert rows[0] == ["user_id", "pro", "anti"]
         assert len(rows) == 1 + 24
+
+    def test_non_utf8_annotations_are_a_data_error(self, workspace, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("user_id,annotator_id,pro,anti\nJosé,a,AAP,BJP\n"
+                           .encode("latin-1"))
+        assert main(["agree", str(latin1), "--out", str(tmp_path / "agree")]) == 3
+        assert f"data error: {latin1}: not UTF-8 text" in capsys.readouterr().err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": str(latin1),
+            "out_dir": str(tmp_path / "run"),
+            "method": "network",
+        }))
+        assert main(["classify", "--config", str(config)]) == 3
+        assert f"error: [annotate] {latin1}: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestFeaturize:
@@ -505,6 +540,27 @@ class TestAnalyzeCommand:
         assert main(["analyze", corpus_of(workspace), "--tz", "+24:00",
                      "--out", str(out_dir)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("created_at,tz", [
+        ("9999-12-31T23:59:59Z", "+05:30"),  # the local time is past year 9999
+        ("0001-01-01T00:00:00Z", "-05:45"),  # the local time is before year 1
+        # the local day starts at 0001-01-01T00:00+05:30, before any utc datetime
+        ("0001-01-01T12:00:00Z", "+05:30"),
+        # the local day has a utc start, but its week starts on 0001-01-01
+        ("0001-01-01T23:00:00Z", "+05:30"),
+    ])
+    def test_local_time_out_of_range_is_data_error(self, created_at, tz, tmp_path,
+                                                   capsys):
+        corpus = tmp_path / "one.jsonl"
+        corpus.write_text(json.dumps({
+            "kind": "tweet", "tweet_id": "77", "author_id": "1",
+            "author_screen_name": "a", "created_at": created_at, "text": "hi",
+        }) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "an"
+        assert main(["analyze", str(corpus), f"--tz={tz}", "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "data error: tweet 77 at UTC" + tz in err
         assert not out_dir.exists()
 
 

@@ -308,6 +308,39 @@ class TestLexicon:
         }), encoding="utf-8")
         assert PartyLexicon.from_file(path) == lexicon
 
+    @pytest.mark.parametrize("party, bucket, entries", [
+        ("AAP", "keywords", "kejriwal"),  # not eight one-letter keywords
+        ("BJP", "hashtags", [5]),
+        ("CONG", "seed_accounts", ["incindia", None]),
+        ("AAP", "keywords", {"kejriwal": 1}),
+    ])
+    def test_bucket_that_is_not_a_list_of_strings_rejected(self, party, bucket, entries,
+                                                          tmp_path):
+        path = tmp_path / "lexicon.json"
+        raw = {p: {} for p in PARTIES}
+        raw[party][bucket] = entries
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(FeatureError) as caught:
+            PartyLexicon.from_file(path)
+        assert str(caught.value).startswith(
+            f"{path}: party {party!r} bucket {bucket!r} must be a list of strings")
+
+    def test_entry_error_names_file_and_party(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps({"AAP": {}, "BJP": {}, "CONG": {"keywords": ["Rahul"]}}),
+                        encoding="utf-8")
+        with pytest.raises(FeatureError) as caught:
+            PartyLexicon.from_file(path)
+        assert str(caught.value) == (
+            f"{path}: party 'CONG': keywords entry 'Rahul' is not lowercase")
+
+    def test_non_utf8_file_rejected_by_name(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        path.write_bytes('{"AAP": {"keywords": ["kejriwél"]}}'.encode("latin-1"))
+        with pytest.raises(FeatureError) as caught:
+            PartyLexicon.from_file(path)
+        assert str(caught.value).startswith(f"cannot read lexicon {path}: ")
+
     def test_overlapping_seeds_rejected(self):
         shared = frozenset({"sharedhandle"})
         with pytest.raises(FeatureError, match="sharedhandle"):
