@@ -218,11 +218,14 @@ def read_annotations(path: str | Path) -> list[Annotation]:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise AnnotationError(f"cannot read annotations {path}: {exc}") from exc
+    reader = csv.reader(handle)
     try:
         with handle:
-            return _parse_annotations(path, csv.reader(handle))
+            return _parse_annotations(path, reader)
     except UnicodeDecodeError as exc:
         raise AnnotationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise AnnotationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _parse_annotations(path: str | Path, reader: Iterator[list[str]]) -> list[Annotation]:

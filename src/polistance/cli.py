@@ -305,6 +305,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except PipelineError as exc:
+        if not isinstance(exc.cause, (ConfigError, *_DATA_ERRORS, OSError)):
+            print(f"internal error: [{exc.stage}] {exc.cause!r}", file=sys.stderr)
+            return 4
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc.cause, ConfigError) else 3
     except ConfigError as exc:

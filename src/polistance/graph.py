@@ -16,7 +16,10 @@ stable, because moves elsewhere change community totals; so after the
 move/aggregate cycle converges, the cycle restarts from the original
 nodes, all queued, until such a pass moves none. That last pass visited
 every node without a move, which makes the final partition stable under
-every single-node move.
+every single-node move. Each level holds each undirected edge once; the
+two directions that the local move walks exist only as per-node tuples,
+and on a level whose every weight is 1 (the base level of an unweighted
+graph) nodes of one degree share one weight tuple.
 
 Detected communities are labeled with the plurality party among their
 known members (seed accounts or annotated users); ties, communities with
@@ -192,17 +195,21 @@ def modularity(graph: InteractionGraph, assignment: Mapping[str, int]) -> float:
 
 
 def _sum_duplicates(
-    keys: np.ndarray, weights: np.ndarray, n: int
+    a: np.ndarray, b: np.ndarray, weights: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and summed weights of the distinct keys ``row*n + col``,
-    sorted by key.
+    """Each unordered pair ``{a[i], b[i]}`` of ids below ``n`` once, as
+    (smaller id, larger id), sorted, with its summed weight.
 
-    Each temporary is released before the next is made, since this
-    sort sets the peak memory of a Louvain run.
+    Pairs already in that shape, as at the base level of every built
+    graph, skip the sort. Otherwise each temporary is released before the
+    next is made, as this sort on the first aggregate, while the base
+    neighbor tuples are held, comes close to a Louvain run's peak memory.
     """
-    if keys.size == 0:  # e.g. every edge inside one community
-        empty = np.zeros(0, dtype=np.int32)
-        return empty, empty, weights
+    heads, tails = np.minimum(a, b), np.maximum(a, b)
+    keys = heads.astype(np.int64) * n + tails
+    if np.all(keys[1:] > keys[:-1]):
+        return heads, tails, weights
+    del heads, tails
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     weights = weights[order]
@@ -233,66 +240,79 @@ def _shared(values: np.ndarray) -> Iterator:
 class _Level:
     """One level of the move/aggregate cycle: a weighted graph with loops.
 
-    ``rows``, ``cols`` and ``weights`` hold each undirected edge in both
-    directions, sorted by (row, col). The internal weight of a supernode
-    sits in ``loops`` and counts twice in ``strength``.
+    ``heads``, ``tails`` and ``weights`` hold each undirected edge once,
+    with ``head < tail``, sorted by (head, tail), as ``InteractionGraph``
+    does. The internal weight of a supernode sits in ``loops`` and counts
+    twice in ``strength``.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
     weights: np.ndarray
     loops: np.ndarray
     strength: np.ndarray
 
     @classmethod
     def from_graph(cls, graph: InteractionGraph) -> "_Level":
-        """The base level of a graph's id arrays; loops allowed."""
+        """The base level of a graph's id arrays; loops, reversed and
+        repeated pairs allowed."""
         a, b, w, n = graph.heads, graph.tails, graph.weights, len(graph.nodes)
         loop = a == b
         loops = np.bincount(a[loop], w[loop], minlength=n)
         strength = np.bincount(a, w, minlength=n) + np.bincount(b, w, minlength=n)
-        a, b, w = a[~loop].astype(np.int64), b[~loop].astype(np.int64), w[~loop]
-        return cls(*_sum_duplicates(np.r_[a * n + b, b * n + a], np.r_[w, w], n),
-                   loops=loops, strength=strength)
+        if loop.any():
+            a, b, w = a[~loop], b[~loop], w[~loop]
+        return cls(*_sum_duplicates(a, b, w, n), loops=loops, strength=strength)
 
     @property
     def n(self) -> int:
         return self.loops.size
 
-    def neighbor_lists(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Per-node neighbor ids and edge weights, for ``_move_nodes``."""
-        ids, weights = _shared(self.cols), _shared(self.weights)
-        degrees = np.bincount(self.rows, minlength=self.n).tolist()
-        return ([list(islice(ids, d)) for d in degrees],
-                [list(islice(weights, d)) for d in degrees])
+    def neighbor_lists(self) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]]]:
+        """Per-node neighbor ids, ascending, and edge weights, for ``_move_nodes``.
+
+        Both directions exist only while the tuples are built. Sorting the
+        rows ``tails + heads`` stably puts each node's smaller neighbors,
+        already ascending, before its larger ones. On a level whose every
+        weight is 1, nodes of one degree share one weight tuple.
+        """
+        rows = np.r_[self.tails, self.heads]
+        order = np.argsort(rows, kind="stable")
+        degrees = np.bincount(rows, minlength=self.n).tolist()
+        del rows
+        ids = _shared(np.r_[self.heads, self.tails][order])
+        neighbors = [tuple(islice(ids, d)) for d in degrees]
+        if np.all(self.weights == 1.0):
+            ones = {d: (1.0,) * d for d in set(degrees)}
+            return neighbors, [ones[d] for d in degrees]
+        weights = _shared(np.r_[self.weights, self.weights][order])
+        return neighbors, [tuple(islice(weights, d)) for d in degrees]
 
     def aggregate(self, community: np.ndarray) -> "_Level":
         """Collapse dense community ids into supernodes."""
         n_next = int(community.max()) + 1
-        cu, cv = community[self.rows], community[self.cols]
+        cu, cv = community[self.heads], community[self.tails]
         inside = cu == cv
-        once = inside & (self.rows < self.cols)
         loops = (np.bincount(community, self.loops, minlength=n_next)
-                 + np.bincount(cu[once], self.weights[once], minlength=n_next))
+                 + np.bincount(cu[inside], self.weights[inside], minlength=n_next))
         between = ~inside
-        return _Level(*_sum_duplicates(cu[between].astype(np.int64) * n_next + cv[between],
-                                       self.weights[between], n_next),
+        return _Level(*_sum_duplicates(cu[between], cv[between], self.weights[between], n_next),
                       loops=loops,
                       strength=np.bincount(community, self.strength, minlength=n_next))
 
     def modularity(self, community: np.ndarray, total: float) -> float:
         """Q = sum_c [e_c/m - (d_c/2m)^2] of dense ids; the one Q formula."""
-        cu = community[self.rows]
-        inside = cu == community[self.cols]
+        cu = community[self.heads]
+        inside = cu == community[self.tails]
         degree = np.bincount(community, self.strength)
-        intra = (np.bincount(cu[inside], self.weights[inside], minlength=degree.size) / 2.0
+        intra = (np.bincount(cu[inside], self.weights[inside], minlength=degree.size)
                  + np.bincount(community, self.loops))
         return float(np.sum(intra / total - (degree / (2.0 * total)) ** 2))
 
 
 def _move_nodes(
-    neighbors: list[list[int]],
-    weights: list[list[float]],
+    neighbors: list[tuple[int, ...]],
+    weights: list[tuple[float, ...]],
     strength: list[float],
     total_weight: float,
     community: list[int],
@@ -394,7 +414,10 @@ def louvain(graph: InteractionGraph, rng_seed: int = 0) -> Partition:
     The move/aggregate cycle restarts from the original graph until a
     local-moving pass over original nodes finds nothing to improve.
     Community ids are dense, ordered by decreasing size with ties going to
-    the community holding the lexicographically smallest node.
+    the community holding the lexicographically smallest node. Unit and
+    integer weights (the event counts of a weighted graph) sum exactly, so
+    Q does not depend on the order of summation; with other float weights
+    it can move in the last bit when that order changes.
     """
     if graph.m == 0:
         raise GraphError("cannot detect communities in an empty graph")

@@ -321,3 +321,11 @@ class TestCsv:
         with pytest.raises(AnnotationError) as caught:
             read_annotations(path)
         assert str(caught.value).startswith(f"{path}: not UTF-8 text")
+
+    def test_field_over_the_csv_limit_rejected_by_name_and_line(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text('user_id,annotator_id,pro,anti\n"' + "x" * 200_000 + '",a,AAP,BJP\n',
+                        encoding="utf-8")
+        with pytest.raises(AnnotationError) as caught:
+            read_annotations(path)
+        assert str(caught.value).startswith(f"{path}:2: field larger than field limit")

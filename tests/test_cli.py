@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from polistance import pipeline
 from polistance.cli import main, parse_tz
+from polistance.forest import ForestError
 from polistance.pipeline import ConfigError
 
 
@@ -291,6 +293,27 @@ class TestExitCodes:
                 "list of strings") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("fault, code, message", [
+        (ZeroDivisionError("division by zero"), 4,
+         "internal error: [classify] ZeroDivisionError('division by zero')"),
+        (ForestError("too few rows"), 3, "error: [classify] too few rows"),
+    ])
+    def test_stage_fault_is_internal_and_data_error_is_data(
+            self, fault, code, message, workspace, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(pipeline, "cross_validate", fail)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / "out"),
+            "method": "user-features", "n_trees": 5, "cv_k": 2,
+        }))
+        assert main(["classify", "--config", str(config)]) == code
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_strict_ingest_on_malformed_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"tweet_id": "1"}\n')
@@ -368,6 +391,13 @@ class TestAgree:
         }))
         assert main(["classify", "--config", str(config)]) == 3
         assert f"error: [annotate] {latin1}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        huge.write_text('user_id,annotator_id,pro,anti\n"' + "x" * 200_000 + '",a,AAP,BJP\n',
+                        encoding="utf-8")
+        assert main(["agree", str(huge), "--out", str(tmp_path / "agree")]) == 3
+        assert f"data error: {huge}:2: field larger than field limit" in capsys.readouterr().err
 
 
 class TestFeaturize:
