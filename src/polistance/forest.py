@@ -19,6 +19,13 @@ numpy passes over their rows laid end to end (``_best_splits``), in chunks
 of whole nodes of at most ``_CHUNK_PAIRS`` (candidate, row) pairs, which
 bounds the search's temporary memory. A split hands its children their rows
 and class counts from the chosen cut, so no node recounts its classes.
+
+A tree's draws depend on (rng_seed, tree_index, n, d) alone, not on the
+rows' values, so within one ``cross_validate`` the splits that train on
+equally many rows replay each tree's stream (``_Stream``): the bootstrap
+and the candidate sets an earlier split drew are reused, and only sets past
+their end are drawn. Prediction walks all trees at once: their node arrays
+lie end to end, and every (tree, row) pair steps down one level per pass.
 """
 
 from __future__ import annotations
@@ -68,18 +75,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     leaf_class: np.ndarray
-
-    def predict_class_indices(self, rows: np.ndarray) -> np.ndarray:
-        position = np.zeros(len(rows), dtype=np.int64)
-        active = self.feature[position] >= 0
-        while active.any():
-            at = position[active]
-            values = rows[active, self.feature[at]]
-            position[active] = np.where(
-                values <= self.threshold[at], self.left[at], self.right[at]
-            )
-            active = self.feature[position] >= 0
-        return self.leaf_class[position]
 
 
 @dataclass(frozen=True)
@@ -226,12 +221,58 @@ def _best_splits(
     return results
 
 
-class _Growing:
-    """One tree while it grows: its generator, depth-first stack and nodes."""
+class _Stream:
+    """Tree t's draws for a forest of n rows and d features under one seed.
 
-    def __init__(self, rng: np.random.Generator, rows: np.ndarray,
-                 counts: list[int]) -> None:
-        self.rng = rng
+    The draws depend on (rng_seed, t, n, d) alone: the bootstrap, then one
+    set of candidate features per split attempt, in order. A forest asks for
+    its k-th set with ``candidates(k)``; sets drawn for an earlier forest of
+    the same shape are replayed, and only sets past their end are drawn.
+    The sets are kept sorted, one row each of a growing int32 block.
+    """
+
+    def __init__(self, rng_seed: int, t: int, n: int, d: int) -> None:
+        self._rng = np.random.default_rng((rng_seed & _SEED_MASK, t))
+        self.bootstrap = self._rng.integers(0, n, size=n).astype(np.int32)
+        self._d = d
+        self._sets = np.empty((8, math.ceil(math.sqrt(d))), dtype=np.int32)
+        self._drawn = 0
+
+    def candidates(self, k: int) -> np.ndarray:
+        if k == self._drawn:
+            if k == len(self._sets):
+                self._sets = np.concatenate([self._sets, np.empty_like(self._sets)])
+            mtry = self._sets.shape[1]
+            self._sets[k] = np.sort(self._rng.choice(self._d, size=mtry, replace=False))
+            self._drawn += 1
+        return self._sets[k]
+
+
+class _StreamCache:
+    """The trees' streams for the one (rng_seed, n, d) last asked for.
+
+    ``cross_validate`` shares one cache across its splits, so folds of equal
+    training size replay each tree's draws. A new key drops the old streams.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple[int, int, int] | None = None
+        self._streams: list[_Stream] = []
+
+    def streams(self, rng_seed: int, n: int, d: int, n_trees: int) -> list[_Stream]:
+        if self._key != (rng_seed, n, d):
+            self._key, self._streams = (rng_seed, n, d), []
+        for t in range(len(self._streams), n_trees):
+            self._streams.append(_Stream(rng_seed, t, n, d))
+        return self._streams[:n_trees]
+
+
+class _Growing:
+    """One tree while it grows: its stream, depth-first stack and nodes."""
+
+    def __init__(self, stream: _Stream, counts: list[int]) -> None:
+        self.stream = stream
+        self.attempts = 0  # split attempts so far, the index of the next set
         self.feature: list[int] = [-1]
         self.threshold: list[float] = [0.0]
         self.left: list[int] = [-1]
@@ -239,7 +280,13 @@ class _Growing:
         self.leaf_class: list[int] = [-1]
         # (node, rows, class counts); the left child goes on top, so nodes
         # pop in depth-first, left-before-right order
-        self.stack: list[tuple[int, np.ndarray, list[int]]] = [(0, rows, counts)]
+        self.stack: list[tuple[int, np.ndarray, list[int]]] = [
+            (0, stream.bootstrap, counts)
+        ]
+
+    def candidates(self) -> np.ndarray:
+        self.attempts += 1
+        return self.stream.candidates(self.attempts - 1)
 
     def leaf(self, node: int, counts: list[int]) -> None:
         self.leaf_class[node] = counts.index(max(counts))  # smallest class index
@@ -274,31 +321,28 @@ def _grow_forest(
     matrix: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    n_trees: int,
-    rng_seed: int,
+    streams: list[_Stream],
 ) -> tuple[Tree, ...]:
     """Grow all trees in lockstep, each exactly as if grown alone.
 
     Step k pops the k-th depth-first node of every tree that still has one.
-    Tree t draws its bootstrap, then one set of candidate features per
-    split attempt, from its own (rng_seed, t) stream in the order it would
-    alone. Only the split search is shared by the step's nodes.
+    Tree t takes its bootstrap, then one set of candidate features per
+    split attempt, from its own stream in the order it would alone. Only
+    the split search is shared by the step's nodes.
     """
-    n, d = matrix.shape
-    mtry = math.ceil(math.sqrt(d))
+    mtry = math.ceil(math.sqrt(matrix.shape[1]))
     ranks = _dense_ranks(matrix)
-    growing = []
-    for t in range(n_trees):
-        rng = np.random.default_rng((rng_seed & _SEED_MASK, t))
-        bootstrap = rng.integers(0, n, size=n)
-        counts = np.bincount(y[bootstrap], minlength=n_classes).tolist()
-        growing.append(_Growing(rng, bootstrap.astype(np.int32), counts))
+    growing = [
+        _Growing(stream, np.bincount(y[stream.bootstrap], minlength=n_classes).tolist())
+        for stream in streams
+    ]
 
     def search(chunk: list[tuple]) -> None:
         splits = _best_splits(
             matrix, ranks, y,
             [entry[2] for entry in chunk],
-            np.array([entry[4] for entry in chunk]),
+            # int64, as _best_splits indexes ranks by candidate * n + row
+            np.array([entry[4] for entry in chunk], dtype=np.int64),
             np.array([entry[3] for entry in chunk]),
         )
         for (tree, node, _, counts, _), split in zip(chunk, splits):
@@ -318,7 +362,7 @@ def _grow_forest(
             if max(counts) == len(rows):  # pure, which a single row always is
                 tree.leaf(node, counts)
                 continue
-            candidates = np.sort(tree.rng.choice(d, size=mtry, replace=False))
+            candidates = tree.candidates()
             if chunk and pairs + mtry * len(rows) > _CHUNK_PAIRS:
                 search(chunk)
                 chunk, pairs = [], 0
@@ -346,6 +390,8 @@ def train_forest(
     labels: Sequence[str],
     n_trees: int = 100,
     rng_seed: int = 0,
+    *,
+    streams: _StreamCache | None = None,
 ) -> Forest:
     """Train a forest on a dense matrix (or anything ndarray-like).
 
@@ -355,7 +401,9 @@ def train_forest(
     ceil(sqrt(d)) candidate features. All trees grow in lockstep on the
     calling thread (see the module docstring). Training is deterministic
     for a given (data, n_trees, rng_seed): every tree draws from its own
-    (rng_seed, tree_index) stream.
+    (rng_seed, tree_index) stream. ``streams`` keeps those draws for the
+    next forest of the same seed, row count and width, which replays them
+    instead of drawing again; the forest is the same with or without it.
     """
     if n_trees < 1:
         raise ForestError("n_trees must be >= 1")
@@ -372,16 +420,48 @@ def train_forest(
     d = matrix.shape[1]
     if d == 0:
         raise ForestError("cannot train on zero features")
-    trees = _grow_forest(matrix, y, len(classes), n_trees, rng_seed)
+    if streams is None:
+        streams = _StreamCache()
+    trees = _grow_forest(matrix, y, len(classes),
+                         streams.streams(rng_seed, len(matrix), d, n_trees))
     return Forest(classes=classes, n_features=d, trees=trees)
 
 
 def _vote_matrix(forest: Forest, matrix: np.ndarray) -> np.ndarray:
-    votes = np.zeros((len(matrix), len(forest.classes)), dtype=np.int64)
-    row_index = np.arange(len(matrix))
-    for tree in forest.trees:
-        votes[row_index, tree.predict_class_indices(matrix)] += 1
-    return votes
+    """Each row's vote count per class index, all trees walked at once.
+
+    The trees' node arrays lie end to end, as int32 to halve their memory,
+    each child index moved by its tree's offset, and every (tree, row) pair
+    steps down one level per pass until it stands on a leaf.
+    """
+    trees = forest.trees
+    sizes = [len(tree.feature) for tree in trees]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    shift = np.repeat(offsets.astype(np.int32), sizes)
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(tree, name) for tree in trees], dtype=np.int32)
+
+    feature, leaf_class = joined("feature"), joined("leaf_class")
+    left, right = joined("left"), joined("right")
+    left += shift
+    right += shift
+    threshold = np.concatenate([tree.threshold for tree in trees])
+
+    n_rows = len(matrix)
+    # pair (tree, row) at tree * n_rows + row
+    position = np.repeat(offsets, n_rows)
+    row = np.tile(np.arange(n_rows), len(trees))
+    live = np.flatnonzero(feature[position] >= 0)
+    while len(live):
+        at = position[live]
+        goes_left = matrix[row[live], feature[at]] <= threshold[at]
+        position[live] = np.where(goes_left, left[at], right[at])
+        live = live[feature[position[live]] >= 0]
+    n_classes = len(forest.classes)
+    votes = np.bincount(row * n_classes + leaf_class[position],
+                        minlength=n_rows * n_classes)
+    return votes.reshape(n_rows, n_classes)
 
 
 def predict_many(forest: Forest, rows) -> list[str]:
@@ -485,7 +565,10 @@ def cross_validate(
     confusion matrices are summed before computing metrics, so the
     reported accuracy is the fraction of all test predictions that were
     correct. The one ``rng_seed`` seeds the folds or holdout splits and
-    every forest's trees.
+    every forest's trees. Splits that train on equally many rows share
+    each tree's stream: a later one replays the bootstrap and candidate
+    sets an earlier one drew, so every forest is the one ``train_forest``
+    would grow alone, and only draws past the earlier ones are made.
     """
     matrix = _as_matrix(rows)
     if len(labels) != len(matrix):
@@ -499,9 +582,12 @@ def cross_validate(
     truth: list[str] = []
     predicted: list[str] = []
 
+    streams = _StreamCache()
+
     def run_split(train_idx: np.ndarray, test_idx: np.ndarray) -> None:
         forest = train_forest(
-            matrix[train_idx], [labels[i] for i in train_idx], n_trees, rng_seed
+            matrix[train_idx], [labels[i] for i in train_idx], n_trees, rng_seed,
+            streams=streams,
         )
         truth.extend(labels[i] for i in test_idx)
         predicted.extend(predict_many(forest, matrix[test_idx]))

@@ -105,6 +105,14 @@ REPORT_GOLDEN = {
     "network": "5290e3e17430b8f116c24fd946dd14f263a7c7aa2cdf76d8b269162b0b09ac98",
 }
 
+# the same for the forest methods with "cv_mode": "repeated-holdout-66/34",
+# in which every split trains on the same number of rows
+HOLDOUT_REPORT_GOLDEN = {
+    "text": "680a88d1e0e34aacb9c58da567197c7bfbab3d313aa4d624ec3f36eec1d5fa7f",
+    "hashtag": "a12498f783c48eeba4476fe3851256f719bd7f43c56fd5fd50e3bb6b3d85ac1a",
+    "user-features": "65025d9fc39a3ca98e6099f743d70a20ca1a70e063eab24dc6cf54be9f1e514e",
+}
+
 
 # a hand-written corpus with one of each field form that ingest normalizes:
 # int ids, offset, fractional, lowercase-z and space-separated timestamps,
@@ -638,6 +646,21 @@ class TestSynthCommand:
         assert not out_dir.exists()
 
 
+def classify_default_corpus(default_corpus, tmp_path, monkeypatch, **settings):
+    """report.json of classify on the default corpus, its paths given
+    relative to the corpus directory."""
+    monkeypatch.chdir(Path(default_corpus).parent)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "corpus_path": "corpus.jsonl",
+        "annotations_path": "annotations.csv",
+        "out_dir": str(tmp_path / "run"),
+        **settings,
+    }))
+    assert main(["classify", "--config", str(config)]) == 0
+    return (tmp_path / "run" / "report.json").read_bytes()
+
+
 class TestClassifyCommand:
     def test_network_run(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -671,14 +694,14 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("method", sorted(REPORT_GOLDEN))
     def test_forest_report_golden_digest(self, method, default_corpus, tmp_path,
                                          monkeypatch, capsys):
-        monkeypatch.chdir(Path(default_corpus).parent)
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({
-            "corpus_path": "corpus.jsonl",
-            "annotations_path": "annotations.csv",
-            "out_dir": str(tmp_path / "run"),
-            "method": method, "n_trees": 10, "cv_k": 3,
-        }))
-        assert main(["classify", "--config", str(config)]) == 0
-        report = (tmp_path / "run" / "report.json").read_bytes()
+        report = classify_default_corpus(default_corpus, tmp_path, monkeypatch,
+                                         method=method, n_trees=10, cv_k=3)
         assert hashlib.sha256(report).hexdigest() == REPORT_GOLDEN[method]
+
+    @pytest.mark.parametrize("method", sorted(HOLDOUT_REPORT_GOLDEN))
+    def test_holdout_report_golden_digest(self, method, default_corpus, tmp_path,
+                                          monkeypatch, capsys):
+        report = classify_default_corpus(default_corpus, tmp_path, monkeypatch,
+                                         method=method, n_trees=10, cv_k=3,
+                                         cv_mode="repeated-holdout-66/34")
+        assert hashlib.sha256(report).hexdigest() == HOLDOUT_REPORT_GOLDEN[method]

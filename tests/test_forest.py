@@ -23,6 +23,11 @@ from polistance.forest import (
 )
 
 
+# Heavy ties: few distinct values. 1 + 2**-52 and 1 + 2**-51 are adjacent
+# floats whose midpoint rounds up to the larger one.
+SPLIT_VALUES = (0.0, 1.0, 2.0, 3.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51)
+
+
 def make_blobs(rng_seed=7, per_class=30, spread=1.0, separation=8.0):
     """Three well-separated Gaussian blobs in 4 dimensions."""
     rng = np.random.default_rng(rng_seed)
@@ -69,6 +74,31 @@ def tall_narrow():
     score = rows[:, 0] + 0.5 * rows[:, 6] + rng.normal(0.0, 1.0, size=600)
     labels = ["BJP" if s > 1.0 else "INC" for s in score]
     return rows, labels
+
+
+def walk_tree(tree, rows):
+    """Reference: one tree's class index for each row, walked on its own."""
+    position = np.zeros(len(rows), dtype=np.int64)
+    active = tree.feature[position] >= 0
+    while active.any():
+        at = position[active]
+        values = rows[active, tree.feature[at]]
+        position[active] = np.where(
+            values <= tree.threshold[at], tree.left[at], tree.right[at]
+        )
+        active = tree.feature[position] >= 0
+    return tree.leaf_class[position]
+
+
+def plurality_of_walks(forest, rows):
+    """Reference vote: each tree walked alone, ties to the smallest class."""
+    walks = [walk_tree(tree, rows) for tree in forest.trees]
+    predicted = []
+    for r in range(len(rows)):
+        counts = [sum(int(walk[r]) == c for walk in walks)
+                  for c in range(len(forest.classes))]
+        predicted.append(forest.classes[counts.index(max(counts))])
+    return predicted
 
 
 def leaf_tree(class_index):
@@ -188,6 +218,42 @@ class TestNaN:
             call()
 
 
+@st.composite
+def random_forests(draw):
+    """1-6 random trees, their node arrays in split order, and 0-6 rows.
+
+    Values and thresholds come from SPLIT_VALUES, so rows often sit on a
+    threshold, and with 1-3 classes and few trees votes often tie.
+    """
+    n_classes = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    class_index = st.integers(0, n_classes - 1)
+    trees = []
+    for _ in range(draw(st.integers(1, 6))):
+        feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+        leaf_class = [draw(class_index)]
+        for _ in range(draw(st.integers(0, 6))):
+            node = draw(st.sampled_from([i for i, f in enumerate(feature) if f < 0]))
+            feature[node] = draw(st.integers(0, d - 1))
+            threshold[node] = draw(st.sampled_from(SPLIT_VALUES))
+            left[node], right[node], leaf_class[node] = len(feature), len(feature) + 1, -1
+            feature += (-1, -1)
+            threshold += (0.0, 0.0)
+            left += (-1, -1)
+            right += (-1, -1)
+            leaf_class += (draw(class_index), draw(class_index))
+        trees.append(Tree(
+            feature=np.array(feature), threshold=np.array(threshold),
+            left=np.array(left), right=np.array(right),
+            leaf_class=np.array(leaf_class),
+        ))
+    rows = draw(st.lists(st.lists(st.sampled_from(SPLIT_VALUES), min_size=d, max_size=d),
+                         max_size=6))
+    forest = Forest(classes=("AAP", "BJP", "CONG")[:n_classes], n_features=d,
+                    trees=tuple(trees))
+    return forest, np.array(rows, dtype=np.float64).reshape(len(rows), d)
+
+
 class TestPredict:
     def test_three_leaf_trees_plurality(self):
         forest = Forest(
@@ -208,9 +274,19 @@ class TestPredict:
     def test_single_tree_forest(self):
         rows, labels, _ = make_blobs(per_class=10)
         forest = train_forest(rows, labels, n_trees=1, rng_seed=0)
-        tree = forest.trees[0]
-        idx = tree.predict_class_indices(rows)
+        idx = walk_tree(forest.trees[0], rows)
         assert predict_many(forest, rows) == [forest.classes[i] for i in idx]
+
+    def test_zero_rows(self):
+        rows, labels, _ = make_blobs(per_class=10)
+        forest = train_forest(rows, labels, n_trees=3)
+        assert predict_many(forest, np.zeros((0, 4))) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_plurality_of_tree_walks(self, data):
+        forest, rows = data.draw(random_forests())
+        assert predict_many(forest, rows) == plurality_of_walks(forest, rows)
 
     def test_dimension_mismatch(self):
         rows, labels, _ = make_blobs(per_class=10)
@@ -311,11 +387,6 @@ class TestCrossValidate:
             cross_validate(rows, labels, mode="bootstrap")
         with pytest.raises(ForestError):
             cross_validate(rows, labels, k=11)
-
-
-# Heavy ties: few distinct values. 1 + 2**-52 and 1 + 2**-51 are adjacent
-# floats whose midpoint rounds up to the larger one.
-SPLIT_VALUES = (0.0, 1.0, 2.0, 3.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51)
 
 
 @st.composite
@@ -435,3 +506,78 @@ class TestLockstepChunks:
         assert forest_digest(grown, 3) == (
             "06b9b06f17d02ac44cdb77ed1ecfb6a952b309c99089dc52cb58070198caeb75"
         )
+
+
+def noisy_rows(n_rows, d, rng_seed):
+    """Gaussian rows; with labels unrelated to them, trees grow deep."""
+    return np.random.default_rng(rng_seed).normal(size=(n_rows, d))
+
+
+# 11 + 10 rows dealt into 4 stratified folds of 6, 6, 5 and 4 rows, so the
+# training sizes run 15, 15, 16, 17
+UNEVEN_LABELS = ["A", "B"] * 10 + ["A"]
+
+
+class TestStreamReplay:
+    """Forests that share drawn streams equal forests grown alone."""
+
+    @staticmethod
+    def forests_of_cv(monkeypatch, rows, labels, **kwargs):
+        grown = []
+        train = forest.train_forest
+
+        def recording(rows, labels, n_trees, rng_seed, **options):
+            result = train(rows, labels, n_trees, rng_seed, **options)
+            grown.append((rows, labels, n_trees, rng_seed, result))
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(forest, "train_forest", recording)
+            cross_validate(rows, labels, **kwargs)
+        return grown
+
+    @pytest.mark.parametrize("rows, labels, mode, k", [
+        (noisy_rows(21, 5, 1), UNEVEN_LABELS, "kfold", 4),
+        (noisy_rows(45, 4, 2), ["A", "B", "C"] * 15, "repeated-holdout-66/34", 5),
+    ], ids=["kfold", "holdout"])
+    def test_every_split_forest_equals_one_grown_alone(self, monkeypatch, rows,
+                                                       labels, mode, k):
+        grown = self.forests_of_cv(monkeypatch, rows, labels, n_trees=8, k=k,
+                                   mode=mode, rng_seed=6)
+        sizes = [len(train_rows) for train_rows, *_ in grown]
+        assert len(sizes) == k and len(set(sizes)) < k  # some splits replay
+        if mode == "kfold":
+            assert sizes == [15, 15, 16, 17]
+        for train_rows, train_labels, n_trees, rng_seed, result in grown:
+            alone = train_forest(train_rows, train_labels, n_trees, rng_seed)
+            assert forest_to_dict(result, rng_seed) == forest_to_dict(alone, rng_seed)
+
+    @pytest.mark.parametrize("second", [
+        (noisy_rows(30, 7, 4), ["A", "B", "C"] * 10, 9, 6),
+        (noisy_rows(24, 5, 3)[:, ::-1], ["B", "A", "B"] * 8, 10, 6),
+    ], ids=["other_shape", "other_seed"])
+    def test_one_cache_across_keys(self, second):
+        first = (noisy_rows(24, 5, 3), ["A", "B", "B"] * 8, 9, 4)
+        more_trees = first[:2] + (9, 7)  # the first key again, with more trees
+        streams = forest._StreamCache()
+        for rows, labels, rng_seed, n_trees in (first, second, first, more_trees):
+            shared = train_forest(rows, labels, n_trees, rng_seed, streams=streams)
+            alone = train_forest(rows, labels, n_trees, rng_seed)
+            assert forest_to_dict(shared, rng_seed) == forest_to_dict(alone, rng_seed)
+
+    def test_one_generator_per_tree_and_training_size(self, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        cross_validate(noisy_rows(21, 5, 1), UNEVEN_LABELS, n_trees=6, k=4, rng_seed=5)
+        # a tree's stream is seeded (rng_seed, t); the folds' is (rng_seed, 1009)
+        tree_seeds = Counter(seed for seed in seeds
+                             if isinstance(seed, tuple) and len(seed) == 2
+                             and seed[1] < 6)
+        # three training sizes (15, 16, 17) over four folds
+        assert tree_seeds == {(5, t): 3 for t in range(6)}
