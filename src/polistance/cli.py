@@ -3,8 +3,9 @@
 Subcommands cover the full workflow: ingest a corpus, check annotator
 agreement, build feature matrices, run a classification experiment, detect
 graph communities, compute corpus analytics, and generate synthetic
-fixtures. Exit codes: 0 success, 2 configuration problem, 3 data problem,
-4 internal error.
+fixtures. A command writes only into ``--out`` (``synth`` needs one), and
+only through ``pipeline.publish``. Exit codes: 0 success, 2 configuration
+problem, 3 data or file-system problem (a failed write too), 4 internal error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .annotation import (
     mean_pairwise_kappa,
     read_annotations,
     resolve_majority,
+    write_annotations,
 )
 from .corpus import CorpusError, parse_corpus, write_corpus
 from .features import FEATURE_NAMES, PARTIES, FeatureError, default_lexicon, write_matrix
@@ -33,12 +35,14 @@ from .pipeline import (
     METHODS,
     ConfigError,
     PipelineError,
+    check_out_dir,
     featurize,
     load_config,
+    publish,
     render_table,
     run,
 )
-from .synth import SynthError, SyntheticSpec, skewed_preset, write_synthetic
+from .synth import SynthError, SyntheticSpec, generate_corpus, skewed_preset
 
 _DATA_ERRORS = (
     CorpusError,
@@ -47,7 +51,7 @@ _DATA_ERRORS = (
     MetricsError,
     ForestError,
     GraphError,
-    FileNotFoundError,
+    OSError,
 )
 
 _TZ_PATTERN = re.compile(r"^([+-])(\d{2}):?(\d{2})$")
@@ -78,83 +82,70 @@ _FLAGS = {
 }
 
 
-def _add_command(sub, name: str, func, help: str, flags: Sequence[str] = ()):
+def _add_command(sub, name: str, func, help: str, flags: Sequence[str] = (),
+                 inputs: Sequence[str] = ()):
+    """A subcommand; ``inputs`` names its positional input files."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--out", default=None, metavar="DIR", help="output directory")
     for flag in flags:
         p.add_argument(flag, **_FLAGS[flag])
-    p.set_defaults(func=func)
+    for argument in inputs:
+        p.add_argument(argument)
+    p.set_defaults(func=func, inputs=inputs)
     return p
 
 
-def _out_dir(args, default: str = ".") -> Path:
-    out = Path(args.out if args.out is not None else default)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file stands at the path or above it
-        raise ConfigError(
-            f"cannot create output directory {out}: {exc.strerror}"
-        ) from exc
-    return out
-
-
 def _read_corpus(args):
-    """``(tweets, profiles, skipped)`` of the corpus argument, honouring --strict."""
+    """``(tweets, profiles, counts)`` of the corpus argument, honouring --strict."""
     strictness = "strict" if args.strict else "skip-malformed"
-    return parse_corpus(args.corpus, strictness=strictness)
+    tweets, profiles, skipped = parse_corpus(args.corpus, strictness=strictness)
+    counts = {"tweets": len(tweets), "profiles": len(profiles), "skipped_lines": skipped}
+    return tweets, profiles, counts
 
 
 def _tz_minutes(args) -> int:
     return parse_tz(args.tz) if args.tz is not None else IST_OFFSET_MINUTES
 
 
-def _cmd_ingest(args) -> int:
-    tweets, profiles, skipped = _read_corpus(args)
-    print(f"tweets={len(tweets)} profiles={len(profiles)} skipped={skipped}")
-    if args.out is not None:
-        path = _out_dir(args) / "corpus.normalized.jsonl"
-        write_corpus(path, tweets, profiles)
-        print(f"wrote {path}")
-    return 0
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _cmd_agree(args) -> int:
+def _cmd_ingest(args):
+    tweets, profiles, counts = _read_corpus(args)
+    print("tweets={tweets} profiles={profiles} skipped={skipped_lines}".format(**counts))
+    return counts, lambda out: write_corpus(out / "corpus.normalized.jsonl",
+                                            tweets, profiles)
+
+
+def _cmd_agree(args):
     annotations = read_annotations(args.annotations)
     for dimension in DIMENSIONS:
         kappa = mean_pairwise_kappa(annotations, dimension)
         print(f"kappa[{dimension}]={kappa:.4f}")
     resolved = resolve_majority(annotations)
     print(f"resolved_users={len(resolved)}")
-    if args.out is not None:
-        path = _out_dir(args) / "resolved.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["user_id", "pro", "anti"])
-            for user in resolved:
-                writer.writerow([user.user_id, user.pro, user.anti])
-        print(f"wrote {path}")
-    return 0
+    return {"annotations": len(annotations), "resolved_users": len(resolved)}, (
+        lambda out: _write_csv(out / "resolved.csv", ["user_id", "pro", "anti"],
+                               ([u.user_id, u.pro, u.anti] for u in resolved)))
 
 
-def _cmd_featurize(args) -> int:
-    tweets, profiles, _ = _read_corpus(args)
+def _cmd_featurize(args):
+    tweets, profiles, counts = _read_corpus(args)
     features = featurize(args.method, tweets, profiles, default_lexicon())
-    out = _out_dir(args)
-    if args.method == "user-features":
-        path = out / "features.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["user_id", *FEATURE_NAMES])
-            for name, vector in features.items():
-                writer.writerow([name, *vector])
-        print(f"wrote {path} ({len(features)} users x {len(FEATURE_NAMES)})")
-        return 0
-
-    write_matrix(features, out / "matrix.triplets", out / "vocabulary.tsv",
-                 out / "users.txt")
-    rows, terms = features.shape
-    print(f"wrote matrix {rows} users x {terms} terms in {out}")
-    return 0
+    vectors = args.method == "user-features"
+    counts["users"], counts["columns"] = (
+        (len(features), len(FEATURE_NAMES)) if vectors else features.shape)
+    print(f"{args.method} features: {counts['users']} users x {counts['columns']}")
+    if vectors:
+        return counts, lambda out: _write_csv(
+            out / "features.csv", ["user_id", *FEATURE_NAMES],
+            ([name, *vector] for name, vector in features.items()))
+    return counts, lambda out: write_matrix(
+        features, out / "matrix.triplets", out / "vocabulary.tsv", out / "users.txt")
 
 
 def _config_overrides(args) -> dict:
@@ -176,39 +167,48 @@ def _cmd_classify(args) -> int:
     if args.config is None:
         raise ConfigError("classify needs --config PATH")
     config = load_config(args.config, **_config_overrides(args))
+    # run() checks out_dir against its other inputs, and reports an out_dir
+    # that it cannot make at its config stage
+    if Path(config.out_dir).is_dir():
+        check_out_dir(config.out_dir, [args.config])
     result = run(config)
     sys.stdout.write(render_table(result))
     print(f"artifacts in {config.out_dir}")
     return 0
 
 
-def _cmd_graph(args) -> int:
-    tweets, _, _ = _read_corpus(args)
+def _cmd_graph(args):
+    tweets, _, counts = _read_corpus(args)
     graph = build_interaction_graph(tweets, weighted=args.weighted)
     seed = args.seed if args.seed is not None else 0
     partition = louvain(graph, rng_seed=seed)
-    out = _out_dir(args)
-    write_edges(graph, out / "graph.edges")
-    write_partition(partition, out / "partition.txt")
+    counts.update(nodes=len(graph.nodes), edges=graph.m,
+                  communities=partition.n_communities)
     print(
         f"nodes={len(graph.nodes)} edges={graph.m} "
         f"communities={partition.n_communities} "
         f"modularity={partition.modularity_q:.6f}"
     )
-    return 0
+
+    def write(out: Path) -> None:
+        write_edges(graph, out / "graph.edges")
+        write_partition(partition, out / "partition.txt")
+
+    return counts, write
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     tz = _tz_minutes(args)
-    tweets, _, _ = _read_corpus(args)
+    tweets, _, counts = _read_corpus(args)
     result = analyze(tweets, default_lexicon(), tz)
-    out = _out_dir(args)
-    write_analysis(result, out)
-    print(f"analyzed {result.n_tweets} tweets into {out}")
-    return 0
+    counts["users"] = result.n_users
+    print(f"analyzed {result.n_tweets} tweets of {result.n_users} users")
+    return counts, lambda out: write_analysis(result, out)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args):
+    if args.out is None:
+        raise ConfigError("synth needs --out DIR")
     seed = args.seed if args.seed is not None else 0
     # each corpus flag with the SyntheticSpec field it sets; None if not given
     given = [(flag, name, value) for flag, name, value in (
@@ -231,12 +231,33 @@ def _cmd_synth(args) -> int:
             spec = SyntheticSpec(**settings, rng_seed=seed)
         except SynthError as exc:  # an out-of-range flag
             raise ConfigError(str(exc)) from exc
-    out = _out_dir(args)
-    data = write_synthetic(spec, out / "corpus.jsonl", out / "annotations.csv")
-    print(
-        f"wrote {len(data.tweets)} tweets, {len(data.profiles)} profiles, "
-        f"{len(data.annotations)} annotations to {out}"
-    )
+    data = generate_corpus(spec)
+    counts = {"tweets": len(data.tweets), "profiles": len(data.profiles),
+              "annotations": len(data.annotations)}
+    print("generated {tweets} tweets, {profiles} profiles, "
+          "{annotations} annotations".format(**counts))
+
+    def write(out: Path) -> None:
+        write_corpus(out / "corpus.jsonl", data.tweets, data.profiles)
+        write_annotations(out / "annotations.csv", data.annotations)
+
+    return counts, write
+
+
+def _run_command(args) -> int:
+    """Run one subcommand. ``pipeline.run`` checks and publishes classify's
+    out_dir itself. Every other command computes and prints its summary,
+    then returns its counts and a function that writes its files into a
+    given directory: --out is checked before the command starts and
+    published once it has succeeded."""
+    if args.func is _cmd_classify:
+        return _cmd_classify(args)
+    if args.out is not None:
+        check_out_dir(args.out, [getattr(args, name) for name in args.inputs])
+    counts, write = args.func(args)
+    if args.out is not None:
+        hashes = publish(args.out, args.command, counts, write)
+        print(f"wrote {' '.join(hashes)} manifest.json to {args.out}")
     return 0
 
 
@@ -247,17 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "ingest", _cmd_ingest, "parse and normalize a corpus",
-                     ["--strict"])
-    p.add_argument("corpus")
-
-    p = _add_command(sub, "agree", _cmd_agree,
-                     "annotator agreement and majority labels")
-    p.add_argument("annotations")
+    _add_command(sub, "ingest", _cmd_ingest, "parse and normalize a corpus",
+                 ["--strict"], ["corpus"])
+    _add_command(sub, "agree", _cmd_agree, "annotator agreement and majority labels",
+                 inputs=["annotations"])
 
     p = _add_command(sub, "featurize", _cmd_featurize, "build feature matrices",
-                     ["--strict"])
-    p.add_argument("corpus")
+                     ["--strict"], ["corpus"])
     p.add_argument("--method", default="text",
                    choices=[m for m in METHODS if m != "network"])
 
@@ -268,14 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", default=None, choices=DIMENSIONS)
 
     p = _add_command(sub, "graph", _cmd_graph, "interaction graph and communities",
-                     ["--seed", "--strict"])
-    p.add_argument("corpus")
+                     ["--seed", "--strict"], ["corpus"])
     p.add_argument("--weighted", action="store_true")
 
-    p = _add_command(sub, "analyze", _cmd_analyze,
-                     "volume, day-hour, hashtag, and mention stats",
-                     ["--tz", "--strict"])
-    p.add_argument("corpus")
+    _add_command(sub, "analyze", _cmd_analyze,
+                 "volume, day-hour, hashtag, and mention stats",
+                 ["--tz", "--strict"], ["corpus"])
 
     p = _add_command(sub, "synth", _cmd_synth, "generate a synthetic labeled corpus",
                      ["--seed"])
@@ -303,9 +318,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run_command(args)
     except PipelineError as exc:
-        if not isinstance(exc.cause, (ConfigError, *_DATA_ERRORS, OSError)):
+        if not isinstance(exc.cause, (ConfigError, *_DATA_ERRORS)):
             print(f"internal error: [{exc.stage}] {exc.cause!r}", file=sys.stderr)
             return 4
         print(f"error: {exc}", file=sys.stderr)

@@ -6,10 +6,9 @@ rerunning the same config gives byte-identical reports; wall-clock timings
 go only into the manifest, which also records a sha256 per artifact.
 
 Every stage computes in memory; only the report stage writes, once all
-have succeeded: it removes ``manifest.json`` and every name in
-``_ARTIFACTS``, writes this method's files, and writes the manifest last.
-A failed stage is named and leaves the previous run's files as they were;
-a failure while writing leaves no manifest. Other files are never touched.
+have succeeded, through ``publish``: the one path by which every command
+writes its ``--out`` directory. A failed stage is named and leaves the
+previous run's files as they were.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -60,9 +59,11 @@ __all__ = [
     "PipelineError",
     "RunConfig",
     "RunResult",
+    "check_out_dir",
     "config_hash",
     "featurize",
     "load_config",
+    "publish",
     "render_structured",
     "render_table",
     "run",
@@ -71,9 +72,14 @@ __all__ = [
 METHODS = ("text", "hashtag", "user-features", "network")
 
 _REQUIRED_KEYS = ("corpus_path", "annotations_path", "out_dir")
-# every file a run may write besides manifest.json; each run removes them all
-_ARTIFACTS = ("graph.edges", "partition.txt", "matrix.triplets", "vocabulary.tsv",
-              "users.txt", "report.txt", "report.json")
+# every file a command may write besides manifest.json, by command (synth,
+# ingest, agree, featurize, graph, analyze, classify); publish removes them all
+_ARTIFACTS = (
+    "corpus.jsonl", "annotations.csv", "corpus.normalized.jsonl", "resolved.csv",
+    "features.csv", "matrix.triplets", "vocabulary.tsv", "users.txt",
+    "graph.edges", "partition.txt", "volume_day.csv", "day_hour.csv",
+    "top_hashtags.csv", "party_mentions.csv", "summary.json", "report.txt", "report.json",
+)
 
 
 class ConfigError(ValueError):
@@ -310,8 +316,45 @@ def _rows_for_users(matrix, truth: Mapping[str, str]):
     return matrix.dense(keep), [truth[matrix.user_ids[i]] for i in keep]
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def check_out_dir(out_dir: str | Path, inputs: Iterable[str | Path | None]) -> None:
+    """Raise ConfigError, before any work, if ``publish`` could not write
+    ``out_dir``: a file stands at it or above it, or it holds one of the
+    ``inputs`` (None ignored) under a name that ``publish`` removes."""
+    out = Path(out_dir)
+    standing = next(path for path in (out, *out.parents) if path.exists())
+    if not standing.is_dir():
+        raise ConfigError(
+            f"cannot create output directory {out}: {standing} is not a directory"
+        )
+    inputs = [path for path in inputs if path is not None and Path(path).exists()]
+    for held in (out / name for name in ("manifest.json", *_ARTIFACTS)):
+        if held.exists() and any(held.samefile(path) for path in inputs):
+            raise ConfigError(f"output directory {out} holds the input {held}")
+
+
+def publish(out_dir: str | Path, command: str, counts: Mapping[str, int],
+            write: Callable[[Path], None], **fields) -> dict[str, str]:
+    """Write one command's files into ``out_dir``; the one path to any ``--out``.
+
+    Called once the command's work has succeeded, it (1) removes
+    ``manifest.json``, so a failure from here on leaves none; (2) removes
+    every name in ``_ARTIFACTS``, so no earlier command's file outlives the
+    manifest that named it; (3) calls ``write(out)``; (4) writes
+    ``manifest.json`` last, with ``fields``, the command, its counts, the
+    version and the sha256 of each artifact now in ``out_dir``, which it
+    returns. Other files are never touched.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("manifest.json", *_ARTIFACTS):
+        (out / name).unlink(missing_ok=True)
+    write(out)
+    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in _ARTIFACTS if (out / name).exists()}
+    manifest = dict(fields, artifact_hashes=hashes, command=command,
+                    counts=dict(counts), version=__version__)
+    (out / "manifest.json").write_text(canonical_dumps(manifest) + "\n", encoding="utf-8")
+    return hashes
 
 
 def run(config: RunConfig) -> RunResult:
@@ -321,22 +364,14 @@ def run(config: RunConfig) -> RunResult:
     stage = "setup"
     try:
         stage = "config"
-        for label, path in (
-            ("corpus_path", config.corpus_path),
-            ("annotations_path", config.annotations_path),
-        ):
-            if not Path(path).exists():
+        inputs = (config.corpus_path, config.annotations_path, config.lexicon_path)
+        for label, path in zip(("corpus_path", "annotations_path", "lexicon_path"),
+                               inputs):
+            if path is not None and not Path(path).exists():
                 raise ConfigError(f"{label} does not exist: {path}")
-        if config.lexicon_path is not None and not Path(config.lexicon_path).exists():
-            raise ConfigError(f"lexicon_path does not exist: {config.lexicon_path}")
-        # the report stage makes out_dir; a file at it or above it would stop
-        # that only after every other stage had run
-        out = Path(config.out_dir)
-        standing = next(path for path in (out, *out.parents) if path.exists())
-        if not standing.is_dir():
-            raise ConfigError(
-                f"cannot create output directory {out}: {standing} is not a directory"
-            )
+        # the report stage writes out_dir; one that cannot take it would
+        # stop that only after every other stage had run
+        check_out_dir(config.out_dir, inputs)
         lexicon = config.lexicon()
 
         stage = "ingest"
@@ -428,35 +463,22 @@ def run(config: RunConfig) -> RunResult:
 
         stage = "report"
         t0 = time.perf_counter()
-        out.mkdir(parents=True, exist_ok=True)
-        for name in ("manifest.json", *_ARTIFACTS):
-            (out / name).unlink(missing_ok=True)
-        if config.method == "network":
-            write_edges(graph, out / "graph.edges")
-            write_partition(partition, out / "partition.txt")
-        elif config.method != "user-features":
-            write_matrix(matrix, out / "matrix.triplets", out / "vocabulary.tsv",
-                         out / "users.txt")
-        (out / "report.txt").write_text(render_table(result), encoding="utf-8")
-        (out / "report.json").write_text(render_structured(result), encoding="utf-8")
-        timings.append(("report", time.perf_counter() - t0))
+        stages = [{"name": name, "seconds": seconds} for name, seconds in timings]
 
-        manifest = {
-            "artifact_hashes": {
-                name: _sha256(out / name) for name in _ARTIFACTS if (out / name).exists()
-            },
-            "config": asdict(config),
-            "config_hash": digest,
-            "counts": counts,
-            "rng_seed": config.rng_seed,
-            "stages": [
-                {"name": name, "seconds": seconds} for name, seconds in timings
-            ],
-            "version": __version__,
-        }
-        (out / "manifest.json").write_text(
-            canonical_dumps(manifest) + "\n", encoding="utf-8"
-        )
+        def write(out: Path) -> None:
+            if config.method == "network":
+                write_edges(graph, out / "graph.edges")
+                write_partition(partition, out / "partition.txt")
+            elif config.method != "user-features":
+                write_matrix(matrix, out / "matrix.triplets", out / "vocabulary.tsv",
+                             out / "users.txt")
+            (out / "report.txt").write_text(render_table(result), encoding="utf-8")
+            (out / "report.json").write_text(render_structured(result), encoding="utf-8")
+            # timed before publish writes the manifest that records it
+            stages.append({"name": "report", "seconds": time.perf_counter() - t0})
+
+        publish(config.out_dir, "classify", counts, write, config=asdict(config),
+                config_hash=digest, rng_seed=config.rng_seed, stages=stages)
         return result
     except Exception as exc:
         raise PipelineError(stage, exc) from exc

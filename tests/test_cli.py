@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polistance import pipeline
+from polistance import __version__, pipeline
 from polistance.cli import main, parse_tz
 from polistance.forest import ForestError
 from polistance.pipeline import ConfigError
@@ -151,6 +151,27 @@ INGEST_GOLDEN = {
 
 def corpus_of(workspace) -> str:
     return str(workspace / "data" / "corpus.jsonl")
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def manifest_of(out_dir: Path) -> dict:
+    return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+
+
+def published_digests(out_dir: Path) -> dict:
+    """sha256 of every file in out_dir but manifest.json, which must list
+    exactly these files with these digests."""
+    digests = {path.name: sha256_of(path)
+               for path in out_dir.iterdir() if path.name != "manifest.json"}
+    assert manifest_of(out_dir)["artifact_hashes"] == digests
+    return digests
+
+
+def snapshot(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 def annotations_of(workspace) -> str:
@@ -484,11 +505,7 @@ class TestFeaturize:
     def test_golden_digests(self, method, default_corpus, tmp_path, capsys):
         assert main(["featurize", default_corpus, "--method", method,
                      "--out", str(tmp_path)]) == 0
-        digests = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.iterdir()
-        }
-        assert digests == FEATURIZE_GOLDEN[method]
+        assert published_digests(tmp_path) == FEATURIZE_GOLDEN[method]
 
 
 class TestGraphCommand:
@@ -508,11 +525,7 @@ class TestGraphCommand:
     @pytest.mark.parametrize("flags", sorted(GRAPH_GOLDEN), ids=["unweighted", "weighted"])
     def test_golden_digests(self, flags, default_corpus, tmp_path, capsys):
         assert main(["graph", default_corpus, *flags, "--out", str(tmp_path)]) == 0
-        digests = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.iterdir()
-        }
-        assert digests == GRAPH_GOLDEN[flags]
+        assert published_digests(tmp_path) == GRAPH_GOLDEN[flags]
 
 
 class TestAnalyzeCommand:
@@ -545,11 +558,7 @@ class TestAnalyzeCommand:
         # "--tz=" keeps argparse from reading "-05:45" as a flag
         assert main(["analyze", default_corpus, f"--tz={tz}",
                      "--out", str(tmp_path)]) == 0
-        digests = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.iterdir()
-        }
-        assert digests == ANALYZE_GOLDEN[tz]
+        assert published_digests(tmp_path) == ANALYZE_GOLDEN[tz]
 
     def test_profiles_only_corpus_gives_header_only_files(self, tmp_path, capsys):
         corpus = tmp_path / "profiles.jsonl"
@@ -705,3 +714,136 @@ class TestClassifyCommand:
                                          method=method, n_trees=10, cv_k=3,
                                          cv_mode="repeated-holdout-66/34")
         assert hashlib.sha256(report).hexdigest() == HOLDOUT_REPORT_GOLDEN[method]
+
+
+# each writing command, its arguments (CORPUS, ANNOTATIONS and CONFIG stand
+# for the workspace's files) and the files it writes into --out
+COMMAND_FILES = {
+    "synth": (["synth", "--users", "2", "--tweets", "3"],
+              {"corpus.jsonl", "annotations.csv"}),
+    "ingest": (["ingest", "CORPUS"], {"corpus.normalized.jsonl"}),
+    "agree": (["agree", "ANNOTATIONS"], {"resolved.csv"}),
+    "featurize": (["featurize", "CORPUS"], set(MATRIX_FILES)),
+    "graph": (["graph", "CORPUS"], {"graph.edges", "partition.txt"}),
+    "analyze": (["analyze", "CORPUS"], set(ANALYZE_GOLDEN["+05:30"])),
+    "classify": (["classify", "--config", "CONFIG"],
+                 {"graph.edges", "partition.txt", "report.txt", "report.json"}),
+}
+
+
+class TestPublish:
+    """Every command writes its --out through pipeline.publish, so the
+    manifest there names exactly the files of the last command."""
+
+    @staticmethod
+    def argv(command, workspace, out):
+        config = workspace / "network.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(workspace / "unused"),
+            "method": "network",
+        }))
+        inputs = {"CORPUS": corpus_of(workspace), "ANNOTATIONS": annotations_of(workspace),
+                  "CONFIG": str(config)}
+        args, _ = COMMAND_FILES[command]
+        return [inputs.get(arg, arg) for arg in args] + ["--out", str(out)]
+
+    def test_replay_leaves_every_file_vouched_for(self, default_corpus, tmp_path, capsys):
+        data = Path(default_corpus).parent
+        out = tmp_path / "D"
+        config = tmp_path / "net.json"
+        config.write_text(json.dumps({
+            "corpus_path": default_corpus,
+            "annotations_path": str(data / "annotations.csv"),
+            "out_dir": str(out),
+            "method": "network",
+        }))
+        assert main(["classify", "--config", str(config)]) == 0
+        assert main(["graph", default_corpus, "--weighted", "--out", str(out)]) == 0
+        assert main(["featurize", default_corpus, "--method", "user-features",
+                     "--out", str(out)]) == 0
+        assert published_digests(out) == FEATURIZE_GOLDEN["user-features"]
+        assert manifest_of(out)["command"] == "featurize"
+
+    @pytest.mark.parametrize("command", list(COMMAND_FILES))
+    def test_out_holds_exactly_the_last_commands_files(self, command, workspace,
+                                                       tmp_path, capsys):
+        out = tmp_path / "D"
+        for other in COMMAND_FILES:
+            if other != command:
+                assert main(self.argv(other, workspace, out)) == 0
+        assert main(self.argv(command, workspace, out)) == 0
+        assert set(published_digests(out)) == COMMAND_FILES[command][1]
+        manifest = manifest_of(out)
+        assert manifest["command"] == command
+        assert manifest["version"] == __version__
+
+    @pytest.mark.parametrize("command", list(COMMAND_FILES))
+    def test_directory_in_the_way_is_a_write_failure(self, command, workspace,
+                                                     tmp_path, capsys):
+        out = tmp_path / "E"
+        assert main(self.argv(command, workspace, out)) == 0
+        blocked = out / sorted(COMMAND_FILES[command][1])[0]
+        blocked.unlink()
+        blocked.mkdir()
+        capsys.readouterr()
+        assert main(self.argv(command, workspace, out)) == 3
+        assert f"Is a directory: '{blocked}'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_ingest_refuses_an_out_dir_holding_its_corpus(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--users", "2", "--tweets", "3", "--out", str(data)]) == 0
+        before = snapshot(data)
+        assert main(["ingest", str(data / "corpus.jsonl"), "--out", str(data)]) == 2
+        assert (f"config error: output directory {data} holds the input "
+                f"{data / 'corpus.jsonl'}") in capsys.readouterr().err
+        assert snapshot(data) == before
+
+    def test_classify_refuses_its_corpus_directory(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--users", "2", "--tweets", "3", "--out", str(data)]) == 0
+        before = snapshot(data)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": str(data / "corpus.jsonl"),
+            "annotations_path": str(data / "annotations.csv"),
+            "out_dir": str(data),
+            "method": "network",
+        }))
+        assert main(["classify", "--config", str(config)]) == 2
+        assert (f"error: [config] output directory {data} holds the input "
+                f"{data / 'corpus.jsonl'}") in capsys.readouterr().err
+        assert snapshot(data) == before
+
+    def test_classify_refuses_an_out_dir_holding_its_config(self, workspace, tmp_path,
+                                                             capsys):
+        out = tmp_path / "D"
+        out.mkdir()
+        config = out / "report.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(out),
+            "method": "network",
+        }))
+        before = snapshot(out)
+        assert main(["classify", "--config", str(config)]) == 2
+        assert (f"config error: output directory {out} holds the input {config}"
+                in capsys.readouterr().err)
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command", ["featurize", "graph", "analyze"])
+    def test_without_out_nothing_is_written(self, command, workspace, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, corpus_of(workspace)]) == 0
+        assert capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_needs_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--users", "2", "--tweets", "3"]) == 2
+        assert "config error: synth needs --out DIR" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
