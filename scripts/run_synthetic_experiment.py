@@ -3,8 +3,9 @@
 
 Generates a corpus with planted party truth, then runs the text, hashtag,
 user-features, and network methods over the same data and prints one
-efficiency row per method. Artifacts for each method land in their own
-subdirectory of --out.
+efficiency row per method. The corpus lands in --out/data, written as
+the ``synth`` command writes its --out, manifest included; artifacts for
+each method land in their own subdirectory of --out.
 
 Typical use:
 
@@ -18,8 +19,10 @@ import sys
 import time
 from pathlib import Path
 
-from polistance.pipeline import METHODS, RunConfig, run
-from polistance.synth import SyntheticSpec, write_synthetic
+from polistance.annotation import write_annotations
+from polistance.corpus import write_corpus
+from polistance.pipeline import METHODS, RunConfig, check_out_dir, publish, run
+from polistance.synth import SyntheticSpec, generate_corpus
 
 
 def parse_args(argv=None):
@@ -46,7 +49,7 @@ def main(argv=None):
     args = parse_args(argv)
     out = Path(args.out)
     data_dir = out / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
+    check_out_dir(data_dir, [])
 
     spec = SyntheticSpec(
         users_per_party={"AAP": args.users, "BJP": args.users, "CONG": args.users},
@@ -58,9 +61,17 @@ def main(argv=None):
     )
     corpus_path = data_dir / "corpus.jsonl"
     annotations_path = data_dir / "annotations.csv"
-    data = write_synthetic(spec, corpus_path, annotations_path)
-    print(f"corpus: {len(data.tweets)} tweets, {len(data.profiles)} profiles, "
-          f"{len(data.annotations)} annotations -> {data_dir}")
+    data = generate_corpus(spec)
+    counts = {"tweets": len(data.tweets), "profiles": len(data.profiles),
+              "annotations": len(data.annotations)}
+
+    def write(directory: Path) -> None:
+        write_corpus(directory / "corpus.jsonl", data.tweets, data.profiles)
+        write_annotations(directory / "annotations.csv", data.annotations)
+
+    publish(data_dir, "synth", counts, write)
+    print("corpus: {tweets} tweets, {profiles} profiles, "
+          "{annotations} annotations -> {data_dir}".format(**counts, data_dir=data_dir))
 
     rows = []
     for method in args.methods:

@@ -131,10 +131,18 @@ def parse_rfc3339(value: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    """Render a UTC timestamp as ``YYYY-MM-DDTHH:MM:SSZ``."""
+    """Render a UTC timestamp as ``YYYY-MM-DDTHH:MM:SSZ``.
+
+    Every field is zero-padded, the year to four digits, as ``isoformat``
+    writes them; ``strftime("%Y")`` does not pad a year below 1000 on
+    glibc, and ``parse_rfc3339`` rejects an unpadded year.
+    """
     if dt.tzinfo is None:
         raise ValueError("naive datetime cannot be formatted as RFC 3339")
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    if dt.tzinfo is not timezone.utc:
+        dt = dt.astimezone(timezone.utc)
+    # "YYYY-MM-DDTHH:MM:SS+00:00" without its offset
+    return dt.isoformat(timespec="seconds")[:19] + "Z"
 
 
 def extract_entities(text: str) -> tuple[list[str], list[str]]:
@@ -460,9 +468,15 @@ def parse_corpus(
     return tweets, profiles, skipped
 
 
+# json.dumps with any non-default keyword builds a new encoder per call
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      ensure_ascii=False)
+
+
 def canonical_dumps(obj: object) -> str:
-    """Serialize to the canonical JSON form used for all on-disk artifacts."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """Serialize to the canonical JSON form used for all on-disk artifacts:
+    sorted keys, compact separators, non-ASCII text as is."""
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def tweet_record(tweet: Tweet) -> dict:

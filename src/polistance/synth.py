@@ -140,14 +140,6 @@ def _pick(rng: np.random.Generator, pool: Sequence[str]) -> str:
     return pool[int(rng.integers(len(pool)))]
 
 
-def _topic_party(rng: np.random.Generator, own: str) -> str:
-    """The party a political token talks about; usually the author's own."""
-    if rng.random() < _OWN_PARTY_SHARE:
-        return own
-    others = [p for p in PARTIES if p != own]
-    return others[int(rng.integers(len(others)))]
-
-
 def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     """Build tweets, profiles, and annotations for one spec.
 
@@ -155,7 +147,12 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     Each tweet is, with probability ``p_intra``, an interaction with a
     same-party member (seed accounts included), with probability
     ``p_cross`` an interaction across parties, otherwise plain text.
-    Tokens are political with probability ``_VOCAB_SKEW``.
+    Tokens are political with probability ``_VOCAB_SKEW``; a political
+    token names the author's party with probability ``_OWN_PARTY_SHARE``,
+    otherwise one of the other two. Every draw is one scalar call on its
+    lane's generator, in a fixed order, so the output is a pure function
+    of the spec. No pool is built per tweet, so the time is linear in
+    users x tweets.
     """
     lexicon = default_lexicon()
     words = _party_vocab(lexicon)
@@ -169,70 +166,83 @@ def generate_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
     for party in PARTIES:
         for i in range(spec.users_per_party[party]):
             users.append((f"{party.lower()}_user{i:03d}", party))
-    party_of = dict(users)
+    # a party's users in order, then its seed accounts: user i of a party
+    # stands at position i of its members
     members = {
         p: tuple(n for n, q in users if q == p) + seeds_of[p] for p in PARTIES
     }
+    others_of = {p: tuple(q for q in PARTIES if q != p) for p in PARTIES}
+    across = {p: tuple(m for q in others_of[p] for m in members[q]) for p in PARTIES}
 
     content = np.random.default_rng((spec.rng_seed & _SEED_MASK, _CONTENT_STREAM))
     interact = np.random.default_rng((spec.rng_seed & _SEED_MASK, _INTERACT_STREAM))
     profile_rng = np.random.default_rng((spec.rng_seed & _SEED_MASK, _PROFILE_STREAM))
     annotate = np.random.default_rng((spec.rng_seed & _SEED_MASK, _ANNOTATE_STREAM))
+    content_random, content_integers = content.random, content.integers
+    interact_random, interact_integers = interact.random, interact.integers
 
+    p_intra = spec.p_intra
+    p_interact = spec.p_intra + spec.p_cross
+    created = _EPOCH
+    step = timedelta(minutes=7)
     tweets: list[Tweet] = []
-    counter = 0
-    for user_index, (name, party) in enumerate(users):
-        for _ in range(spec.tweets_per_user):
-            parts: list[str] = []
-            mentions: list[str] = []
-            retweet_of = None
+    user_index = 0
+    for party in PARTIES:
+        same = members[party]
+        cross_pool = across[party]
+        others = others_of[party]
+        for position in range(spec.users_per_party[party]):
+            name = same[position]
+            author_id = str(1000 + user_index)
+            for _ in range(spec.tweets_per_user):
+                parts: list[str] = []
+                mentions: tuple[str, ...] = ()
+                retweet_of = None
 
-            roll = interact.random()
-            if roll < spec.p_intra + spec.p_cross:
-                if roll < spec.p_intra:
-                    pool = [m for m in members[party] if m != name]
-                else:
-                    pool = [
-                        m for p in PARTIES if p != party for m in members[p]
-                    ]
-                target = _pick(interact, pool)
-                if interact.random() < 0.5:
-                    retweet_of = target
-                    parts.append("rt")
-                parts.append(f"@{target}")
-                mentions.append(target)
-
-            hashtags: list[str] = []
-            for _ in range(8):
-                if content.random() < _VOCAB_SKEW:
-                    topic = _topic_party(content, party)
-                    if content.random() < 0.25:
-                        tag = _pick(content, tags[topic])
-                        parts.append(f"#{tag}")
-                        hashtags.append(tag)
+                roll = interact_random()
+                if roll < p_interact:
+                    if roll < p_intra:
+                        # a draw over the party without its author, who
+                        # stands at ``position``: step past that slot
+                        k = int(interact_integers(len(same) - 1))
+                        target = same[k + (k >= position)]
                     else:
-                        parts.append(_pick(content, words[topic]))
-                else:
-                    parts.append(_pick(content, _NEUTRAL_WORDS))
-            if content.random() < 0.1:
-                tag = _pick(content, _NEUTRAL_TAGS)
-                parts.append(f"#{tag}")
-                hashtags.append(tag)
+                        target = cross_pool[interact_integers(len(cross_pool))]
+                    if interact_random() < 0.5:
+                        retweet_of = target
+                        parts.append("rt")
+                    parts.append("@" + target)
+                    mentions = (target,)
 
-            created = _EPOCH + timedelta(minutes=7 * counter)
-            tweets.append(
-                Tweet(
-                    tweet_id=str(500000 + counter),
-                    author_id=str(1000 + user_index),
-                    author_screen_name=name,
-                    created_at=created,
-                    text=" ".join(parts),
-                    hashtags=tuple(dict.fromkeys(hashtags)),
-                    mentions=tuple(dict.fromkeys(mentions)),
-                    retweet_of=retweet_of,
-                )
-            )
-            counter += 1
+                hashtags: list[str] = []
+                for _ in range(8):
+                    if content_random() < _VOCAB_SKEW:
+                        if content_random() < _OWN_PARTY_SHARE:
+                            topic = party
+                        else:
+                            topic = others[content_integers(len(others))]
+                        if content_random() < 0.25:
+                            pool = tags[topic]
+                            tag = pool[content_integers(len(pool))]
+                            parts.append("#" + tag)
+                            hashtags.append(tag)
+                        else:
+                            pool = words[topic]
+                            parts.append(pool[content_integers(len(pool))])
+                    else:
+                        parts.append(
+                            _NEUTRAL_WORDS[content_integers(len(_NEUTRAL_WORDS))])
+                if content_random() < 0.1:
+                    tag = _NEUTRAL_TAGS[content_integers(len(_NEUTRAL_TAGS))]
+                    parts.append("#" + tag)
+                    hashtags.append(tag)
+
+                tweets.append(Tweet(str(500000 + len(tweets)), author_id, name,
+                                    created, " ".join(parts),
+                                    tuple(dict.fromkeys(hashtags)), mentions,
+                                    retweet_of))
+                created += step
+            user_index += 1
 
     profiles: list[UserProfile] = []
     for idx, (name, party) in enumerate(users):

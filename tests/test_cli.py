@@ -375,6 +375,20 @@ class TestIngest:
         normalized = (out_dir / "corpus.normalized.jsonl").read_bytes()
         assert normalized == Path(corpus_of(workspace)).read_bytes()
 
+    def test_normalized_year_below_1000_parses_again(self, tmp_path, capsys):
+        source = tmp_path / "early.jsonl"
+        source.write_text(json.dumps({
+            "kind": "tweet", "tweet_id": "1", "author_id": "2",
+            "author_screen_name": "a", "created_at": "0999-12-31T23:59:59Z",
+            "text": "hi"}) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "norm"
+        assert main(["ingest", str(source), "--out", str(out_dir)]) == 0
+        normalized = out_dir / "corpus.normalized.jsonl"
+        assert '"created_at":"0999-12-31T23:59:59Z"' in normalized.read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "--strict", str(normalized)]) == 0
+        assert capsys.readouterr().out.startswith("tweets=1 profiles=0 skipped=0")
+
     @pytest.mark.parametrize("name", sorted(INGEST_GOLDEN))
     def test_golden_digest(self, name, default_corpus, tmp_path, capsys):
         if name == "default":

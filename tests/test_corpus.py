@@ -5,7 +5,7 @@ import dataclasses
 import json
 import re
 import unicodedata
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from polistance.corpus import (
     CorpusError,
     Tweet,
     UserProfile,
+    canonical_dumps,
     extract_entities,
     format_timestamp,
     parse_corpus,
@@ -159,6 +160,56 @@ class TestTimestamps:
     def test_format_round_trip(self):
         stamp = "2014-04-12T08:00:59Z"
         assert format_timestamp(parse_rfc3339(stamp)) == stamp
+
+    @pytest.mark.parametrize("stamp", [
+        "0001-01-01T00:00:00Z",
+        "0999-12-31T23:59:59Z",
+        "1000-01-01T00:00:00Z",
+        "9999-12-31T23:59:59Z",
+    ])
+    def test_format_round_trip_pads_every_year(self, stamp):
+        # a year below 1000 keeps its leading zeros, or the parser would
+        # reject what the writer wrote
+        assert format_timestamp(parse_rfc3339(stamp)) == stamp
+
+    def test_format_converts_an_offset_to_utc(self):
+        moment = datetime(2014, 3, 7, 20, 34, 5, 999999,
+                          tzinfo=timezone(timedelta(hours=5, minutes=30)))
+        assert format_timestamp(moment) == "2014-03-07T15:04:05Z"
+        assert format_timestamp(parse_rfc3339("0999-06-01T03:00:00+05:30")) == (
+            "0999-05-31T21:30:00Z"
+        )
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers(-(1 << 80), 1 << 80)
+    | st.text(alphabet=st.sampled_from("ab\"\\/\n\x00\x7fé€मो😀\u2028"))
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestCanonicalDumps:
+    @settings(max_examples=300)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        # the reused encoder writes what json.dumps writes with the same
+        # settings, so no artifact's bytes depend on which of the two ran
+        assert canonical_dumps(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+    def test_sorts_keys_and_keeps_text(self):
+        assert canonical_dumps({"b": [1.5, "मोदी"], "a": {"z": None, "y": 10 ** 20}}) == (
+            '{"a":{"y":100000000000000000000,"z":null},"b":[1.5,"मोदी"]}'
+        )
 
 
 def make_tweet(i=0, **kwargs):

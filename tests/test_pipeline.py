@@ -15,6 +15,7 @@ import pytest
 
 import polistance
 from polistance.analytics import analyze
+from polistance.cli import main
 from polistance.corpus import Tweet, parse_corpus, tokenize
 from polistance.features import (
     FeatureMatrix,
@@ -83,6 +84,23 @@ def test_imports_and_louvain_load_neither_scipy_nor_numpy_ma():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_experiment_script_writes_its_corpus_as_synth_does(tmp_path):
+    """The script's ``data`` directory holds what ``synth --out`` writes for
+    the same corpus, manifest included."""
+    script = Path(__file__).parents[1] / "scripts" / "run_synthetic_experiment.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(polistance.__file__).parents[1]))
+    subprocess.run([sys.executable, str(script), "--users", "4", "--tweets", "5",
+                    "--cv-k", "2", "--methods", "network", "--out", str(tmp_path / "exp")],
+                   env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert main(["synth", "--users", "4", "--tweets", "5", "--out",
+                 str(tmp_path / "synth")]) == 0
+    written = {directory: {path.name: path.read_bytes() for path in directory.iterdir()}
+               for directory in (tmp_path / "exp" / "data", tmp_path / "synth")}
+    assert written[tmp_path / "exp" / "data"] == written[tmp_path / "synth"]
+    assert sorted(written[tmp_path / "synth"]) == [
+        "annotations.csv", "corpus.jsonl", "manifest.json"]
 
 
 # one value of a wrong type per RunConfig field, and bool where int is due

@@ -4,10 +4,13 @@ import hashlib
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polistance.annotation import resolve_majority
-from polistance.corpus import extract_entities, parse_corpus
-from polistance.features import default_lexicon
+import synth_reference
+from polistance.annotation import resolve_majority, write_annotations
+from polistance.corpus import extract_entities, parse_corpus, write_corpus
+from polistance.features import PARTIES, default_lexicon
 from polistance.graph import build_interaction_graph
 from polistance.synth import (
     SynthError,
@@ -188,6 +191,64 @@ class TestWriteSynthetic:
         assert hashlib.sha256(ann_path.read_bytes()).hexdigest() == (
             "a3d3029616b132641bb1457be24d6cdc9e3960a0d31856ccc01c3f8711b0e7a1"
         )
+
+    def test_300_user_golden_digest(self, tmp_path):
+        # a corpus large enough that every same-party pool is much longer
+        # than the 40-user default's
+        corpus_path = tmp_path / "corpus.jsonl"
+        ann_path = tmp_path / "annotations.csv"
+        write_synthetic(SyntheticSpec(users_per_party=dict.fromkeys(PARTIES, 300),
+                                      rng_seed=5),
+                        corpus_path, ann_path)
+        assert hashlib.sha256(corpus_path.read_bytes()).hexdigest() == (
+            "2627b8691aa4e8a5fec54f056887fa9f5923ed1e81e42b5cfc4cc4d70cedd391"
+        )
+        assert hashlib.sha256(ann_path.read_bytes()).hexdigest() == (
+            "c6ecb16bdcd7ea08b2ac9168ad16765f004d9b35effb2de86312b6978519c6a3"
+        )
+
+
+# (p_intra, p_cross): each at its bounds, pairs that leave no plain tweet,
+# and any pair the spec accepts
+INTERACTION_SHARES = st.one_of(
+    st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.02)]),
+    st.floats(0.0, 1.0).map(lambda p: (p, 1.0 - p)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+).filter(lambda shares: shares[0] + shares[1] <= 1.0)
+
+
+@st.composite
+def specs(draw):
+    p_intra, p_cross = draw(INTERACTION_SHARES)
+    return SyntheticSpec(
+        users_per_party={party: draw(st.integers(1, 12)) for party in PARTIES},
+        tweets_per_user=draw(st.integers(1, 6)),
+        p_intra=p_intra,
+        p_cross=p_cross,
+        annotator_noise=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        rng_seed=draw(st.integers()),
+    )
+
+
+class TestGeneratorOracle:
+    """The live generator against its frozen quadratic reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs())
+    def test_matches_reference(self, spec, tmp_path_factory):
+        live = generate_corpus(spec)
+        frozen = synth_reference.generate_corpus(spec)
+        assert live.tweets == frozen.tweets
+        assert live.profiles == frozen.profiles
+        assert live.annotations == frozen.annotations
+        assert live.truth == frozen.truth
+
+        out = tmp_path_factory.mktemp("oracle")
+        write_synthetic(spec, out / "live.jsonl", out / "live.csv")
+        write_corpus(out / "frozen.jsonl", frozen.tweets, frozen.profiles)
+        write_annotations(out / "frozen.csv", frozen.annotations)
+        assert (out / "live.jsonl").read_bytes() == (out / "frozen.jsonl").read_bytes()
+        assert (out / "live.csv").read_bytes() == (out / "frozen.csv").read_bytes()
 
 
 class TestPlantedPartition:
