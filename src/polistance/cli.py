@@ -29,12 +29,13 @@ from .annotation import (
 from .corpus import CorpusError, parse_corpus, write_corpus
 from .features import FEATURE_NAMES, PARTIES, FeatureError, default_lexicon, write_matrix
 from .forest import ForestError
-from .graph import GraphError, build_interaction_graph, louvain, write_edges, write_partition
+from .graph import GraphError, InteractionFold, louvain, write_edges, write_partition
 from .metrics import MetricsError
 from .pipeline import (
     METHODS,
     ConfigError,
     PipelineError,
+    TermBagFold,
     check_out_dir,
     featurize,
     load_config,
@@ -95,10 +96,12 @@ def _add_command(sub, name: str, func, help: str, flags: Sequence[str] = (),
     return p
 
 
-def _read_corpus(args):
-    """``(tweets, profiles, counts)`` of the corpus argument, honouring --strict."""
+def _read_corpus(args, tweets=None):
+    """``(tweets, profiles, counts)`` of the corpus argument, honouring
+    --strict; ``tweets`` is the sink that ``parse_corpus`` fills."""
     strictness = "strict" if args.strict else "skip-malformed"
-    tweets, profiles, skipped = parse_corpus(args.corpus, strictness=strictness)
+    tweets, profiles, skipped = parse_corpus(args.corpus, strictness=strictness,
+                                             tweets=tweets)
     counts = {"tweets": len(tweets), "profiles": len(profiles), "skipped_lines": skipped}
     return tweets, profiles, counts
 
@@ -134,9 +137,12 @@ def _cmd_agree(args):
 
 
 def _cmd_featurize(args):
-    tweets, profiles, counts = _read_corpus(args)
-    features = featurize(args.method, tweets, profiles, default_lexicon())
     vectors = args.method == "user-features"
+    # text and hashtag fold each tweet in as it is parsed
+    tweets, profiles, counts = _read_corpus(
+        args, None if vectors else TermBagFold(args.method))
+    features = (featurize(args.method, tweets, profiles, default_lexicon())
+                if vectors else tweets.matrix())
     counts["users"], counts["columns"] = (
         (len(features), len(FEATURE_NAMES)) if vectors else features.shape)
     print(f"{args.method} features: {counts['users']} users x {counts['columns']}")
@@ -178,8 +184,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_graph(args):
-    tweets, _, counts = _read_corpus(args)
-    graph = build_interaction_graph(tweets, weighted=args.weighted)
+    fold, _, counts = _read_corpus(args, InteractionFold())
+    graph = fold.graph(weighted=args.weighted)
     seed = args.seed if args.seed is not None else 0
     partition = louvain(graph, rng_seed=seed)
     counts.update(nodes=len(graph.nodes), edges=graph.m,

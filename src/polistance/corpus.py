@@ -20,6 +20,10 @@ timestamps) so that writing a parsed corpus and re-parsing it is lossless.
 
 ``parse_corpus`` streams the file line by line and interns every screen
 name, hashtag and mention, so repeated names share one string object.
+It hands each valid tweet, in file order, to a sink: by default a list,
+or any object with ``append`` and ``__len__`` that the caller passes, such
+as a fold that keeps only the counts it needs (``graph.InteractionFold``,
+``pipeline.TermBagFold``). So a run need not hold every tweet at once.
 Each field first tries its common shape: a line that is exactly one JSON
 value, a non-empty string id, a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp, a
 name spelling that the same field accepted on an earlier line. Any other
@@ -37,13 +41,14 @@ import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Protocol, Sequence, TypeVar
 
 __all__ = [
     "CorpusError",
     "DEFAULT_STOPWORDS",
     "STRICTNESS",
     "Tweet",
+    "TweetSink",
     "UserProfile",
     "canonical_dumps",
     "extract_entities",
@@ -92,6 +97,17 @@ class Tweet:
     mentions: tuple[str, ...] = ()
     retweet_of: str | None = None
     geo: tuple[float, float] | None = None
+
+
+class TweetSink(Protocol):
+    """Where ``parse_corpus`` puts each valid tweet: a list, or a fold."""
+
+    def append(self, tweet: Tweet, /) -> None: ...
+
+    def __len__(self) -> int: ...
+
+
+_Sink = TypeVar("_Sink", bound=TweetSink)
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,14 +408,20 @@ def _parse_profile(obj: dict, names: _Names) -> UserProfile:
 def parse_corpus(
     path: str | Path,
     strictness: str = "skip-malformed",
-) -> tuple[list[Tweet], list[UserProfile], int]:
+    tweets: _Sink | None = None,
+) -> tuple[_Sink | list[Tweet], list[UserProfile], int]:
     """Read a JSONL corpus; return (tweets, profiles, skipped_count).
 
-    Every physical line is either parsed into a record or counted as
-    skipped, so ``len(tweets) + len(profiles) + skipped == line count``.
-    Under ``strict``, any malformed line (bad JSON, bad fields, duplicate
-    tweet id or profile screen name) raises :class:`CorpusError`; blank
-    lines are never an error, only skipped.
+    Each valid tweet is appended, in file order, to ``tweets``, which is
+    returned: a new list when it is None, or the caller's sink, which needs
+    only ``append`` and ``__len__`` (a ``TweetSink``). The sink sees each
+    tweet once and nothing else; a duplicate tweet id is caught before it
+    gets there. Every physical line is either parsed into a record or
+    counted as skipped, so ``len(tweets) + len(profiles) + skipped == line
+    count`` for an empty sink. Under ``strict``, any malformed line (bad
+    JSON, bad fields, duplicate tweet id or profile screen name) raises
+    :class:`CorpusError`, whichever the sink, once the sink has taken the
+    tweets before that line; blank lines are never an error, only skipped.
     """
     if strictness not in STRICTNESS:
         raise ValueError(f"unknown strictness {strictness!r}")
@@ -408,7 +430,8 @@ def parse_corpus(
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
 
-    tweets: list[Tweet] = []
+    if tweets is None:
+        tweets = []
     profiles: list[UserProfile] = []
     skipped = 0
     seen_tweet_ids: set[str] = set()
@@ -479,7 +502,33 @@ def canonical_dumps(obj: object) -> str:
     return _CANONICAL_ENCODER.encode(obj)
 
 
+# what canonical_dumps writes for a string, and for a float
+_json_str = json.encoder.encode_basestring
+_json_float = _CANONICAL_ENCODER.encode
+
+
+def _tweet_line(tweet: Tweet) -> str:
+    """``canonical_dumps(tweet_record(tweet)) + "\n"``, written in sorted key
+    order directly: no record dict is built and no keys are sorted."""
+    geo = tweet.geo
+    retweet_of = tweet.retweet_of
+    return "".join((
+        '{"author_id":', _json_str(tweet.author_id),
+        ',"author_screen_name":', _json_str(tweet.author_screen_name),
+        ',"created_at":"', format_timestamp(tweet.created_at), '",',
+        "" if geo is None else
+        f'"geo":{{"lat":{_json_float(geo[0])},"lon":{_json_float(geo[1])}}},',
+        '"hashtags":[', ",".join(map(_json_str, tweet.hashtags)),
+        '],"kind":"tweet","mentions":[', ",".join(map(_json_str, tweet.mentions)),
+        "]," if retweet_of is None else '],"retweet_of":' + _json_str(retweet_of) + ",",
+        '"text":', _json_str(tweet.text),
+        ',"tweet_id":', _json_str(tweet.tweet_id), "}\n",
+    ))
+
+
 def tweet_record(tweet: Tweet) -> dict:
+    """The canonical record of a tweet, whose ``canonical_dumps`` is its
+    line in ``write_corpus``."""
     record = {
         "kind": "tweet",
         "tweet_id": tweet.tweet_id,
@@ -519,9 +568,7 @@ def write_corpus(
 ) -> None:
     """Write records in canonical JSONL form (tweets first, then profiles)."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for tweet in tweets:
-            handle.write(canonical_dumps(tweet_record(tweet)))
-            handle.write("\n")
+        handle.writelines(map(_tweet_line, tweets))
         for profile in profiles:
             handle.write(canonical_dumps(profile_record(profile)))
             handle.write("\n")

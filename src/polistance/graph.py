@@ -33,7 +33,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .metrics import EvalReport, confusion_from_pairs, eval_metrics
 __all__ = [
     "CommunityEval",
     "GraphError",
+    "InteractionFold",
     "InteractionGraph",
     "Partition",
     "build_interaction_graph",
@@ -129,40 +130,68 @@ class InteractionGraph:
                 (self.weights, other.weights)))
 
 
+class InteractionFold:
+    """Retweet and mention pairs, taken one tweet at a time.
+
+    A sink for ``parse_corpus``: ``append`` folds a tweet in, ``len`` counts
+    the tweets seen, and ``graph()`` gives their graph. Each name is looked
+    up in one dict and each event is kept as two C ints, never as a Python
+    pair, so no tweet is held.
+    """
+
+    __slots__ = ("_index", "_authors", "_targets", "_tweets")
+
+    def __init__(self) -> None:
+        self._index: dict[str, int] = {}
+        self._authors, self._targets = array("i"), array("i")
+        self._tweets = 0
+
+    def append(self, tweet: Tweet) -> None:
+        self._tweets += 1
+        author = tweet.author_screen_name
+        others = tweet.mentions
+        if tweet.retweet_of is not None:
+            others = (tweet.retweet_of, *others)
+        index = self._index
+        for other in others:
+            if other != author:
+                self._authors.append(index.setdefault(author, len(index)))
+                self._targets.append(index.setdefault(other, len(index)))
+
+    def __len__(self) -> int:
+        return self._tweets
+
+    def graph(self, weighted: bool = False) -> InteractionGraph:
+        """The simple undirected graph of the pairs so far. With ``weighted``
+        an edge weighs its number of events instead of 1."""
+        index = self._index
+        # renumber the first-seen ids so that ids follow sorted names
+        nodes = tuple(sorted(index))
+        rank = np.empty(len(nodes), dtype=np.int64)
+        rank[[index[node] for node in nodes]] = np.arange(len(nodes))
+        a = rank[np.frombuffer(self._authors, dtype=np.intc)]
+        b = rank[np.frombuffer(self._targets, dtype=np.intc)]
+        keys, counts = np.unique(np.minimum(a, b) * len(nodes) + np.maximum(a, b),
+                                 return_counts=True)
+        weights = counts.astype(np.float64) if weighted else np.ones(keys.size)
+        return InteractionGraph.from_keys(nodes, keys, weights)
+
+
 def build_interaction_graph(
-    tweets: Sequence[Tweet],
+    tweets: Iterable[Tweet],
     weighted: bool = False,
 ) -> InteractionGraph:
     """Collect retweet and mention pairs into a simple undirected graph.
 
     Both interaction kinds contribute the same edges; self-interactions
     are skipped. With ``weighted`` the edge weight counts interaction
-    events instead of collapsing to 1. Each name is looked up in one dict
-    and each event is kept as two C ints, never as a Python pair.
+    events instead of collapsing to 1. The tweets are read once, through
+    an ``InteractionFold``.
     """
-    index: dict[str, int] = {}
-    authors, targets = array("i"), array("i")
+    fold = InteractionFold()
     for tweet in tweets:
-        author = tweet.author_screen_name
-        others = []
-        if tweet.retweet_of is not None:
-            others.append(tweet.retweet_of)
-        others.extend(tweet.mentions)
-        for other in others:
-            if other != author:
-                authors.append(index.setdefault(author, len(index)))
-                targets.append(index.setdefault(other, len(index)))
-
-    # renumber the first-seen ids so that ids follow sorted names
-    nodes = tuple(sorted(index))
-    rank = np.empty(len(nodes), dtype=np.int64)
-    rank[[index[node] for node in nodes]] = np.arange(len(nodes))
-    a = rank[np.frombuffer(authors, dtype=np.intc)]
-    b = rank[np.frombuffer(targets, dtype=np.intc)]
-    keys, counts = np.unique(np.minimum(a, b) * len(nodes) + np.maximum(a, b),
-                             return_counts=True)
-    weights = counts.astype(np.float64) if weighted else np.ones(keys.size)
-    return InteractionGraph.from_keys(nodes, keys, weights)
+        fold.append(tweet)
+    return fold.graph(weighted)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ Every stage computes in memory; only the report stage writes, once all
 have succeeded, through ``publish``: the one path by which every command
 writes its ``--out`` directory. A failed stage is named and leaves the
 previous run's files as they were.
+
+Ingest hands each tweet, as it is parsed, to the sink its method reads:
+the network method's ``graph.InteractionFold``, the text and hashtag
+methods' ``TermBagFold``, or a list for user-features, which groups each
+author's tweets. So only a user-features run holds every tweet.
 """
 
 from __future__ import annotations
@@ -42,8 +47,12 @@ from .features import (
     write_matrix,
 )
 from .forest import CV_MODES, balance_classes, cross_validate
+# a network run folds its graph through InteractionFold and no longer
+# calls build_interaction_graph; the name stays a module global for the
+# benchmark's tracer (perfbench/tracer.py), which wraps it here
 from .graph import (
-    build_interaction_graph,
+    InteractionFold,
+    build_interaction_graph,  # noqa: F401
     community_classify,
     label_communities,
     louvain,
@@ -59,6 +68,7 @@ __all__ = [
     "PipelineError",
     "RunConfig",
     "RunResult",
+    "TermBagFold",
     "check_out_dir",
     "config_hash",
     "featurize",
@@ -273,6 +283,42 @@ def _truth_map(annotations, dimension: str) -> dict[str, str]:
     return out
 
 
+class TermBagFold:
+    """Each author's term counts for the text or hashtag method, taken one
+    tweet at a time.
+
+    A sink for ``parse_corpus``: ``append`` folds a tweet in, ``len`` counts
+    the tweets seen, and ``matrix()`` gives the TF-IDF matrix. Every author
+    gets a Counter at their first tweet, so authors keep first-tweet order
+    and each Counter its first-seen term order.
+    """
+
+    def __init__(self, method: str) -> None:
+        if method not in ("text", "hashtag"):
+            raise ConfigError(
+                f"featurize takes text, hashtag or user-features, not {method!r}")
+        self._text = method == "text"
+        self._bags: defaultdict[str, Counter[str]] = defaultdict(Counter)
+        self._tweets = 0
+
+    def append(self, tweet: Tweet) -> None:
+        self._tweets += 1
+        # tokenize and build_*_matrix are looked up as this module's globals
+        # on each call, where the benchmark's tracer wraps them
+        terms = tokenize(tweet.text) if self._text else tweet.hashtags
+        bag = self._bags[tweet.author_screen_name]
+        if terms:
+            bag.update(terms)
+
+    def __len__(self) -> int:
+        return self._tweets
+
+    def matrix(self) -> FeatureMatrix:
+        """The matrix of every author with at least one term that survives
+        support pruning (the others are dropped)."""
+        return (build_text_matrix if self._text else build_hashtag_matrix)(self._bags)
+
+
 def featurize(
     method: str,
     tweets: Iterable[Tweet],
@@ -281,11 +327,10 @@ def featurize(
 ) -> FeatureMatrix | dict[str, tuple[int, ...]]:
     """Features of one forest method, read from one pass over the tweets.
 
-    ``text`` and ``hashtag`` count each author's terms tweet by tweet and
-    give the TF-IDF matrix of every author with at least one term that
-    survives support pruning (the others are dropped). ``user-features``
-    groups the tweets by author and gives one vector per profile, keyed by
-    screen name in sorted order; the lexicon is read only there.
+    ``text`` and ``hashtag`` fold the tweets through a ``TermBagFold``.
+    ``user-features`` groups the tweets by author and gives one vector per
+    profile, keyed by screen name in sorted order; the lexicon is read only
+    there.
     """
     if method == "user-features":
         by_user: dict[str, list[Tweet]] = {}
@@ -297,18 +342,10 @@ def featurize(
             )
             for profile in sorted(profiles, key=lambda p: p.screen_name)
         }
-    if method not in ("text", "hashtag"):
-        raise ConfigError(f"featurize takes text, hashtag or user-features, not {method!r}")
-    text = method == "text"
-    # every author gets a Counter at their first tweet, so authors keep
-    # first-tweet order and each Counter its first-seen term order
-    bags: defaultdict[str, Counter[str]] = defaultdict(Counter)
+    fold = TermBagFold(method)
     for tweet in tweets:
-        terms = tokenize(tweet.text) if text else tweet.hashtags
-        bag = bags[tweet.author_screen_name]
-        if terms:
-            bag.update(terms)
-    return (build_text_matrix if text else build_hashtag_matrix)(bags)
+        fold.append(tweet)
+    return fold.matrix()
 
 
 def _rows_for_users(matrix, truth: Mapping[str, str]):
@@ -376,8 +413,16 @@ def run(config: RunConfig) -> RunResult:
 
         stage = "ingest"
         t0 = time.perf_counter()
-        tweets, profiles, skipped = parse_corpus(
-            config.corpus_path, strictness=config.strictness
+        # the network and term-bag methods fold each tweet in as it is
+        # parsed; only user-features holds the tweets
+        if config.method == "network":
+            sink = InteractionFold()
+        elif config.method == "user-features":
+            sink = []
+        else:
+            sink = TermBagFold(config.method)
+        _, profiles, skipped = parse_corpus(
+            config.corpus_path, strictness=config.strictness, tweets=sink
         )
         timings.append(("ingest", time.perf_counter() - t0))
 
@@ -393,7 +438,7 @@ def run(config: RunConfig) -> RunResult:
         timings.append(("annotate", time.perf_counter() - t0))
 
         counts = {
-            "tweets": len(tweets),
+            "tweets": len(sink),
             "profiles": len(profiles),
             "skipped_lines": skipped,
             "annotated_users": len(truth),
@@ -402,7 +447,7 @@ def run(config: RunConfig) -> RunResult:
         if config.method == "network":
             stage = "graph"
             t0 = time.perf_counter()
-            graph = build_interaction_graph(tweets)
+            graph = sink.graph()
             partition = louvain(graph, rng_seed=config.rng_seed)
             labeling = label_communities(partition, lexicon.seed_party_map())
             evaluation = community_classify(partition, labeling, truth)
@@ -417,13 +462,13 @@ def run(config: RunConfig) -> RunResult:
             t0 = time.perf_counter()
             if config.method == "user-features":
                 labelled = [p for p in profiles if p.screen_name in truth]
-                vectors = featurize(config.method, tweets, labelled, lexicon)
+                vectors = featurize(config.method, sink, labelled, lexicon)
                 if not vectors:
                     raise ConfigError("no profiled user carries a label")
                 rows = np.array(list(vectors.values()), dtype=np.float64)
                 labels = [truth[name] for name in vectors]
             else:
-                matrix = featurize(config.method, tweets, profiles, lexicon)
+                matrix = sink.matrix()
                 rows, labels = _rows_for_users(matrix, truth)
                 if len(labels) == 0:
                     raise ConfigError("no matrix user carries a label")

@@ -8,10 +8,12 @@ import unicodedata
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polistance import corpus
+from polistance.graph import InteractionFold, build_interaction_graph
+from polistance.pipeline import TermBagFold
 from polistance.corpus import (
     DEFAULT_STOPWORDS,
     STRICTNESS,
@@ -181,13 +183,13 @@ class TestTimestamps:
         )
 
 
+TEXTS = st.text(alphabet=st.sampled_from("ab\"\\/\n\x00\x7fé€मो😀\u2028")) | st.text()
 JSON_SCALARS = (
     st.none()
     | st.booleans()
     | st.floats()
     | st.integers(-(1 << 80), 1 << 80)
-    | st.text(alphabet=st.sampled_from("ab\"\\/\n\x00\x7fé€मो😀\u2028"))
-    | st.text()
+    | TEXTS
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -574,6 +576,150 @@ class TestSharedNames:
             assert found == expected
         assert skipped == 2 * list(expected.values()).count(None) - (
             expected["screen_name"] is None)
+
+
+class RecordingSink:
+    """A parse_corpus sink that keeps what it is given, in order."""
+
+    def __init__(self):
+        self.seen = []
+
+    def append(self, tweet):
+        self.seen.append(tweet)
+
+    def __len__(self):
+        return len(self.seen)
+
+
+def sink_corpus_lines():
+    """Valid tweets and profiles with one line of each kind that parse_corpus
+    skips: the benchmark's five bad-line kinds, then a lone surrogate; a
+    self-retweet is valid but carries no relation."""
+    def line(**fields):
+        return json.dumps(dict(TWEET, **fields)).encode()
+
+    def profile(name):
+        return json.dumps({"kind": "profile", "user_id": name, "screen_name": name,
+                           "followers_count": 1, "friends_count": 2,
+                           "statuses_count": 3}).encode()
+
+    first = line(tweet_id="t1", author_screen_name="Alice", text="@bob @carol hi")
+    second = line(tweet_id="t2", author_screen_name="Bob", retweet_of="@Alice",
+                  mentions=["Carol"])
+    third = line(tweet_id="t3", author_screen_name="Carol", text="#x",
+                 mentions=["Alice", "alice"])
+    return [
+        first,
+        profile("alice"),
+        second,
+        first[: len(first) // 2],  # bad-json
+        third,
+        second[:10] + b"\xff\xfe" + second[10:],  # bad-utf8
+        third.replace(b'"kind": "tweet"', b'"kind": "retweet"'),  # unknown-kind
+        third,  # duplicate-id
+        b" ",  # blank
+        line(tweet_id="t4", text="hi \ud800"),  # lone surrogate
+        line(tweet_id="t5", author_screen_name="Dave", retweet_of="@dave",
+             mentions=["eve"]),  # self-retweet
+        profile("bob"),
+        line(tweet_id="t6", author_screen_name="Eve", text="@alice"),
+    ]
+
+
+SINKS = {
+    "list": list,
+    "recording": RecordingSink,
+    "interaction-fold": InteractionFold,
+    "term-bag-fold": lambda: TermBagFold("text"),
+}
+
+
+class TestTweetSink:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(sink_corpus_lines()) + b"\n")
+        return path
+
+    def test_a_sink_gets_the_listed_tweets_in_order(self, path):
+        listed, profiles, skipped = parse_corpus(path)
+        assert [t.tweet_id for t in listed] == ["t1", "t2", "t3", "t5", "t6"]
+        sink = RecordingSink()
+        returned, sink_profiles, sink_skipped = parse_corpus(path, tweets=sink)
+        assert returned is sink
+        assert sink.seen == listed
+        assert (sink_profiles, sink_skipped) == (profiles, skipped)
+
+    @pytest.mark.parametrize("make", SINKS.values(), ids=SINKS)
+    def test_every_line_is_a_record_or_skipped(self, path, make):
+        tweets, profiles, skipped = parse_corpus(path, tweets=make())
+        assert (len(tweets), len(profiles), skipped) == (5, 2, 6)
+        assert len(tweets) + len(profiles) + skipped == len(sink_corpus_lines())
+
+    @pytest.mark.parametrize("bad", [3, 5, 6, 7, 9],
+                             ids=["bad-json", "bad-utf8", "unknown-kind",
+                                  "duplicate-id", "lone-surrogate"])
+    def test_strict_error_does_not_depend_on_the_sink(self, tmp_path, bad):
+        lines = sink_corpus_lines()
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(lines[:3] + [lines[4], lines[bad]]) + b"\n")
+        messages = []
+        for make in SINKS.values():
+            with pytest.raises(CorpusError) as info:
+                parse_corpus(path, strictness="strict", tweets=make())
+            messages.append(str(info.value))
+        assert messages[0].startswith(f"{path}:5: ")
+        assert messages == [messages[0]] * len(SINKS)
+        sink = RecordingSink()
+        with pytest.raises(CorpusError):
+            parse_corpus(path, strictness="strict", tweets=sink)
+        assert [t.tweet_id for t in sink.seen] == ["t1", "t2", "t3"]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fold_graph_is_the_graph_of_the_listed_tweets(self, path, weighted):
+        listed, _, _ = parse_corpus(path)
+        fold, _, _ = parse_corpus(path, tweets=InteractionFold())
+        folded = fold.graph(weighted=weighted)
+        assert folded == build_interaction_graph(listed, weighted=weighted)
+        pairs = {(folded.nodes[a], folded.nodes[b]): w for a, b, w in
+                 zip(folded.heads.tolist(), folded.tails.tolist(),
+                     folded.weights.tolist())}
+        # the skipped duplicate of t3 adds no alice-carol event, and the
+        # self-retweet adds no dave-dave edge
+        expected = {("alice", "bob"): 2.0, ("alice", "carol"): 2.0,
+                    ("alice", "eve"): 1.0, ("bob", "carol"): 1.0,
+                    ("dave", "eve"): 1.0}
+        assert pairs == (expected if weighted else dict.fromkeys(expected, 1.0))
+
+
+TWEETS = st.builds(
+    Tweet,
+    tweet_id=TEXTS,
+    author_id=TEXTS,
+    author_screen_name=TEXTS,
+    created_at=st.datetimes(
+        min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+        timezones=st.sampled_from([timezone.utc, timezone(timedelta(hours=5, minutes=30))])),
+    text=TEXTS,
+    hashtags=st.lists(TEXTS, max_size=3).map(tuple),
+    mentions=st.lists(TEXTS, max_size=3).map(tuple),
+    retweet_of=st.none() | TEXTS,
+    geo=st.none() | st.tuples(st.floats(-90, 90), st.floats(-180, 180)),
+)
+
+
+class TestWriteCorpus:
+    @settings(max_examples=200)
+    @given(st.lists(TWEETS, max_size=3))
+    @example([make_tweet(1, text="मोदी \"rally\"", hashtags=(), mentions=(),
+                         retweet_of="user9", geo=(-0.0, 77.23)), make_tweet(2)])
+    def test_tweet_lines_are_the_canonical_records(self, tmp_path_factory, tweets):
+        # write_corpus writes each tweet's keys in sorted order directly;
+        # the bytes must be what the sorting encoder writes for its record
+        path = tmp_path_factory.getbasetemp() / "written.jsonl"
+        write_corpus(path, tweets)
+        assert path.read_text(encoding="utf-8") == "".join(
+            canonical_dumps(corpus.tweet_record(t)) + "\n" for t in tweets)
 
 
 class TestRoundTrip:

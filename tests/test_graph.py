@@ -25,8 +25,10 @@ from polistance.graph import (
     write_edges,
     write_partition,
 )
+from polistance.features import PARTIES
 from polistance.graph import _Level
-from polistance.synth import planted_partition_graph
+from polistance.pipeline import RunConfig, run
+from polistance.synth import SyntheticSpec, planted_partition_graph, write_synthetic
 
 UTC = timezone.utc
 
@@ -545,6 +547,32 @@ class TestPlantedStorage:
         finally:
             tracemalloc.stop()
         assert (held - left) / m < 40
+
+
+class TestNetworkRunStorage:
+    """A network run folds each tweet into its graph as it is parsed."""
+
+    def test_network_run_peaks_under_250_bytes_per_tweet(self, tmp_path):
+        # holding every parsed tweet until the run returned came to about
+        # 440 bytes per tweet here; folding each one as it is parsed, about
+        # 150, most of it the duplicate-tweet-id set that validation needs
+        spec = SyntheticSpec(users_per_party=dict.fromkeys(PARTIES, 100))
+        data = write_synthetic(spec, tmp_path / "corpus.jsonl",
+                               tmp_path / "annotations.csv")
+        n_tweets = len(data.tweets)
+        del data
+        config = RunConfig(corpus_path=str(tmp_path / "corpus.jsonl"),
+                           annotations_path=str(tmp_path / "annotations.csv"),
+                           out_dir=str(tmp_path / "out"), method="network")
+        run(config)  # the first run's imports and caches are no run's own
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_tweets == 9000
+        assert peak / n_tweets < 250
 
 
 class TestExports:

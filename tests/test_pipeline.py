@@ -435,6 +435,28 @@ class TestRunFailures:
         assert info.value.stage == "classify"
         assert self.snapshot(out) == before
 
+    def test_failed_strict_network_run_leaves_the_earlier_run_byte_identical(
+        self, small_inputs, tmp_path
+    ):
+        # the graph fold has taken every tweet before the bad line when
+        # ingest fails, so nothing of it may reach out_dir
+        out = tmp_path / "net"
+        run(base_config(small_inputs, out, method="network"))
+        before = self.snapshot(out)
+        assert "graph.edges" in before and "manifest.json" in before
+        lines = (small_inputs / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+        assert b'"kind":"tweet"' in lines[9]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines[:10]) + b"{broken\n" + b"".join(lines[10:]))
+        config = dataclasses.replace(
+            base_config(small_inputs, out, method="network", strictness="strict"),
+            corpus_path=str(bad),
+        )
+        with pytest.raises(PipelineError, match=r"bad\.jsonl:11: invalid JSON") as info:
+            run(config)
+        assert info.value.stage == "ingest"
+        assert self.snapshot(out) == before
+
     def test_method_change_leaves_exactly_the_manifest_files(
         self, small_inputs, tmp_path
     ):
