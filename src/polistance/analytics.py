@@ -27,6 +27,7 @@ __all__ = [
     "Analysis",
     "analyze",
     "write_analysis",
+    "write_csv",
 ]
 
 IST_OFFSET_MINUTES = 330
@@ -155,7 +156,8 @@ def _utc_stamp(bucket: datetime) -> str:
     return format_timestamp(bucket.astimezone(timezone.utc))
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+def write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """A header row, then ``rows``, in the csv module's default dialect."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -169,20 +171,20 @@ def write_analysis(result: Analysis, out_dir: str | Path) -> None:
     as floats, as the files have always held them.
     """
     out = Path(out_dir)
-    _write_csv(out / "volume_day.csv", ["bucket_start", "value"],
-               ([_utc_stamp(bucket), repr(float(value))] for bucket, value in result.volume))
-    _write_csv(out / "day_hour.csv", ["day", "hour", "count"],
-               ([day, hour, count]
-                for day, row in enumerate(result.day_hour, start=1)
-                for hour, count in enumerate(row)))
-    _write_csv(out / "top_hashtags.csv", ["window_start", "rank", "hashtag", "count"],
-               ([_utc_stamp(bucket), rank, tag, count]
-                for bucket, ranking in result.top_hashtags
-                for rank, (tag, count) in enumerate(ranking, start=1)))
-    _write_csv(out / "party_mentions.csv", ["party", "bucket_start", "value"],
-               ([party, _utc_stamp(bucket), float(value)]
-                for party in sorted(result.mentions)
-                for bucket, value in result.mentions[party]))
+    write_csv(out / "volume_day.csv", ["bucket_start", "value"],
+              ([_utc_stamp(bucket), repr(float(value))] for bucket, value in result.volume))
+    write_csv(out / "day_hour.csv", ["day", "hour", "count"],
+              ([day, hour, count]
+               for day, row in enumerate(result.day_hour, start=1)
+               for hour, count in enumerate(row)))
+    write_csv(out / "top_hashtags.csv", ["window_start", "rank", "hashtag", "count"],
+              ([_utc_stamp(bucket), rank, tag, count]
+               for bucket, ranking in result.top_hashtags
+               for rank, (tag, count) in enumerate(ranking, start=1)))
+    write_csv(out / "party_mentions.csv", ["party", "bucket_start", "value"],
+              ([party, _utc_stamp(bucket), float(value)]
+               for party in sorted(result.mentions)
+               for bucket, value in result.mentions[party]))
     summary = {
         "tweets": result.n_tweets,
         "unique_users": result.n_users,

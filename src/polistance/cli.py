@@ -11,13 +11,12 @@ problem, 3 data or file-system problem (a failed write too), 4 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import re
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analytics import IST_OFFSET_MINUTES, analyze, write_analysis
+from .analytics import IST_OFFSET_MINUTES, analyze, write_analysis, write_csv
 from .annotation import (
     DIMENSIONS,
     AnnotationError,
@@ -35,9 +34,9 @@ from .pipeline import (
     METHODS,
     ConfigError,
     PipelineError,
+    ProfileFold,
     TermBagFold,
     check_out_dir,
-    featurize,
     load_config,
     publish,
     render_table,
@@ -110,13 +109,6 @@ def _tz_minutes(args) -> int:
     return parse_tz(args.tz) if args.tz is not None else IST_OFFSET_MINUTES
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cmd_ingest(args):
     tweets, profiles, counts = _read_corpus(args)
     print("tweets={tweets} profiles={profiles} skipped={skipped_lines}".format(**counts))
@@ -132,22 +124,20 @@ def _cmd_agree(args):
     resolved = resolve_majority(annotations)
     print(f"resolved_users={len(resolved)}")
     return {"annotations": len(annotations), "resolved_users": len(resolved)}, (
-        lambda out: _write_csv(out / "resolved.csv", ["user_id", "pro", "anti"],
-                               ([u.user_id, u.pro, u.anti] for u in resolved)))
+        lambda out: write_csv(out / "resolved.csv", ["user_id", "pro", "anti"],
+                              ([u.user_id, u.pro, u.anti] for u in resolved)))
 
 
 def _cmd_featurize(args):
     vectors = args.method == "user-features"
-    # text and hashtag fold each tweet in as it is parsed
-    tweets, profiles, counts = _read_corpus(
-        args, None if vectors else TermBagFold(args.method))
-    features = (featurize(args.method, tweets, profiles, default_lexicon())
-                if vectors else tweets.matrix())
+    fold, profiles, counts = _read_corpus(
+        args, ProfileFold(default_lexicon()) if vectors else TermBagFold(args.method))
+    features = fold.vectors(profiles) if vectors else fold.matrix()
     counts["users"], counts["columns"] = (
         (len(features), len(FEATURE_NAMES)) if vectors else features.shape)
     print(f"{args.method} features: {counts['users']} users x {counts['columns']}")
     if vectors:
-        return counts, lambda out: _write_csv(
+        return counts, lambda out: write_csv(
             out / "features.csv", ["user_id", *FEATURE_NAMES],
             ([name, *vector] for name, vector in features.items()))
     return counts, lambda out: write_matrix(

@@ -23,7 +23,8 @@ name, hashtag and mention, so repeated names share one string object.
 It hands each valid tweet, in file order, to a sink: by default a list,
 or any object with ``append`` and ``__len__`` that the caller passes, such
 as a fold that keeps only the counts it needs (``graph.InteractionFold``,
-``pipeline.TermBagFold``). So a run need not hold every tweet at once.
+``pipeline.TermBagFold``, ``pipeline.ProfileFold``). So no run holds every
+tweet at once.
 Each field first tries its common shape: a line that is exactly one JSON
 value, a non-empty string id, a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp, a
 name spelling that the same field accepted on an earlier line. Any other

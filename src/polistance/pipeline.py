@@ -10,10 +10,10 @@ have succeeded, through ``publish``: the one path by which every command
 writes its ``--out`` directory. A failed stage is named and leaves the
 previous run's files as they were.
 
-Ingest hands each tweet, as it is parsed, to the sink its method reads:
+Ingest hands each tweet, as it is parsed, to the fold its method reads:
 the network method's ``graph.InteractionFold``, the text and hashtag
-methods' ``TermBagFold``, or a list for user-features, which groups each
-author's tweets. So only a user-features run holds every tweet.
+methods' ``TermBagFold``, or the user-features method's ``ProfileFold``.
+Each keeps only the counts its method needs, so no run holds the tweets.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .corpus import (
     tokenize,
 )
 from .features import (
+    PARTIES,
     FeatureMatrix,
     PartyLexicon,
     build_hashtag_matrix,
@@ -66,12 +67,12 @@ __all__ = [
     "DIMENSIONS",
     "ConfigError",
     "PipelineError",
+    "ProfileFold",
     "RunConfig",
     "RunResult",
     "TermBagFold",
     "check_out_dir",
     "config_hash",
-    "featurize",
     "load_config",
     "publish",
     "render_structured",
@@ -295,8 +296,7 @@ class TermBagFold:
 
     def __init__(self, method: str) -> None:
         if method not in ("text", "hashtag"):
-            raise ConfigError(
-                f"featurize takes text, hashtag or user-features, not {method!r}")
+            raise ConfigError(f"a term-bag fold takes text or hashtag, not {method!r}")
         self._text = method == "text"
         self._bags: defaultdict[str, Counter[str]] = defaultdict(Counter)
         self._tweets = 0
@@ -319,33 +319,52 @@ class TermBagFold:
         return (build_text_matrix if self._text else build_hashtag_matrix)(self._bags)
 
 
-def featurize(
-    method: str,
-    tweets: Iterable[Tweet],
-    profiles: list[UserProfile],
-    lexicon: PartyLexicon,
-) -> FeatureMatrix | dict[str, tuple[int, ...]]:
-    """Features of one forest method, read from one pass over the tweets.
+class ProfileFold:
+    """Each author's six party counts for the user-features method, taken
+    one tweet at a time.
 
-    ``text`` and ``hashtag`` fold the tweets through a ``TermBagFold``.
-    ``user-features`` groups the tweets by author and gives one vector per
-    profile, keyed by screen name in sorted order; the lexicon is read only
-    there.
+    A sink for ``parse_corpus`` like ``TermBagFold``: ``append`` adds the
+    tweet's keyword and hashtag hits to its author's counts (a term listed
+    under two parties adds to both), ``len`` counts the tweets seen, and
+    ``vectors(profiles)`` gives each profile's 11 features.
     """
-    if method == "user-features":
-        by_user: dict[str, list[Tweet]] = {}
-        for tweet in tweets:
-            by_user.setdefault(tweet.author_screen_name, []).append(tweet)
+
+    def __init__(self, lexicon: PartyLexicon) -> None:
+        self._lexicon = lexicon
+        # term -> the count slots it adds to: party i's keywords i, hashtags 3+i
+        self._words: dict[str, tuple[int, ...]] = {}
+        self._tags: dict[str, tuple[int, ...]] = {}
+        for i, party in enumerate(PARTIES):
+            for term in lexicon.terms(party).keywords:
+                self._words[term] = self._words.get(term, ()) + (i,)
+            for tag in lexicon.terms(party).hashtags:
+                self._tags[tag] = self._tags.get(tag, ()) + (3 + i,)
+        self._counts: defaultdict[str, list[int]] = defaultdict(lambda: [0] * 6)
+        self._tweets = 0
+
+    def append(self, tweet: Tweet) -> None:
+        self._tweets += 1
+        counts = self._counts[tweet.author_screen_name]
+        # tokenize and user_feature_vector are looked up as this module's
+        # globals on each call, where the benchmark's tracer wraps them
+        for token in tokenize(tweet.text):
+            for slot in self._words.get(token, ()):
+                counts[slot] += 1
+        for tag in tweet.hashtags:
+            for slot in self._tags.get(tag, ()):
+                counts[slot] += 1
+
+    def __len__(self) -> int:
+        return self._tweets
+
+    def vectors(self, profiles: Iterable[UserProfile]) -> dict[str, tuple[int, ...]]:
+        """Each profile's vector, keyed by screen name in sorted order; an
+        author of no tweet has zero counts."""
         return {
             profile.screen_name: user_feature_vector(
-                profile, by_user.get(profile.screen_name, []), lexicon
-            )
+                profile, self._counts.get(profile.screen_name, (0,) * 6), self._lexicon)
             for profile in sorted(profiles, key=lambda p: p.screen_name)
         }
-    fold = TermBagFold(method)
-    for tweet in tweets:
-        fold.append(tweet)
-    return fold.matrix()
 
 
 def _rows_for_users(matrix, truth: Mapping[str, str]):
@@ -413,12 +432,10 @@ def run(config: RunConfig) -> RunResult:
 
         stage = "ingest"
         t0 = time.perf_counter()
-        # the network and term-bag methods fold each tweet in as it is
-        # parsed; only user-features holds the tweets
         if config.method == "network":
             sink = InteractionFold()
         elif config.method == "user-features":
-            sink = []
+            sink = ProfileFold(lexicon)
         else:
             sink = TermBagFold(config.method)
         _, profiles, skipped = parse_corpus(
@@ -462,7 +479,7 @@ def run(config: RunConfig) -> RunResult:
             t0 = time.perf_counter()
             if config.method == "user-features":
                 labelled = [p for p in profiles if p.screen_name in truth]
-                vectors = featurize(config.method, sink, labelled, lexicon)
+                vectors = sink.vectors(labelled)
                 if not vectors:
                     raise ConfigError("no profiled user carries a label")
                 rows = np.array(list(vectors.values()), dtype=np.float64)

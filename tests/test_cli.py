@@ -457,8 +457,8 @@ class TestFeaturize:
 
     @pytest.mark.parametrize("method", ["text", "hashtag"])
     def test_matrix_files_match_classify(self, method, workspace, tmp_path, capsys):
-        """featurize and classify share one featurize path, so one corpus
-        gives the same matrix files byte for byte."""
+        """featurize and classify fold the corpus through one TermBagFold,
+        so one corpus gives the same matrix files byte for byte."""
         assert main(["featurize", corpus_of(workspace), "--method", method,
                      "--out", str(tmp_path / "feat")]) == 0
         config = tmp_path / "run.json"

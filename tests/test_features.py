@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import features_reference as ref
 from polistance.corpus import Tweet, UserProfile
 from polistance.features import (
     FEATURE_NAMES,
@@ -24,6 +25,7 @@ from polistance.features import (
     user_feature_vector,
     write_matrix,
 )
+from polistance.pipeline import ProfileFold
 
 
 def counts_of(term_lists):
@@ -234,31 +236,51 @@ def tweet_for(name, text, hashtags=(), when=None, i=[0]):
     )
 
 
+def folded(profiles, tweets, lexicon):
+    """The vectors of ``profiles`` once a ProfileFold has taken ``tweets``."""
+    fold = ProfileFold(lexicon)
+    for tweet in tweets:
+        fold.append(tweet)
+    assert len(fold) == len(tweets)
+    return fold.vectors(profiles)
+
+
+def folded_one(profile, tweets, lexicon):
+    return folded([profile], tweets, lexicon)[profile.screen_name]
+
+
+HAND_LEXICON = PartyLexicon(parties={
+    "AAP": PartyTerms(frozenset({"jhadu"}), frozenset({"aap"}),
+                      frozenset({"aamaadmiparty"})),
+    "BJP": PartyTerms(frozenset({"namo", "modi"}), frozenset({"namo"}),
+                      frozenset({"bjp4india"})),
+    "CONG": PartyTerms(frozenset({"rahul"}), frozenset({"inc"}),
+                       frozenset({"incindia"})),
+})
+
+
 class TestUserFeatureVector:
     def test_following_bits(self):
         lexicon = default_lexicon()
         profile = UserProfile("u1", "fan", 10, 20, 30,
                               following=frozenset({"arvindkejriwal"}))
-        named = dict(zip(FEATURE_NAMES, user_feature_vector(profile, [], lexicon)))
+        named = dict(zip(FEATURE_NAMES, user_feature_vector(profile, (0,) * 6, lexicon)))
         assert (named["following_aap"], named["following_bjp"],
                 named["following_cong"]) == (1, 0, 0)
+
+    def test_counts_are_the_last_six_features(self):
+        profile = UserProfile("u1", "fan", 10, 20, 30)
+        vector = user_feature_vector(profile, (1, 2, 3, 4, 5, 6), default_lexicon())
+        assert vector == (20, 10, 0, 0, 0, 1, 2, 3, 4, 5, 6)
 
     def test_word_occurrences_counted(self):
         lexicon = default_lexicon()
         profile = UserProfile("u1", "fan", 0, 0, 0)
         tweets = [tweet_for("fan", "kejriwal kejriwal speaks")]
-        vector = user_feature_vector(profile, tweets, lexicon)
+        vector = folded_one(profile, tweets, lexicon)
         assert vector[FEATURE_NAMES.index("aap_words")] == 2
 
     def test_full_vector_matches_hand_count(self):
-        lexicon = PartyLexicon(parties={
-            "AAP": PartyTerms(frozenset({"jhadu"}), frozenset({"aap"}),
-                              frozenset({"aamaadmiparty"})),
-            "BJP": PartyTerms(frozenset({"namo", "modi"}), frozenset({"namo"}),
-                              frozenset({"bjp4india"})),
-            "CONG": PartyTerms(frozenset({"rahul"}), frozenset({"inc"}),
-                               frozenset({"incindia"})),
-        })
         profile = UserProfile("u1", "voter", followers_count=55, friends_count=44,
                               statuses_count=99,
                               following=frozenset({"bjp4india", "incindia", "other"}))
@@ -267,9 +289,27 @@ class TestUserFeatureVector:
             tweet_for("voter", "jhadu sweeps", hashtags=("aap", "namo")),
             tweet_for("voter", "rahul rahul rahul", hashtags=("inc",)),
         ]
-        vector = user_feature_vector(profile, tweets, lexicon)
+        vector = folded_one(profile, tweets, HAND_LEXICON)
         assert vector == (44, 55, 0, 1, 1, 1, 2, 3, 1, 2, 1)
         assert len(FEATURE_NAMES) == 11
+
+    def test_hashtags_and_mentions_in_text_are_not_words(self):
+        # "#namo" counts only through the tweet's hashtags, "@modi" and the
+        # url not at all; case and punctuation around a keyword do not matter
+        profile = UserProfile("u1", "voter", 0, 0, 0)
+        tweets = [tweet_for("voter", "#namo @modi http://modi.in Jhadu! (RAHUL),",
+                            hashtags=("namo",))]
+        assert folded_one(profile, tweets, HAND_LEXICON)[5:] == (1, 0, 1, 0, 1, 0)
+
+    def test_term_of_two_parties_counts_for_both(self):
+        lexicon = PartyLexicon(parties={
+            "AAP": PartyTerms(frozenset({"swaraj"}), frozenset({"vote"}), frozenset()),
+            "BJP": PartyTerms(frozenset(), frozenset({"vote"}), frozenset()),
+            "CONG": PartyTerms(frozenset({"swaraj"}), frozenset(), frozenset()),
+        })
+        profile = UserProfile("u1", "voter", 0, 0, 0)
+        tweets = [tweet_for("voter", "swaraj swaraj", hashtags=("vote",))]
+        assert folded_one(profile, tweets, lexicon)[5:] == (2, 0, 2, 1, 1, 0)
 
     def test_tweet_order_irrelevant(self):
         lexicon = default_lexicon()
@@ -279,15 +319,86 @@ class TestUserFeatureVector:
             tweet_for("voter", "kejriwal speech", hashtags=("aap",)),
             tweet_for("voter", "congress manifesto", hashtags=()),
         ]
-        forward = user_feature_vector(profile, tweets, lexicon)
-        backward = user_feature_vector(profile, tweets[::-1], lexicon)
+        forward = folded_one(profile, tweets, lexicon)
+        backward = folded_one(profile, tweets[::-1], lexicon)
         assert forward == backward
 
-    def test_foreign_tweet_rejected(self):
+    def test_tweets_count_for_their_author_only(self):
+        # the fold keys its counts by author, so another author's tweet
+        # cannot reach this profile's vector
         lexicon = default_lexicon()
-        profile = UserProfile("u1", "voter", 1, 2, 3)
-        with pytest.raises(FeatureError):
-            user_feature_vector(profile, [tweet_for("other", "hello")], lexicon)
+        voter = UserProfile("u1", "voter", 1, 2, 3)
+        other = UserProfile("u2", "other", 4, 5, 6)
+        tweets = [tweet_for("other", "modi modi", hashtags=("namo",)),
+                  tweet_for("voter", "kejriwal")]
+        vectors = folded([voter, other], tweets, lexicon)
+        assert vectors == {"other": (5, 4, 0, 0, 0, 0, 2, 0, 0, 1, 0),
+                           "voter": (2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0)}
+
+    def test_profile_without_tweets_counts_zero_hits(self):
+        profile = UserProfile("u1", "quiet", 7, 8, 9, following=frozenset({"incindia"}))
+        assert folded_one(profile, [tweet_for("loud", "modi")], default_lexicon()) == (
+            8, 7, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+
+
+# small pools, so that terms repeat across parties, tweets and authors
+TERMS = ["modi", "namo", "aap", "rahul", "inc", "jhadu"]
+SEEDS = ["s1", "s2", "s3", "s4"]
+AUTHORS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def lexicons(draw):
+    """A lexicon in which at least one keyword and one hashtag are listed
+    under two parties."""
+    buckets = {party: {"keywords": set(draw(st.sets(st.sampled_from(TERMS)))),
+                       "hashtags": set(draw(st.sets(st.sampled_from(TERMS)))),
+                       "seed_accounts": set()}
+               for party in PARTIES}
+    for bucket in ("keywords", "hashtags"):
+        term = draw(st.sampled_from(TERMS))
+        for party in draw(st.permutations(PARTIES))[:2]:
+            buckets[party][bucket].add(term)
+    for seed in SEEDS:  # a seed account belongs to at most one party
+        party = draw(st.sampled_from([*PARTIES, None]))
+        if party is not None:
+            buckets[party]["seed_accounts"].add(seed)
+    return PartyLexicon(parties={party: PartyTerms(**{
+        bucket: frozenset(values) for bucket, values in terms.items()})
+        for party, terms in buckets.items()})
+
+
+def spellings(term):
+    """Ways a tweet's text may carry ``term``: those that tokenize to it,
+    and those that do not (a hashtag, a mention, inside a url)."""
+    return [term, term.upper(), term.title(), f"{term}!", f"({term}),", f'"{term}"',
+            f"#{term}", f"@{term}", f"http://t.co/{term}", f"www.{term}.in",
+            f"{term}s", "the", "vote"]
+
+
+@st.composite
+def tweets_of(draw):
+    words = draw(st.lists(st.sampled_from(TERMS).flatmap(
+        lambda term: st.sampled_from(spellings(term))), max_size=8))
+    return tweet_for(draw(st.sampled_from(AUTHORS)), " ".join(words) or "-",
+                     draw(st.lists(st.sampled_from([*TERMS, "other"]), max_size=4)))
+
+
+@st.composite
+def profiles_of(draw):
+    # "e" writes no tweet; the authors left out have no profile
+    names = draw(st.sets(st.sampled_from([*AUTHORS, "e"])))
+    return [UserProfile(f"id-{name}", name, draw(st.integers(0, 9)),
+                        draw(st.integers(0, 9)), 0,
+                        following=frozenset(draw(st.sets(st.sampled_from([*SEEDS, "x"])))))
+            for name in names]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lexicon=lexicons(), tweets=st.lists(tweets_of(), max_size=12),
+       profiles=profiles_of())
+def test_profile_fold_matches_the_grouped_reference(lexicon, tweets, profiles):
+    assert folded(profiles, tweets, lexicon) == ref.vectors(tweets, profiles, lexicon)
 
 
 class TestLexicon:

@@ -18,6 +18,7 @@ from polistance.analytics import analyze
 from polistance.cli import main
 from polistance.corpus import Tweet, parse_corpus, tokenize
 from polistance.features import (
+    PARTIES,
     FeatureMatrix,
     VocabTerm,
     build_text_matrix,
@@ -30,10 +31,11 @@ from polistance.pipeline import (
     METHODS,
     ConfigError,
     PipelineError,
+    ProfileFold,
     RunConfig,
     RunResult,
+    TermBagFold,
     config_hash,
-    featurize,
     load_config,
     render_structured,
     render_table,
@@ -370,8 +372,9 @@ class TestRunUserFeatures:
         result = run(config)
 
         # the seed-account profiles carry no annotation, so they are left out
-        tweets, profiles, _ = parse_corpus(config.corpus_path)
-        vectors = featurize("user-features", tweets, profiles, default_lexicon())
+        fold, profiles, _ = parse_corpus(config.corpus_path,
+                                         tweets=ProfileFold(default_lexicon()))
+        vectors = fold.vectors(profiles)
         truth = {u: u.split("_")[0].upper() for u in vectors if "_" in u}
         assert 0 < len(truth) < len(vectors)
         expected = cross_validate(
@@ -382,6 +385,30 @@ class TestRunUserFeatures:
         assert result.report == expected
         assert result.n_instances == len(truth)
         assert result.n_attributes == 11
+
+    def test_user_features_run_peaks_under_250_bytes_per_tweet(self, tmp_path):
+        # the twin of tests/test_graph.py::TestNetworkRunStorage: grouping
+        # every parsed tweet by author came to about 450 traced bytes per
+        # tweet here; folding each author's six counts as it is parsed, about
+        # 150, most of it the duplicate-tweet-id set that validation needs
+        spec = SyntheticSpec(users_per_party=dict.fromkeys(PARTIES, 100))
+        data = write_synthetic(spec, tmp_path / "corpus.jsonl",
+                               tmp_path / "annotations.csv")
+        n_tweets = len(data.tweets)
+        del data
+        config = RunConfig(corpus_path=str(tmp_path / "corpus.jsonl"),
+                           annotations_path=str(tmp_path / "annotations.csv"),
+                           out_dir=str(tmp_path / "out"), method="user-features",
+                           n_trees=10)
+        run(config)  # the first run's imports and caches are no run's own
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_tweets == 9000
+        assert peak / n_tweets < 250
 
 
 class TestRunFailures:
@@ -435,21 +462,23 @@ class TestRunFailures:
         assert info.value.stage == "classify"
         assert self.snapshot(out) == before
 
-    def test_failed_strict_network_run_leaves_the_earlier_run_byte_identical(
-        self, small_inputs, tmp_path
+    @pytest.mark.parametrize("method", METHODS)
+    def test_failed_strict_run_keeps_the_earlier_run(
+        self, small_inputs, tmp_path, method
     ):
-        # the graph fold has taken every tweet before the bad line when
+        # the method's fold has taken every tweet before the bad line when
         # ingest fails, so nothing of it may reach out_dir
-        out = tmp_path / "net"
-        run(base_config(small_inputs, out, method="network"))
+        out = tmp_path / method
+        settings = dict(method=method, n_trees=5, cv_k=4)
+        run(base_config(small_inputs, out, **settings))
         before = self.snapshot(out)
-        assert "graph.edges" in before and "manifest.json" in before
+        assert "report.json" in before and "manifest.json" in before
         lines = (small_inputs / "corpus.jsonl").read_bytes().splitlines(keepends=True)
         assert b'"kind":"tweet"' in lines[9]
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b"".join(lines[:10]) + b"{broken\n" + b"".join(lines[10:]))
         config = dataclasses.replace(
-            base_config(small_inputs, out, method="network", strictness="strict"),
+            base_config(small_inputs, out, strictness="strict", **settings),
             corpus_path=str(bad),
         )
         with pytest.raises(PipelineError, match=r"bad\.jsonl:11: invalid JSON") as info:
@@ -554,28 +583,46 @@ def test_report_files_are_the_rendered_result(small_inputs, tmp_path, method):
 
 class TestFeaturize:
     def test_user_features_are_sorted_by_screen_name(self, small_inputs):
-        tweets, profiles, _ = parse_corpus(small_inputs / "corpus.jsonl")
-        vectors = featurize("user-features", tweets, profiles[::-1], default_lexicon())
+        fold, profiles, _ = parse_corpus(small_inputs / "corpus.jsonl",
+                                         tweets=ProfileFold(default_lexicon()))
+        vectors = fold.vectors(profiles[::-1])
         assert list(vectors) == sorted(p.screen_name for p in profiles)
 
-    def test_network_is_not_a_featurize_method(self, small_inputs):
-        tweets, profiles, _ = parse_corpus(small_inputs / "corpus.jsonl")
-        with pytest.raises(ConfigError, match="network"):
-            featurize("network", tweets, profiles, default_lexicon())
+    def test_network_is_not_a_featurize_method(self):
+        for method in ("network", "user-features"):
+            with pytest.raises(ConfigError) as caught:
+                TermBagFold(method)
+            assert str(caught.value) == (
+                f"a term-bag fold takes text or hashtag, not {method!r}")
+
+
+def fold_of(method):
+    return ProfileFold(default_lexicon()) if method == "user-features" else TermBagFold(method)
 
 
 class TestSinglePass:
-    """Each tweet consumer reads its tweets once, so an iterator will do."""
+    """Each tweet consumer reads its tweets once: a fold as ``parse_corpus``
+    hands them over, the others from an iterator."""
 
     @pytest.fixture(scope="class")
     def tweets(self):
         return generate_corpus(SyntheticSpec()).tweets
 
-    @pytest.mark.parametrize("method", ["text", "hashtag"])
-    def test_featurize(self, tweets, method):
-        lexicon = default_lexicon()
-        assert (featurize(method, iter(tweets), [], lexicon)
-                == featurize(method, tweets, [], lexicon))
+    @pytest.mark.parametrize("method", ["text", "hashtag", "user-features"])
+    def test_featurize(self, small_inputs, method):
+        # a fold that parse_corpus fills as it reads holds what the same
+        # fold holds after taking the parsed list
+        streamed, profiles, _ = parse_corpus(small_inputs / "corpus.jsonl",
+                                             tweets=fold_of(method))
+        tweets, _, _ = parse_corpus(small_inputs / "corpus.jsonl")
+        listed = fold_of(method)
+        for tweet in tweets:
+            listed.append(tweet)
+        assert len(streamed) == len(listed) == len(tweets)
+        if method == "user-features":
+            assert streamed.vectors(profiles) == listed.vectors(profiles)
+        else:
+            assert streamed.matrix() == listed.matrix()
 
     @pytest.mark.parametrize("tz", [330, 0, -345])
     def test_analyze(self, tweets, tz):
@@ -596,5 +643,7 @@ class TestSinglePass:
         tweets = [Tweet("t0", "i0", "u0", when, "#only", ("only",))]
         tweets += [Tweet(f"t{k}", f"i{k}", f"u{k}", when, "word") for k in range(4, 0, -1)]
         tweets.append(Tweet("t5", "i0", "u0", when, "word"))
-        matrix = featurize("text", tweets, [], default_lexicon())
-        assert matrix.user_ids == ("u0", "u4", "u3", "u2", "u1")
+        fold = TermBagFold("text")
+        for tweet in tweets:
+            fold.append(tweet)
+        assert fold.matrix().user_ids == ("u0", "u4", "u3", "u2", "u1")
