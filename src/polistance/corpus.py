@@ -24,7 +24,8 @@ It hands each valid tweet, in file order, to a sink: by default a list,
 or any object with ``append`` and ``__len__`` that the caller passes, such
 as a fold that keeps only the counts it needs (``graph.InteractionFold``,
 ``pipeline.TermBagFold``, ``pipeline.ProfileFold``). So no run holds every
-tweet at once.
+tweet at once; what it keeps per tweet is ``_TweetIds``, the duplicate
+check's ledger of tweet ids.
 Each field first tries its common shape: a line that is exactly one JSON
 value, a non-empty string id, a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp, a
 name spelling that the same field accepted on an earlier line. Any other
@@ -39,6 +40,8 @@ import json
 import re
 import sys
 import unicodedata
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -406,6 +409,48 @@ def _parse_profile(obj: dict, names: _Names) -> UserProfile:
     return UserProfile(user_id, screen_name, *counts, frozenset(following), location)
 
 
+class _TweetIds:
+    """The tweet ids parsed so far, exactly; ``add`` tells a new id from a repeat.
+
+    A canonical decimal id (ASCII digits, no leading zero unless it is
+    ``"0"``, below 2**63), as every Twitter id is, is held as its int,
+    which no other canonical id shares. One above every id held so far is
+    appended to ``_ascending``, a sorted ``array('q')``: 8 bytes an id and
+    no Python object, for ids that arrive in order, as a stream's and the
+    synthetic corpora's do. Any other int stays in the ``_late`` set. Every
+    other id (``"07"``, ``"٧"``, ``"-3"``, a 21-digit id) stays a string in
+    ``_other``, and no string equals an int, so distinct ids never collide.
+    """
+
+    __slots__ = ("_ascending", "_late", "_other")
+
+    def __init__(self) -> None:
+        self._ascending = array("q")
+        self._late: set[int] = set()
+        self._other: set[str] = set()
+
+    def add(self, tweet_id: str) -> bool:
+        """Hold ``tweet_id``; False when it was held already."""
+        if (tweet_id.isascii() and tweet_id.isdigit() and len(tweet_id) <= 19
+                and (tweet_id[0] != "0" or len(tweet_id) == 1)):
+            key = int(tweet_id)
+            if key < 1 << 63:
+                ascending = self._ascending
+                if not ascending or key > ascending[-1]:
+                    ascending.append(key)
+                    return True
+                late = self._late
+                # key <= ascending[-1], so the bisect lands on an item
+                if key in late or ascending[bisect_left(ascending, key)] == key:
+                    return False
+                late.add(key)
+                return True
+        if tweet_id in self._other:
+            return False
+        self._other.add(tweet_id)
+        return True
+
+
 def parse_corpus(
     path: str | Path,
     strictness: str = "skip-malformed",
@@ -417,12 +462,14 @@ def parse_corpus(
     returned: a new list when it is None, or the caller's sink, which needs
     only ``append`` and ``__len__`` (a ``TweetSink``). The sink sees each
     tweet once and nothing else; a duplicate tweet id is caught before it
-    gets there. Every physical line is either parsed into a record or
-    counted as skipped, so ``len(tweets) + len(profiles) + skipped == line
-    count`` for an empty sink. Under ``strict``, any malformed line (bad
-    JSON, bad fields, duplicate tweet id or profile screen name) raises
-    :class:`CorpusError`, whichever the sink, once the sink has taken the
-    tweets before that line; blank lines are never an error, only skipped.
+    gets there. Tweet ids compare as the strings they are (the JSON int
+    ``7`` reads as ``"7"``; ``"07"`` is another id). Every physical line is
+    either parsed into a record or counted as skipped, so ``len(tweets) +
+    len(profiles) + skipped == line count`` for an empty sink. Under
+    ``strict``, any malformed line (bad JSON, bad fields, duplicate tweet id
+    or profile screen name) raises :class:`CorpusError`, whichever the
+    sink, once the sink has taken the tweets before that line; blank lines
+    are never an error, only skipped.
     """
     if strictness not in STRICTNESS:
         raise ValueError(f"unknown strictness {strictness!r}")
@@ -435,7 +482,7 @@ def parse_corpus(
         tweets = []
     profiles: list[UserProfile] = []
     skipped = 0
-    seen_tweet_ids: set[str] = set()
+    seen_tweet_ids = _TweetIds()
     seen_screen_names: set[str] = set()
     names = _Names()
 
@@ -468,9 +515,8 @@ def parse_corpus(
                 kind = obj.get("kind")
                 if kind == "tweet":
                     tweet = _parse_tweet(obj, names)
-                    if tweet.tweet_id in seen_tweet_ids:
+                    if not seen_tweet_ids.add(tweet.tweet_id):
                         raise _Malformed(f"duplicate tweet_id {tweet.tweet_id!r}")
-                    seen_tweet_ids.add(tweet.tweet_id)
                     tweets.append(tweet)
                 elif kind == "profile":
                     profile = _parse_profile(obj, names)

@@ -445,8 +445,8 @@ def run(config: RunConfig) -> RunResult:
 
         stage = "annotate"
         t0 = time.perf_counter()
-        annotations = read_annotations(config.annotations_path)
-        truth = _truth_map(annotations, config.dimension)
+        # the rows are dropped once resolved, not held through the later stages
+        truth = _truth_map(read_annotations(config.annotations_path), config.dimension)
         if not truth:
             raise ConfigError(
                 f"no user keeps a decided {config.dimension!r} label after "

@@ -274,7 +274,11 @@ TIMESTAMPS = [
     "0001-01-01T00:00:00+00:01", "9999-12-31T23:59:59-00:01", "", "Z", 20140401,
     None, True,
 ]
-IDS = ["1", "2", "", " ", "1 2", 1, 0, -3, 10 ** 20, True, False, 1.5, None, ["1"]]
+# the live parser's tweet-id ledger holds 7 and a 19-digit id below 2**63
+# as ints, while "07", "\u0667" (Arabic-Indic seven) and 2**63 stay strings:
+# neither of the first two may collide with 7
+IDS = ["1", "2", "", " ", "1 2", 7, "07", "\u0667", str(2 ** 63), "1234567890123456789",
+       1, 0, -3, 10 ** 20, True, False, 1.5, None, ["1"]]
 TEXTS = ["x", "", "hi #Tag @User #tag", "RT @Modi: #NaMo", "hi \ud800",
          "\U0001f600 #मोदी", 5, None]
 ENTITY_LISTS = [

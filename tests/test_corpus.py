@@ -3,7 +3,9 @@
 import builtins
 import dataclasses
 import json
+import random
 import re
+import tracemalloc
 import unicodedata
 from datetime import datetime, timedelta, timezone
 
@@ -12,8 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polistance import corpus
+from polistance.features import PARTIES
 from polistance.graph import InteractionFold, build_interaction_graph
 from polistance.pipeline import TermBagFold
+from polistance.synth import SyntheticSpec, write_synthetic
 from polistance.corpus import (
     DEFAULT_STOPWORDS,
     STRICTNESS,
@@ -690,6 +694,85 @@ class TestTweetSink:
                     ("alice", "eve"): 1.0, ("bob", "carol"): 1.0,
                     ("dave", "eve"): 1.0}
         assert pairs == (expected if weighted else dict.fromkeys(expected, 1.0))
+
+
+# canonical decimal ids, 19-digit ones among them, and a few spellings that
+# must stay strings: a leading zero, a non-ASCII digit, a sign, 2**63 and
+# more, 21 digits, an underscore or a space that int() would accept
+CANONICAL_IDS = (st.integers(0, 40) | st.integers(10 ** 18, 10 ** 18 + 40)
+                 | st.just(2 ** 63 - 1)).map(str)
+ODD_IDS = st.sampled_from(["0", "00", "07", "٧", "-3", "+3", " 3", "3_0",
+                           str(2 ** 63), "9" * 19, "1" + "0" * 20])
+
+
+@st.composite
+def id_sequences(draw):
+    """Ids in one of the orders a corpus may hold them, repeats included."""
+    ids = draw(st.lists(CANONICAL_IDS | ODD_IDS, max_size=80))
+    order = draw(st.sampled_from(["drawn", "ascending", "jittered", "shuffled",
+                                  "repeated"]))
+    if order != "drawn":
+        # numeric order for canonical ids
+        ids.sort(key=lambda tweet_id: (len(tweet_id), tweet_id))
+    if order == "jittered":
+        for i in draw(st.lists(st.integers(0, max(len(ids) - 2, 0)), max_size=20)):
+            ids[i:i + 2] = ids[i:i + 2][::-1]
+    elif order == "shuffled":
+        ids = draw(st.permutations(ids))
+    elif order == "repeated":
+        # every id again, once its first pass has put some in the late set
+        ids = ids + draw(st.permutations(ids))
+    return ids
+
+
+class TestTweetIds:
+    @settings(max_examples=300)
+    @given(ids=id_sequences())
+    # an ascending run, late ids between and beside held ones, then every id again
+    @example(ids=[str(i) for i in range(100, 180)] + [str(i) for i in range(0, 200, 17)]
+             + [str(i) for i in range(200)])
+    @example(ids=["7", "07", "٧", "0", "00", str(2 ** 63), str(2 ** 63 - 1),
+                  "07", "7", str(2 ** 63)])
+    def test_add_agrees_with_a_set(self, ids):
+        ledger, seen = corpus._TweetIds(), set()
+        for tweet_id in ids:
+            assert ledger.add(tweet_id) == (tweet_id not in seen), tweet_id
+            seen.add(tweet_id)
+
+    def test_shuffled_ids_hold_under_90_bytes_each(self):
+        # shuffled ids land almost all in the late set of ints, about 74
+        # bytes an id on Python 3.10 to 3.13, where a set of the 18-digit
+        # id strings holds 101 to 109; ids in order take about 8.5
+        ids = [str(10 ** 17 + 7 * i) for i in range(200_000)]
+        random.Random(0).shuffle(ids)
+        tracemalloc.start()
+        try:
+            ledger = corpus._TweetIds()
+            for tweet_id in ids:
+                ledger.add(tweet_id)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(ids) < 90
+
+    def test_parse_into_a_fold_peaks_under_60_bytes_per_tweet(self, tmp_path):
+        # with the duplicate check holding every id string in a set this
+        # came to about 150 traced bytes per tweet; with the ids held as
+        # ints in an array, 42 to 47 on Python 3.10 to 3.13
+        spec = SyntheticSpec(users_per_party=dict.fromkeys(PARTIES, 100))
+        path = tmp_path / "corpus.jsonl"
+        data = write_synthetic(spec, path, tmp_path / "annotations.csv")
+        n_tweets = len(data.tweets)
+        del data
+        parse_corpus(path, tweets=InteractionFold())  # imports and caches
+        tracemalloc.start()
+        try:
+            parse_corpus(path, tweets=InteractionFold())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_tweets == 9000
+        assert peak / n_tweets < 60
 
 
 TWEETS = st.builds(

@@ -552,10 +552,14 @@ class TestPlantedStorage:
 class TestNetworkRunStorage:
     """A network run folds each tweet into its graph as it is parsed."""
 
-    def test_network_run_peaks_under_250_bytes_per_tweet(self, tmp_path):
+    def test_network_run_peaks_under_100_bytes_per_tweet(self, tmp_path):
         # holding every parsed tweet until the run returned came to about
         # 440 bytes per tweet here; folding each one as it is parsed, about
-        # 150, most of it the duplicate-tweet-id set that validation needs
+        # 150, 113 of them a set of the id strings for the duplicate check;
+        # with the ids held as ints in an array and the annotation rows
+        # dropped once resolved, about 65 on Python 3.11 with numpy 2.4,
+        # set by the graph stage. The bound leaves half again for other
+        # Python and numpy versions
         spec = SyntheticSpec(users_per_party=dict.fromkeys(PARTIES, 100))
         data = write_synthetic(spec, tmp_path / "corpus.jsonl",
                                tmp_path / "annotations.csv")
@@ -572,7 +576,7 @@ class TestNetworkRunStorage:
         finally:
             tracemalloc.stop()
         assert n_tweets == 9000
-        assert peak / n_tweets < 250
+        assert peak / n_tweets < 100
 
 
 class TestExports:

@@ -386,11 +386,15 @@ class TestRunUserFeatures:
         assert result.n_instances == len(truth)
         assert result.n_attributes == 11
 
-    def test_user_features_run_peaks_under_250_bytes_per_tweet(self, tmp_path):
+    def test_user_features_run_peaks_under_120_bytes_per_tweet(self, tmp_path):
         # the twin of tests/test_graph.py::TestNetworkRunStorage: grouping
         # every parsed tweet by author came to about 450 traced bytes per
         # tweet here; folding each author's six counts as it is parsed, about
-        # 150, most of it the duplicate-tweet-id set that validation needs
+        # 150, most of it a set of the id strings for the duplicate check;
+        # with the ids held as ints in an array and the annotation rows
+        # dropped once resolved, about 78 on Python 3.11 with numpy 2.4,
+        # set by the classify stage. The bound leaves half again for other
+        # Python and numpy versions
         spec = SyntheticSpec(users_per_party=dict.fromkeys(PARTIES, 100))
         data = write_synthetic(spec, tmp_path / "corpus.jsonl",
                                tmp_path / "annotations.csv")
@@ -408,7 +412,7 @@ class TestRunUserFeatures:
         finally:
             tracemalloc.stop()
         assert n_tweets == 9000
-        assert peak / n_tweets < 250
+        assert peak / n_tweets < 120
 
 
 class TestRunFailures:
