@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "CANT_SAY",
@@ -228,7 +228,7 @@ def read_annotations(path: str | Path) -> list[Annotation]:
         raise AnnotationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _parse_annotations(path: str | Path, reader: Iterator[list[str]]) -> list[Annotation]:
+def _parse_annotations(path: str | Path, reader: Any) -> list[Annotation]:
     try:
         header = next(reader)
     except StopIteration:
@@ -239,7 +239,8 @@ def _parse_annotations(path: str | Path, reader: Iterator[list[str]]) -> list[An
         )
     seen: set[tuple[str, str]] = set()
     annotations = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the row's last line; a quoted field may span lines
         if not row:
             continue
         if len(row) != 4:

@@ -133,6 +133,8 @@ def _cmd_featurize(args):
     fold, profiles, counts = _read_corpus(
         args, ProfileFold(default_lexicon()) if vectors else TermBagFold(args.method))
     features = fold.vectors(profiles) if vectors else fold.matrix()
+    if vectors and not features:
+        raise FeatureError("no users with a profile; feature table would be empty")
     counts["users"], counts["columns"] = (
         (len(features), len(FEATURE_NAMES)) if vectors else features.shape)
     print(f"{args.method} features: {counts['users']} users x {counts['columns']}")

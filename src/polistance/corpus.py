@@ -413,24 +413,25 @@ class _TweetIds:
     """The tweet ids parsed so far, exactly; ``add`` tells a new id from a repeat.
 
     A canonical decimal id (ASCII digits, no leading zero unless it is
-    ``"0"``, below 2**63), as every Twitter id is, is held as its int,
-    which no other canonical id shares. One above every id held so far is
-    appended to ``_ascending``, a sorted ``array('q')``: 8 bytes an id and
-    no Python object, for ids that arrive in order, as a stream's and the
-    synthetic corpora's do. Any other int stays in the ``_late`` set. Every
-    other id (``"07"``, ``"٧"``, ``"-3"``, a 21-digit id) stays a string in
-    ``_other``, and no string equals an int, so distinct ids never collide.
+    ``"0"``, at most 19 digits), as every Twitter id is, is held as its
+    int, which no other canonical id shares. One below 2**63 and above
+    every id held so far is appended to ``_ascending``, a sorted
+    ``array('q')``: 8 bytes an id and no Python object, for ids that arrive
+    in order, as a stream's and the synthetic corpora's do. Any other int,
+    and every other id as its string (``"07"``, ``"٧"``, ``"-3"``, a
+    21-digit id), goes into the one ``_others`` set; no string equals an
+    int, so distinct ids never collide.
     """
 
-    __slots__ = ("_ascending", "_late", "_other")
+    __slots__ = ("_ascending", "_others")
 
     def __init__(self) -> None:
         self._ascending = array("q")
-        self._late: set[int] = set()
-        self._other: set[str] = set()
+        self._others: set[int | str] = set()
 
     def add(self, tweet_id: str) -> bool:
         """Hold ``tweet_id``; False when it was held already."""
+        key: int | str = tweet_id
         if (tweet_id.isascii() and tweet_id.isdigit() and len(tweet_id) <= 19
                 and (tweet_id[0] != "0" or len(tweet_id) == 1)):
             key = int(tweet_id)
@@ -439,15 +440,13 @@ class _TweetIds:
                 if not ascending or key > ascending[-1]:
                     ascending.append(key)
                     return True
-                late = self._late
                 # key <= ascending[-1], so the bisect lands on an item
-                if key in late or ascending[bisect_left(ascending, key)] == key:
+                if ascending[bisect_left(ascending, key)] == key:
                     return False
-                late.add(key)
-                return True
-        if tweet_id in self._other:
+        others = self._others
+        if key in others:
             return False
-        self._other.add(tweet_id)
+        others.add(key)
         return True
 
 

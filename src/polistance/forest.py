@@ -20,12 +20,14 @@ of whole nodes of at most ``_CHUNK_PAIRS`` (candidate, row) pairs, which
 bounds the search's temporary memory. A split hands its children their rows
 and class counts from the chosen cut, so no node recounts its classes.
 
-A tree's draws depend on (rng_seed, tree_index, n, d) alone, not on the
-rows' values, so within one ``cross_validate`` the splits that train on
-equally many rows replay each tree's stream (``_Stream``): the bootstrap
-and the candidate sets an earlier split drew are reused, and only sets past
-their end are drawn. Prediction walks all trees at once: their node arrays
-lie end to end, and every (tree, row) pair steps down one level per pass.
+``cross_validate`` deals every split first (``_splits``), then maps one
+function over them in order (``_split_predictions``). A tree's draws depend
+on (rng_seed, tree_index, n, d) alone, not on the rows' values, so splits
+that train on equally many rows replay each tree's stream (``_Stream``):
+the bootstrap and the candidate sets an earlier split drew are reused, and
+only sets past their end are drawn. Prediction walks all trees at once:
+their node arrays lie end to end, and every (tree, row) pair steps down one
+level per pass.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "balance_classes",
     "cross_validate",
     "predict_many",
-    "stratified_folds",
     "train_forest",
 ]
 
@@ -491,61 +492,81 @@ def balance_classes(
     if len(matrix) == 0:
         raise ForestError("no rows to balance")
 
-    by_class: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_class.setdefault(label, []).append(i)
+    by_class = _class_rows(labels)
     smallest = min(len(v) for v in by_class.values())
-
     rng = np.random.default_rng((rng_seed & _SEED_MASK, _BALANCE_STREAM))
-    keep: list[int] = []
-    for cls in sorted(by_class):
-        indices = by_class[cls]
-        if len(indices) == smallest:
-            keep.extend(indices)
-        else:
-            chosen = rng.choice(len(indices), size=smallest, replace=False)
-            keep.extend(indices[i] for i in chosen)
-    keep.sort()
+    keep = np.sort(np.concatenate([
+        indices if len(indices) == smallest
+        else indices[rng.choice(len(indices), size=smallest, replace=False)]
+        for indices in by_class.values()
+    ]))
     return matrix[keep], [labels[i] for i in keep]
 
 
-def _stratified_shuffled(
-    labels: Sequence[str],
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
+def _class_rows(labels: Sequence[str]) -> dict[str, np.ndarray]:
+    """Each class's ascending int64 row indices, in class-name order."""
     by_class: dict[str, list[int]] = {}
     for i, label in enumerate(labels):
         by_class.setdefault(label, []).append(i)
-    return {
-        cls: rng.permutation(np.array(by_class[cls], dtype=np.int64))
-        for cls in sorted(by_class)
-    }
+    return {cls: np.array(by_class[cls], dtype=np.int64) for cls in sorted(by_class)}
 
 
-def stratified_folds(
+def _splits(
     labels: Sequence[str],
     k: int,
-    rng_seed: int = 0,
-) -> list[list[int]]:
-    """Deal each class's (shuffled) rows round-robin into k folds.
+    mode: str,
+    rng_seed: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every (train, test) pair of ascending int64 row indices, in run order.
 
-    Every class must have at least k rows; per-fold class counts then
-    differ by at most one from an even split.
+    ``kfold`` deals each class's shuffled rows round-robin into k folds, so
+    per-fold class counts differ by at most one from an even split. Raises
+    ForestError for a class below k rows or a holdout with no test row.
     """
-    if k < 2:
-        raise ForestError("k must be >= 2")
-    rng = np.random.default_rng((rng_seed & _SEED_MASK, _FOLD_STREAM))
-    shuffled = _stratified_shuffled(labels, rng)
-    for cls, indices in shuffled.items():
-        if len(indices) < k:
-            raise ForestError(
-                f"class {cls!r} has {len(indices)} rows; stratified k={k} needs >= {k}"
-            )
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for indices in shuffled.values():
-        for i, row in enumerate(indices):
-            folds[i % k].append(int(row))
-    return [sorted(fold) for fold in folds]
+    by_class = _class_rows(labels)
+    seed = rng_seed & _SEED_MASK
+    if mode == "kfold":
+        rng = np.random.default_rng((seed, _FOLD_STREAM))
+        fold_of = np.empty(len(labels), dtype=np.int64)
+        for cls, indices in by_class.items():
+            if len(indices) < k:
+                raise ForestError(
+                    f"class {cls!r} has {len(indices)} rows; stratified k={k} needs >= {k}"
+                )
+            fold_of[rng.permutation(indices)] = np.arange(len(indices)) % k
+        return [(np.flatnonzero(fold_of != i), np.flatnonzero(fold_of == i))
+                for i in range(k)]
+    splits = []
+    for rep in range(k):
+        rng = np.random.default_rng((seed, _HOLDOUT_STREAM, rep))
+        in_train = np.zeros(len(labels), dtype=bool)
+        for indices in by_class.values():
+            n_cls = len(indices)
+            n_train = min(max(round(0.66 * n_cls), 1), max(n_cls - 1, 1))
+            in_train[rng.permutation(indices)[:n_train]] = True
+        if in_train.all():
+            raise ForestError("holdout split produced an empty test set")
+        splits.append((np.flatnonzero(in_train), np.flatnonzero(~in_train)))
+    return splits
+
+
+def _split_predictions(
+    matrix: np.ndarray,
+    labels: list[str],
+    split: tuple[np.ndarray, np.ndarray],
+    n_trees: int,
+    rng_seed: int,
+    streams: _StreamCache,
+) -> tuple[list[str], list[str]]:
+    """One split's test labels and their predictions, in test-row order.
+
+    The forest trains on the split's train rows; ``streams`` replays the
+    draws of an earlier split that trained on as many rows.
+    """
+    train_idx, test_idx = split
+    forest = train_forest(matrix[train_idx], [labels[i] for i in train_idx],
+                          n_trees, rng_seed, streams=streams)
+    return [labels[i] for i in test_idx], predict_many(forest, matrix[test_idx])
 
 
 def cross_validate(
@@ -561,14 +582,16 @@ def cross_validate(
     ``kfold`` deals each class round-robin into k stratified folds (every
     class needs >= k rows) and tests each fold once. The
     ``repeated-holdout-66/34`` mode draws k independent stratified splits
-    with 66% of each class for training. Either way the per-split
-    confusion matrices are summed before computing metrics, so the
-    reported accuracy is the fraction of all test predictions that were
-    correct. The one ``rng_seed`` seeds the folds or holdout splits and
-    every forest's trees. Splits that train on equally many rows share
-    each tree's stream: a later one replays the bootstrap and candidate
-    sets an earlier one drew, so every forest is the one ``train_forest``
-    would grow alone, and only draws past the earlier ones are made.
+    with 66% of each class for training. Every split is dealt before the
+    first tree is grown, so one that cannot be dealt fails first. Then each
+    split's forest predicts its test rows, in split order, and the per-split
+    confusion matrices are summed before computing metrics, so the reported
+    accuracy is the fraction of all test predictions that were correct. The
+    one ``rng_seed`` seeds the folds or holdout splits and every forest's
+    trees. Splits that train on equally many rows share each tree's stream:
+    a later one replays the bootstrap and candidate sets an earlier one
+    drew, so every forest is the one ``train_forest`` would grow alone, and
+    only draws past the earlier ones are made.
     """
     matrix = _as_matrix(rows)
     if len(labels) != len(matrix):
@@ -579,41 +602,9 @@ def cross_validate(
         raise ForestError(f"mode must be one of {CV_MODES}, got {mode!r}")
 
     labels = list(labels)
-    truth: list[str] = []
-    predicted: list[str] = []
-
     streams = _StreamCache()
-
-    def run_split(train_idx: np.ndarray, test_idx: np.ndarray) -> None:
-        forest = train_forest(
-            matrix[train_idx], [labels[i] for i in train_idx], n_trees, rng_seed,
-            streams=streams,
-        )
-        truth.extend(labels[i] for i in test_idx)
-        predicted.extend(predict_many(forest, matrix[test_idx]))
-
-    if mode == "kfold":
-        for fold in stratified_folds(labels, k, rng_seed):
-            test_idx = np.array(fold, dtype=np.int64)
-            in_test = np.zeros(len(matrix), dtype=bool)
-            in_test[test_idx] = True
-            train_idx = np.flatnonzero(~in_test)
-            run_split(train_idx, test_idx)
-    else:
-        for rep in range(k):
-            rng = np.random.default_rng((rng_seed & _SEED_MASK, _HOLDOUT_STREAM, rep))
-            shuffled = _stratified_shuffled(labels, rng)
-            train: list[int] = []
-            test: list[int] = []
-            for indices in shuffled.values():
-                n_cls = len(indices)
-                n_train = min(max(round(0.66 * n_cls), 1), max(n_cls - 1, 1))
-                train.extend(int(i) for i in indices[:n_train])
-                test.extend(int(i) for i in indices[n_train:])
-            if not test:
-                raise ForestError("holdout split produced an empty test set")
-            run_split(np.array(sorted(train), dtype=np.int64),
-                      np.array(sorted(test), dtype=np.int64))
-
+    results = [_split_predictions(matrix, labels, split, n_trees, rng_seed, streams)
+               for split in _splits(labels, k, mode, rng_seed)]
+    truth = [label for split_truth, _ in results for label in split_truth]
+    predicted = [label for _, split_predicted in results for label in split_predicted]
     return eval_metrics(*confusion_from_pairs(truth, predicted, sorted(set(labels))))
-

@@ -301,6 +301,17 @@ class TestCsv:
         with pytest.raises(AnnotationError, match=":3:"):
             read_annotations(path)
 
+    def test_line_number_counts_a_quoted_newline(self, tmp_path):
+        # the first record spans lines 2 and 3, so the bad row is on line 4
+        path = tmp_path / "ml.csv"
+        path.write_text(
+            'user_id,annotator_id,pro,anti\n"a\nb",a1,AAP,BJP\nc,a1,XXX,BJP\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(AnnotationError) as caught:
+            read_annotations(path)
+        assert str(caught.value) == f"{path}:4: unknown pro label 'XXX'"
+
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text(

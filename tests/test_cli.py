@@ -502,6 +502,21 @@ class TestFeaturize:
         assert "data error" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_user_features_without_profiles_exits_3_without_out_dir(self, tmp_path,
+                                                                    capsys):
+        # a tweet but no profile row, so the feature table would be empty
+        corpus = tmp_path / "tweets.jsonl"
+        corpus.write_text(json.dumps({
+            "kind": "tweet", "tweet_id": "1", "author_id": "2",
+            "author_screen_name": "a", "created_at": "2014-04-01T00:00:00Z",
+            "text": "vote bjp",
+        }) + "\n")
+        out_dir = tmp_path / "feat"
+        assert main(["featurize", str(corpus), "--method", "user-features",
+                     "--out", str(out_dir)]) == 3
+        assert "no users with a profile" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_user_features_csv(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "feat"
         code = main([

@@ -740,7 +740,7 @@ class TestTweetIds:
             seen.add(tweet_id)
 
     def test_shuffled_ids_hold_under_90_bytes_each(self):
-        # shuffled ids land almost all in the late set of ints, about 74
+        # shuffled ids land almost all in the fallback set as ints, about 74
         # bytes an id on Python 3.10 to 3.13, where a set of the 18-digit
         # id strings holds 101 to 109; ids in order take about 8.5
         ids = [str(10 ** 17 + 7 * i) for i in range(200_000)]

@@ -7,20 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forest_reference
 from forest_dump import forest_digest, forest_to_dict
 from polistance import forest
 from polistance.forest import (
+    CV_MODES,
     Forest,
     ForestError,
     Tree,
     _best_splits,
     _dense_ranks,
+    _split_predictions,
+    _splits,
+    _StreamCache,
     balance_classes,
     cross_validate,
     predict_many,
-    stratified_folds,
     train_forest,
 )
+from polistance.metrics import confusion_from_pairs
 
 
 # Heavy ties: few distinct values. 1 + 2**-52 and 1 + 2**-51 are adjacent
@@ -337,7 +342,7 @@ class TestBalance:
 class TestStratifiedFolds:
     def test_proportions_deviate_below_one_item(self):
         labels = ["A"] * 47 + ["B"] * 23 + ["C"] * 10
-        folds = stratified_folds(labels, k=10, rng_seed=0)
+        folds = [test for _, test in _splits(labels, 10, "kfold", 0)]
         assert sorted(i for fold in folds for i in fold) == list(range(80))
         for fold in folds:
             counts = Counter(labels[i] for i in fold)
@@ -346,7 +351,72 @@ class TestStratifiedFolds:
 
     def test_small_class_rejected(self):
         with pytest.raises(ForestError):
-            stratified_folds(["A"] * 20 + ["B"] * 3, k=10)
+            _splits(["A"] * 20 + ["B"] * 3, 10, "kfold", 0)
+
+
+def dealt_by_reference(labels, k, mode, rng_seed):
+    """The frozen dealing's splits, or the ForestError message it raises."""
+    deal = (forest_reference.kfold_splits if mode == "kfold"
+            else forest_reference.holdout_splits)
+    try:
+        return deal(labels, k, rng_seed)
+    except ForestError as exc:
+        return str(exc)
+
+
+class TestSplits:
+    """``_splits`` deals the rows the frozen dealing in forest_reference did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.lists(st.sampled_from(["AAP", "BJP", "CONG", "x"]),
+                           min_size=1, max_size=40),
+           k=st.integers(2, 7),
+           mode=st.sampled_from(CV_MODES),
+           rng_seed=st.integers(-(2 ** 65), 2 ** 65))
+    def test_matches_the_frozen_dealing(self, labels, k, mode, rng_seed):
+        expected = dealt_by_reference(labels, k, mode, rng_seed)
+        if isinstance(expected, str):
+            with pytest.raises(ForestError) as raised:
+                _splits(labels, k, mode, rng_seed)
+            assert str(raised.value) == expected
+            return
+        splits = _splits(labels, k, mode, rng_seed)
+        assert [(train.tolist(), test.tolist()) for train, test in splits] == expected
+        for train, test in splits:
+            assert train.dtype == test.dtype == np.int64
+            assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+            assert not set(train.tolist()) & set(test.tolist())
+            assert sorted(train.tolist() + test.tolist()) == list(range(len(labels)))
+
+    @pytest.mark.parametrize("mode", CV_MODES)
+    def test_pooled_confusion_is_the_sum_of_the_splits(self, mode):
+        rows = noisy_rows(33, 4, 8)
+        labels = ["A", "B", "C"] * 11
+        classes = ["A", "B", "C"]
+        streams = _StreamCache()
+        per_split = [
+            confusion_from_pairs(*_split_predictions(rows, labels, split, 6, 2, streams),
+                                 classes)[0]
+            for split in _splits(labels, 3, mode, 2)
+        ]
+        report = cross_validate(rows, labels, n_trees=6, k=3, mode=mode, rng_seed=2)
+        assert len(per_split) == 3
+        assert report.confusion == tuple(map(tuple, sum(per_split).tolist()))
+
+    @pytest.mark.parametrize("labels, mode, message", [
+        (["A"] * 6 + ["B"], "kfold", "class 'B' has 1 rows; stratified k=2 needs >= 2"),
+        (["A", "B", "C"], "repeated-holdout-66/34",
+         "holdout split produced an empty test set"),
+    ], ids=["class_below_k", "all_singleton_holdout"])
+    def test_dealing_fails_before_any_tree_grows(self, monkeypatch, labels, mode,
+                                                 message):
+        def fail(*args, **kwargs):
+            raise AssertionError("a tree was grown before the splits were dealt")
+
+        monkeypatch.setattr(forest, "train_forest", fail)
+        with pytest.raises(ForestError, match=f"^{message}$"):
+            cross_validate(noisy_rows(len(labels), 2, 0), labels, n_trees=2, k=2,
+                           mode=mode)
 
 
 class TestCrossValidate:
