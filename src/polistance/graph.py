@@ -16,10 +16,12 @@ stable, because moves elsewhere change community totals; so after the
 move/aggregate cycle converges, the cycle restarts from the original
 nodes, all queued, until such a pass moves none. That last pass visited
 every node without a move, which makes the final partition stable under
-every single-node move. Each level holds each undirected edge once; the
-two directions that the local move walks exist only as per-node tuples,
-and on a level whose every weight is 1 (the base level of an unweighted
-graph) nodes of one degree share one weight tuple.
+every single-node move. Each level holds each undirected edge once, and
+the base level holds the graph's own arrays. The two directions that the
+local move walks exist only as one flat run of neighbor ids per level,
+every node's neighbors end to end with an offset per node, and a level
+whose every weight is 1 (the base level of an unweighted graph) holds no
+weights for them.
 
 Detected communities are labeled with the plurality party among their
 known members (seed accounts or annotated users); ties, communities with
@@ -31,9 +33,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +61,8 @@ _SEED_MASK = (1 << 64) - 1
 _LOUVAIN_STREAM = 5015
 _GAIN_EPS = 1e-12
 _CHUNK = 1 << 16
+# the weight of every edge on a level whose weights are all 1
+_UNIT = repeat(1.0)
 # a community below this share of all nodes is too small to name a party
 _MIN_SIZE_FRACTION = 0.0005
 
@@ -230,14 +234,15 @@ def _sum_duplicates(
     (smaller id, larger id), sorted, with its summed weight.
 
     Pairs already in that shape, as at the base level of every built
-    graph, skip the sort. Otherwise each temporary is released before the
-    next is made, as this sort on the first aggregate, while the base
-    neighbor tuples are held, comes close to a Louvain run's peak memory.
+    graph, are returned as they are, not copied. Otherwise each temporary
+    is released before the next is made.
     """
+    steps = np.diff(a)
+    if np.all(a < b) and np.all((steps > 0) | ((steps == 0) & (np.diff(b) > 0))):
+        return a, b, weights
+    del steps
     heads, tails = np.minimum(a, b), np.maximum(a, b)
     keys = heads.astype(np.int64) * n + tails
-    if np.all(keys[1:] > keys[:-1]):
-        return heads, tails, weights
     del heads, tails
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -248,21 +253,6 @@ def _sum_duplicates(
     keys = keys[starts]
     del starts
     return (keys // n).astype(np.int32), (keys % n).astype(np.int32), weights
-
-
-def _shared(values: np.ndarray) -> Iterator:
-    """The values as Python objects, one object per distinct value.
-
-    A plain ``tolist()`` would allocate one object per entry; converting
-    in chunks also bounds the transient ones.
-    """
-    # return_counts keeps np.unique on its sort path; its hash path
-    # imports numpy.ma, about 1 MiB more memory
-    distinct = np.unique(values, return_counts=True)[0]
-    pool = distinct.tolist()
-    for start in range(0, values.size, _CHUNK):
-        positions = np.searchsorted(distinct, values[start:start + _CHUNK])
-        yield from map(pool.__getitem__, positions.tolist())
 
 
 @dataclass(frozen=True)
@@ -297,25 +287,45 @@ class _Level:
     def n(self) -> int:
         return self.loops.size
 
-    def neighbor_lists(self) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]]]:
-        """Per-node neighbor ids, ascending, and edge weights, for ``_move_nodes``.
+    def neighbor_lists(self) -> tuple[array, array, array | None]:
+        """Every node's neighbor ids, ascending, end to end, for ``_move_nodes``.
 
-        Both directions exist only while the tuples are built. Sorting the
-        rows ``tails + heads`` stably puts each node's smaller neighbors,
-        already ascending, before its larger ones. On a level whose every
-        weight is 1, nodes of one degree share one weight tuple.
+        Returns ``(adj, starts, weights)``: node ``v``'s neighbors are
+        ``adj[starts[v]:starts[v + 1]]``, first its smaller ones (the heads
+        of the edges whose tail it is), then its larger ones (its own run
+        of ``tails``). ``weights`` holds their edge weights in the same
+        order, or is None when every weight is 1. Both directions exist
+        only here, filled in place through numpy views with int32
+        positions, so no Python int is made per entry.
         """
-        rows = np.r_[self.tails, self.heads]
-        order = np.argsort(rows, kind="stable")
-        degrees = np.bincount(rows, minlength=self.n).tolist()
-        del rows
-        ids = _shared(np.r_[self.heads, self.tails][order])
-        neighbors = [tuple(islice(ids, d)) for d in degrees]
-        if np.all(self.weights == 1.0):
-            ones = {d: (1.0,) * d for d in set(degrees)}
-            return neighbors, [ones[d] for d in degrees]
-        weights = _shared(np.r_[self.weights, self.weights][order])
-        return neighbors, [tuple(islice(weights, d)) for d in degrees]
+        n, m = self.n, self.heads.size
+        index = np.int32 if 2 * m <= np.iinfo(np.int32).max else np.int64
+        below = np.bincount(self.tails, minlength=n)
+        above = np.bincount(self.heads, minlength=n)
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(below + above, out=starts[1:])
+        # edge i sits after the i larger neighbors before it and every
+        # smaller neighbor of the nodes up to its head
+        larger = np.arange(m, dtype=index)
+        larger += np.cumsum(below).astype(index)[self.heads]
+        # the j-th edge by tail sits after the j smaller neighbors before it
+        # and every larger neighbor of the nodes before its tail
+        order = np.argsort(self.tails, kind="stable").astype(index)
+        smaller = np.arange(m, dtype=index)
+        smaller += (np.cumsum(above) - above).astype(index)[self.tails[order]]
+        del below, above
+        adj = array("i", [0]) * (2 * m)
+        view = np.frombuffer(adj, dtype=np.intc)
+        view[larger] = self.tails
+        view[smaller] = self.heads[order]
+        weights = None
+        if not np.all(self.weights == 1.0):
+            weights = array("d", [0.0]) * (2 * m)
+            view = np.frombuffer(weights, dtype=np.float64)
+            view[larger] = self.weights
+            view[smaller] = self.weights[order]
+        del view
+        return adj, array("q", starts.tobytes()), weights
 
     def aggregate(self, community: np.ndarray) -> "_Level":
         """Collapse dense community ids into supernodes."""
@@ -340,8 +350,9 @@ class _Level:
 
 
 def _move_nodes(
-    neighbors: list[tuple[int, ...]],
-    weights: list[tuple[float, ...]],
+    adj: array,
+    starts: array,
+    weights: array | None,
     strength: list[float],
     total_weight: float,
     community: list[int],
@@ -349,12 +360,15 @@ def _move_nodes(
 ) -> bool:
     """Greedy single-node moves driven by a queue; True if anything moved.
 
-    Every node starts queued, in ``order``. A node moves to the neighboring
-    community with the best modularity gain; ties keep the current
-    community, then prefer the smallest community id, which pins the
-    outcome for a fixed visit order. When a node moves, its neighbors
-    outside its new community are queued again (if not queued already), so
-    the loop ends when a visit of every queued node moves nothing.
+    ``adj``, ``starts`` and ``weights`` are a level's ``neighbor_lists``;
+    each visit slices its node's run, so neighbors are summed in the same
+    order on every visit. Every node starts queued, in ``order``. A node
+    moves to the neighboring community with the best modularity gain;
+    ties keep the current community, then prefer the smallest community
+    id, which pins the outcome for a fixed visit order. When a node moves,
+    its neighbors outside its new community are queued again (if not
+    queued already), so the loop ends when a visit of every queued node
+    moves nothing.
     """
     n = len(community)
     sigma = [0.0] * n
@@ -371,8 +385,10 @@ def _move_nodes(
         queued[node] = False
         home = community[node]
         touched = []
-        node_neighbors = neighbors[node]
-        for neighbor, w in zip(node_neighbors, weights[node]):
+        lo, hi = starts[node], starts[node + 1]
+        node_neighbors = adj[lo:hi]
+        node_weights = _UNIT if weights is None else weights[lo:hi]
+        for neighbor, w in zip(node_neighbors, node_weights):
             c = community[neighbor]
             if links[c] == 0.0:
                 touched.append(c)  # repeats are harmless
@@ -412,12 +428,12 @@ def _communities(base: _Level, total: float, rng: np.random.Generator) -> np.nda
     base nodes, which starts with every node queued, moves none; so the
     result is stable under every single-node move.
     """
-    base_neighbors, base_weights = base.neighbor_lists()
+    base_neighbors = base.neighbor_lists()
     base_strength = base.strength.tolist()
     membership = np.arange(base.n, dtype=np.int32)
     while True:
         community = membership.tolist()
-        moved = _move_nodes(base_neighbors, base_weights, base_strength, total,
+        moved = _move_nodes(*base_neighbors, base_strength, total,
                             community, rng.permutation(base.n).tolist())
         membership = _dense(community)
         if not moved:

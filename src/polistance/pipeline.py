@@ -39,6 +39,7 @@ from .corpus import (
 )
 from .features import (
     PARTIES,
+    FeatureError,
     FeatureMatrix,
     PartyLexicon,
     build_hashtag_matrix,
@@ -481,14 +482,14 @@ def run(config: RunConfig) -> RunResult:
                 labelled = [p for p in profiles if p.screen_name in truth]
                 vectors = sink.vectors(labelled)
                 if not vectors:
-                    raise ConfigError("no profiled user carries a label")
+                    raise FeatureError("no profiled user carries a label")
                 rows = np.array(list(vectors.values()), dtype=np.float64)
                 labels = [truth[name] for name in vectors]
             else:
                 matrix = sink.matrix()
                 rows, labels = _rows_for_users(matrix, truth)
                 if len(labels) == 0:
-                    raise ConfigError("no matrix user carries a label")
+                    raise FeatureError("no matrix user carries a label")
             n_attributes = rows.shape[1]
             timings.append(("featurize", time.perf_counter() - t0))
 

@@ -322,6 +322,28 @@ class TestExitCodes:
                 "list of strings") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method, message", [
+        ("text", "no matrix user carries a label"),
+        ("user-features", "no profiled user carries a label"),
+    ])
+    def test_classify_with_no_labelled_user_is_data_error(
+            self, method, message, tmp_path, workspace, capsys):
+        # the annotations name only a user the corpus does not hold, so the
+        # table to classify is empty: bad data, as under featurize
+        annotations = tmp_path / "nobody.csv"
+        annotations.write_text("user_id,annotator_id,pro,anti\n"
+                               "nobody,a1,AAP,BJP\nnobody,a2,AAP,BJP\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": str(annotations),
+            "out_dir": str(tmp_path / "out"),
+            "method": method, "n_trees": 5, "cv_k": 2,
+        }))
+        assert main(["classify", "--config", str(config)]) == 3
+        assert f"error: [featurize] {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("fault, code, message", [
         (ZeroDivisionError("division by zero"), 4,
          "internal error: [classify] ZeroDivisionError('division by zero')"),
