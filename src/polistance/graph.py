@@ -296,7 +296,8 @@ class _Level:
         of ``tails``). ``weights`` holds their edge weights in the same
         order, or is None when every weight is 1. Both directions exist
         only here, filled in place through numpy views with int32
-        positions, so no Python int is made per entry.
+        positions (int64 past 2**31 entries), so no Python int is made per
+        entry.
         """
         n, m = self.n, self.heads.size
         index = np.int32 if 2 * m <= np.iinfo(np.int32).max else np.int64
@@ -313,7 +314,6 @@ class _Level:
         order = np.argsort(self.tails, kind="stable").astype(index)
         smaller = np.arange(m, dtype=index)
         smaller += (np.cumsum(above) - above).astype(index)[self.tails[order]]
-        del below, above
         adj = array("i", [0]) * (2 * m)
         view = np.frombuffer(adj, dtype=np.intc)
         view[larger] = self.tails
@@ -324,7 +324,6 @@ class _Level:
             view = np.frombuffer(weights, dtype=np.float64)
             view[larger] = self.weights
             view[smaller] = self.weights[order]
-        del view
         return adj, array("q", starts.tobytes()), weights
 
     def aggregate(self, community: np.ndarray) -> "_Level":

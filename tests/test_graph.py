@@ -629,14 +629,14 @@ class TestPlantedStorage:
     def test_louvain_peaks_under_80_bytes_per_edge(self):
         # per-node tuples of neighbor ids and shared unit weights came to
         # about 162 bytes per edge here; one flat int32 run of neighbors per
-        # level, with the base level sharing the graph's arrays, about 47 on
+        # level, with the base level sharing the graph's arrays, about 46 on
         # Python 3.11 with numpy 2.4
         assert self.louvain_peak_per_edge(self.build()) < 80
 
     def test_weighted_louvain_peaks_under_120_bytes_per_edge(self):
         # per-node tuples of neighbors and of weights came to about 232
         # bytes per edge here; flat runs of int32 ids and float64 weights,
-        # about 62 on Python 3.11 with numpy 2.4
+        # about 61 on Python 3.11 with numpy 2.4
         g = planted(1, (100,) * 50, 0.1, 4e-4, weighted=True)[0]
         assert self.louvain_peak_per_edge(g) < 120
 
