@@ -554,8 +554,10 @@ _json_float = _CANONICAL_ENCODER.encode
 
 
 def _tweet_line(tweet: Tweet) -> str:
-    """``canonical_dumps(tweet_record(tweet)) + "\n"``, written in sorted key
-    order directly: no record dict is built and no keys are sorted."""
+    """A tweet's canonical record as one ``write_corpus`` line, written in
+    sorted key order directly: no record dict is built and no keys are
+    sorted. ``tests/corpus_reference.py`` keeps the record as a dict, whose
+    ``canonical_dumps`` plus a newline must equal this line."""
     geo = tweet.geo
     retweet_of = tweet.retweet_of
     return "".join((
@@ -570,26 +572,6 @@ def _tweet_line(tweet: Tweet) -> str:
         '"text":', _json_str(tweet.text),
         ',"tweet_id":', _json_str(tweet.tweet_id), "}\n",
     ))
-
-
-def tweet_record(tweet: Tweet) -> dict:
-    """The canonical record of a tweet, whose ``canonical_dumps`` is its
-    line in ``write_corpus``."""
-    record = {
-        "kind": "tweet",
-        "tweet_id": tweet.tweet_id,
-        "author_id": tweet.author_id,
-        "author_screen_name": tweet.author_screen_name,
-        "created_at": format_timestamp(tweet.created_at),
-        "text": tweet.text,
-        "hashtags": list(tweet.hashtags),
-        "mentions": list(tweet.mentions),
-    }
-    if tweet.retweet_of is not None:
-        record["retweet_of"] = tweet.retweet_of
-    if tweet.geo is not None:
-        record["geo"] = {"lat": tweet.geo[0], "lon": tweet.geo[1]}
-    return record
 
 
 def profile_record(profile: UserProfile) -> dict:

@@ -8,7 +8,7 @@ no tree's draws depend on another's. All ties break the same way every
 run: equal-gain splits prefer the lowest attribute index and threshold,
 and equal vote counts prefer the lexicographically smallest class name.
 
-Training is single-threaded and grows all trees of a forest in lockstep.
+One forest trains on one thread and grows all its trees in lockstep.
 Step k pops the k-th node of every tree's depth-first stack (left child
 before right). The leaf test and the draw of a node's candidate features
 stay per node, on the node's own tree's generator, so every tree makes
@@ -21,18 +21,26 @@ bounds the search's temporary memory. A split hands its children their rows
 and class counts from the chosen cut, so no node recounts its classes.
 
 ``cross_validate`` deals every split first (``_splits``), then maps one
-function over them in order (``_split_predictions``). A tree's draws depend
-on (rng_seed, tree_index, n, d) alone, not on the rows' values, so splits
-that train on equally many rows replay each tree's stream (``_Stream``):
-the bootstrap and the candidate sets an earlier split drew are reused, and
-only sets past their end are drawn. Prediction walks all trees at once:
-their node arrays lie end to end, and every (tree, row) pair steps down one
-level per pass.
+function over them (``_split_predictions``): in forked worker processes,
+one per CPU this process may run on, or in-process on one CPU. A tree's
+draws depend on (rng_seed, tree_index, n, d) alone, not on the rows'
+values, so splits that train on equally many rows replay each tree's
+stream (``_Stream``): the bootstrap and the candidate sets an earlier split
+drew are reused, and only sets past their end are drawn. Each worker takes
+one contiguous block of splits and replays within it, and the results are
+joined in split order, so every forest and report is the same for any
+worker count.
+
+Prediction walks all trees at once: their node arrays lie end to end, and
+every (tree, row) pair steps down one level per pass.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -252,8 +260,9 @@ class _Stream:
 class _StreamCache:
     """The trees' streams for the one (rng_seed, n, d) last asked for.
 
-    ``cross_validate`` shares one cache across its splits, so folds of equal
-    training size replay each tree's draws. A new key drops the old streams.
+    ``cross_validate`` shares one cache across each block of splits it runs
+    in one process, so folds of equal training size replay each tree's
+    draws. A new key drops the old streams.
     """
 
     def __init__(self) -> None:
@@ -569,6 +578,77 @@ def _split_predictions(
     return [labels[i] for i in test_idx], predict_many(forest, matrix[test_idx])
 
 
+def _block_predictions(
+    matrix: np.ndarray,
+    labels: list[str],
+    splits: list[tuple[np.ndarray, np.ndarray]],
+    n_trees: int,
+    rng_seed: int,
+    block: Sequence[int],
+) -> list[tuple[list[str], list[str]]]:
+    """``_split_predictions`` of the splits in ``block``, in its order, on
+    one stream cache."""
+    streams = _StreamCache()
+    return [_split_predictions(matrix, labels, splits[i], n_trees, rng_seed, streams)
+            for i in block]
+
+
+def _worker_count(n_splits: int) -> int:
+    """Processes to run n_splits splits in: one per CPU this process may run
+    on, at most one a split. 1 means in-process, as where fork or CPU
+    affinity is missing; in a daemonic process, which may have no children;
+    and in a process with other threads, since a forked child gets only the
+    calling thread, and a lock another thread held stays held there."""
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_splits)
+
+
+# a worker's (matrix, labels, splits, n_trees, rng_seed), inherited at fork
+_inherited: tuple = ()
+
+
+def _inherit(*state) -> None:
+    global _inherited
+    _inherited = state
+
+
+def _inherited_block(block: list[int]) -> list[tuple[list[str], list[str]]]:
+    return _block_predictions(*_inherited, block)
+
+
+def _pooled_predictions(
+    matrix: np.ndarray,
+    labels: list[str],
+    splits: list[tuple[np.ndarray, np.ndarray]],
+    n_trees: int,
+    rng_seed: int,
+    workers: int,
+) -> list[tuple[list[str], list[str]]]:
+    """Every split's ``_split_predictions``, in split order, from ``workers``
+    forked processes that inherit the inputs rather than receive them.
+
+    Each worker takes one contiguous block of splits. Training sizes never
+    fall along the split order (a kfold deal gives each class's fold i at
+    least as many rows as fold i + 1; holdout splits are all one size), so a
+    block holds neighbouring sizes and its own stream cache replays draws as
+    the in-process loop does. Every worker has ended when this returns or
+    raises; a worker that dies raises ``BrokenProcessPool`` here.
+    """
+    # imported here, as only a run with workers needs it: at module level
+    # it would add about 5 ms to every command's start
+    from concurrent.futures import ProcessPoolExecutor
+
+    blocks = [block.tolist() for block in np.array_split(np.arange(len(splits)), workers)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit,
+                             initargs=(matrix, labels, splits, n_trees, rng_seed)) as pool:
+        return [result for block in pool.map(_inherited_block, blocks) for result in block]
+
+
 def cross_validate(
     rows,
     labels: Sequence[str],
@@ -584,14 +664,20 @@ def cross_validate(
     ``repeated-holdout-66/34`` mode draws k independent stratified splits
     with 66% of each class for training. Every split is dealt before the
     first tree is grown, so one that cannot be dealt fails first. Then each
-    split's forest predicts its test rows, in split order, and the per-split
-    confusion matrices are summed before computing metrics, so the reported
-    accuracy is the fraction of all test predictions that were correct. The
-    one ``rng_seed`` seeds the folds or holdout splits and every forest's
-    trees. Splits that train on equally many rows share each tree's stream:
-    a later one replays the bootstrap and candidate sets an earlier one
-    drew, so every forest is the one ``train_forest`` would grow alone, and
-    only draws past the earlier ones are made.
+    split's forest predicts its test rows, and the per-split confusion
+    matrices are summed in split order before computing metrics, so the
+    reported accuracy is the fraction of all test predictions that were
+    correct. The one ``rng_seed`` seeds the folds or holdout splits and
+    every forest's trees. Splits that train on equally many rows share each
+    tree's stream: a later one replays the bootstrap and candidate sets an
+    earlier one drew, so every forest is the one ``train_forest`` would
+    grow alone, and only draws past the earlier ones are made.
+
+    The splits run in forked worker processes, one per CPU in this
+    process's affinity mask and at most one a split, or in split order in
+    this process when that is one CPU. No worker outlives the call, and an
+    error raised in one reaches the caller unchanged. The report is the
+    same for any worker count.
     """
     matrix = _as_matrix(rows)
     if len(labels) != len(matrix):
@@ -602,9 +688,13 @@ def cross_validate(
         raise ForestError(f"mode must be one of {CV_MODES}, got {mode!r}")
 
     labels = list(labels)
-    streams = _StreamCache()
-    results = [_split_predictions(matrix, labels, split, n_trees, rng_seed, streams)
-               for split in _splits(labels, k, mode, rng_seed)]
+    splits = _splits(labels, k, mode, rng_seed)
+    workers = _worker_count(len(splits))
+    if workers > 1:
+        results = _pooled_predictions(matrix, labels, splits, n_trees, rng_seed, workers)
+    else:
+        results = _block_predictions(matrix, labels, splits, n_trees, rng_seed,
+                                     range(len(splits)))
     truth = [label for split_truth, _ in results for label in split_truth]
     predicted = [label for _, split_predicted in results for label in split_predicted]
     return eval_metrics(*confusion_from_pairs(truth, predicted, sorted(set(labels))))

@@ -4,9 +4,11 @@ The differential oracle (``tests/test_corpus_oracle.py``) runs the live
 parser and this reference on the same files and requires the same
 outcome: the same records, the same skip count, or the same error text.
 The per-field checks below are deliberately the slow, obvious ones; do
-not speed them up. The module imports only the standard library and the
-record types, so ``check_fixed_cases`` runs under any supported Python
-without numpy, pytest or hypothesis:
+not speed them up. ``tweet_record`` keeps a tweet's canonical record as a
+dict, the reference for the line that ``write_corpus`` writes without
+building one. The module imports only the standard library and
+``polistance.corpus``, so ``check_fixed_cases`` runs under any supported
+Python without numpy, pytest or hypothesis:
 
     PYTHONPATH=src:tests python -c "import corpus_reference as r; r.check_fixed_cases()"
 """
@@ -20,7 +22,13 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
-from polistance.corpus import CorpusError, Tweet, UserProfile, parse_corpus
+from polistance.corpus import (
+    CorpusError,
+    Tweet,
+    UserProfile,
+    format_timestamp,
+    parse_corpus,
+)
 
 STRICTNESS = ("skip-malformed", "strict")
 
@@ -239,6 +247,26 @@ def reference_parse_corpus(path, strictness="skip-malformed"):
                 skipped += 1
 
     return tweets, profiles, skipped
+
+
+def tweet_record(tweet: Tweet) -> dict:
+    """The canonical record of a tweet, whose ``canonical_dumps`` is its
+    line in ``write_corpus``."""
+    record = {
+        "kind": "tweet",
+        "tweet_id": tweet.tweet_id,
+        "author_id": tweet.author_id,
+        "author_screen_name": tweet.author_screen_name,
+        "created_at": format_timestamp(tweet.created_at),
+        "text": tweet.text,
+        "hashtags": list(tweet.hashtags),
+        "mentions": list(tweet.mentions),
+    }
+    if tweet.retweet_of is not None:
+        record["retweet_of"] = tweet.retweet_of
+    if tweet.geo is not None:
+        record["geo"] = {"lat": tweet.geo[0], "lon": tweet.geo[1]}
+    return record
 
 
 # -- what the oracle compares -------------------------------------------------

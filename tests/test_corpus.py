@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpus_reference
 from polistance import corpus
 from polistance.features import PARTIES
 from polistance.graph import InteractionFold, build_interaction_graph
@@ -802,7 +803,7 @@ class TestWriteCorpus:
         path = tmp_path_factory.getbasetemp() / "written.jsonl"
         write_corpus(path, tweets)
         assert path.read_text(encoding="utf-8") == "".join(
-            canonical_dumps(corpus.tweet_record(t)) + "\n" for t in tweets)
+            canonical_dumps(corpus_reference.tweet_record(t)) + "\n" for t in tweets)
 
 
 class TestRoundTrip:

@@ -1,6 +1,10 @@
 """Tests for forest training, prediction, balancing, and cross-validation."""
 
+import multiprocessing
+import os
+import threading
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -588,6 +592,13 @@ def noisy_rows(n_rows, d, rng_seed):
 UNEVEN_LABELS = ["A", "B"] * 10 + ["A"]
 
 
+def set_workers(monkeypatch, workers):
+    """Run cross_validate's splits in ``workers`` forked processes, at most
+    one a split. 1 runs them in this process, in split order, as on one
+    CPU, so that what a test records of them stays in this process."""
+    monkeypatch.setattr(forest, "_worker_count", lambda n_splits: min(workers, n_splits))
+
+
 class TestStreamReplay:
     """Forests that share drawn streams equal forests grown alone."""
 
@@ -602,6 +613,7 @@ class TestStreamReplay:
             return result
 
         with monkeypatch.context() as patch:
+            set_workers(patch, 1)
             patch.setattr(forest, "train_forest", recording)
             cross_validate(rows, labels, **kwargs)
         return grown
@@ -643,6 +655,7 @@ class TestStreamReplay:
             seeds.append(seed)
             return default_rng(seed)
 
+        set_workers(monkeypatch, 1)
         monkeypatch.setattr(np.random, "default_rng", counting)
         cross_validate(noisy_rows(21, 5, 1), UNEVEN_LABELS, n_trees=6, k=4, rng_seed=5)
         # a tree's stream is seeded (rng_seed, t); the folds' is (rng_seed, 1009)
@@ -651,3 +664,117 @@ class TestStreamReplay:
                              and seed[1] < 6)
         # three training sizes (15, 16, 17) over four folds
         assert tree_seeds == {(5, t): 3 for t in range(6)}
+
+
+@st.composite
+def cv_problems(draw):
+    """A small matrix of tied values, 1-3 classes of k to 8 rows each, k
+    and the mode; the labels are unrelated to the rows."""
+    k = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(k, 8), min_size=1, max_size=3))
+    labels = draw(st.permutations(
+        [cls for cls, count in zip("ABC", counts) for _ in range(count)]))
+    d = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.sampled_from(SPLIT_VALUES),
+                          min_size=len(labels) * d, max_size=len(labels) * d))
+    rows = np.array(cells).reshape(len(labels), d)
+    return rows, labels, k, draw(st.sampled_from(CV_MODES))
+
+
+class TestWorkers:
+    """Splits run in forked workers give what they give in-process."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(cv_problems(), st.integers(0, 2 ** 32))
+    def test_same_predictions_and_report_for_any_worker_count(self, problem, rng_seed):
+        rows, labels, k, mode = problem
+        splits = _splits(labels, k, mode, rng_seed)
+        # training sizes never fall along the split order, so each worker's
+        # contiguous block holds neighbouring sizes
+        sizes = [len(train) for train, _ in splits]
+        assert sizes == sorted(sizes)
+        in_order = forest._block_predictions(rows, labels, splits, 4, rng_seed,
+                                             range(len(splits)))
+        for workers in (2, 3):
+            assert forest._pooled_predictions(rows, labels, splits, 4, rng_seed,
+                                              min(workers, k)) == in_order
+        reports = []
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                set_workers(patch, workers)
+                reports.append(cross_validate(rows, labels, n_trees=4, k=k, mode=mode,
+                                              rng_seed=rng_seed))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+        assert multiprocessing.active_children() == []
+
+    def test_splits_run_outside_this_process(self, monkeypatch, tmp_path):
+        split_predictions = forest._split_predictions
+
+        def recording(*args):
+            with open(tmp_path / "pids", "a") as pids:
+                pids.write(f"{os.getpid()}\n")
+            return split_predictions(*args)
+
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(forest, "_split_predictions", recording)
+        cross_validate(noisy_rows(12, 3, 0), ["A", "B"] * 6, n_trees=3, k=4)
+        pids = (tmp_path / "pids").read_text().split()
+        assert len(pids) == 4
+        assert str(os.getpid()) not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_worker_reaches_the_caller_unchanged(self, monkeypatch):
+        caller = os.getpid()
+
+        def fail(*args, **kwargs):
+            where = "the caller" if os.getpid() == caller else "a worker"
+            raise ForestError(f"cannot train on these rows in {where}")
+
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(forest, "train_forest", fail)
+        with pytest.raises(ForestError) as raised:
+            cross_validate(noisy_rows(12, 3, 0), ["A", "B"] * 6, n_trees=3, k=4)
+        assert str(raised.value) == "cannot train on these rows in a worker"
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_fails_the_call(self, monkeypatch):
+        def die(*args, **kwargs):
+            os._exit(1)
+
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(forest, "train_forest", die)
+        with pytest.raises(BrokenProcessPool):
+            cross_validate(noisy_rows(12, 3, 0), ["A", "B"] * 6, n_trees=3, k=4)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, n_splits, expected", [
+        ({0}, 10, 1), ({0, 1}, 10, 2), ({0, 1, 2, 3}, 3, 3),
+    ])
+    def test_one_worker_per_cpu_at_most_one_a_split(self, monkeypatch, cpus, n_splits,
+                                                    expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert forest._worker_count(n_splits) == expected
+
+    def test_in_process_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert forest._worker_count(10) == 1
+
+    def test_in_process_beside_another_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert forest._worker_count(10) == 2
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            assert forest._worker_count(10) == 1
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+
+    def test_in_process_in_a_daemonic_process(self, monkeypatch):
+        # a daemonic process, such as a pool's worker, may start no child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert forest._worker_count(10) == 1
