@@ -45,14 +45,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Protocol, Sequence, TypeVar
+from typing import Any, Sequence
 
 __all__ = [
     "CorpusError",
     "DEFAULT_STOPWORDS",
     "STRICTNESS",
     "Tweet",
-    "TweetSink",
     "UserProfile",
     "canonical_dumps",
     "extract_entities",
@@ -101,17 +100,6 @@ class Tweet:
     mentions: tuple[str, ...] = ()
     retweet_of: str | None = None
     geo: tuple[float, float] | None = None
-
-
-class TweetSink(Protocol):
-    """Where ``parse_corpus`` puts each valid tweet: a list, or a fold."""
-
-    def append(self, tweet: Tweet, /) -> None: ...
-
-    def __len__(self) -> int: ...
-
-
-_Sink = TypeVar("_Sink", bound=TweetSink)
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,18 +441,18 @@ class _TweetIds:
 def parse_corpus(
     path: str | Path,
     strictness: str = "skip-malformed",
-    tweets: _Sink | None = None,
-) -> tuple[_Sink | list[Tweet], list[UserProfile], int]:
+    tweets: Any = None,
+) -> tuple[Any, list[UserProfile], int]:
     """Read a JSONL corpus; return (tweets, profiles, skipped_count).
 
     Each valid tweet is appended, in file order, to ``tweets``, which is
     returned: a new list when it is None, or the caller's sink, which needs
-    only ``append`` and ``__len__`` (a ``TweetSink``). The sink sees each
-    tweet once and nothing else; a duplicate tweet id is caught before it
-    gets there. Tweet ids compare as the strings they are (the JSON int
-    ``7`` reads as ``"7"``; ``"07"`` is another id). Every physical line is
-    either parsed into a record or counted as skipped, so ``len(tweets) +
-    len(profiles) + skipped == line count`` for an empty sink. Under
+    only ``append`` and ``__len__``. The sink sees each tweet once and
+    nothing else; a duplicate tweet id is caught before it gets there.
+    Tweet ids compare as the strings they are (the JSON int ``7`` reads as
+    ``"7"``; ``"07"`` is another id). Every physical line is either parsed
+    into a record or counted as skipped, so ``len(tweets) + len(profiles)
+    + skipped == line count`` for an empty sink. Under
     ``strict``, any malformed line (bad JSON, bad fields, duplicate tweet id
     or profile screen name) raises :class:`CorpusError`, whichever the
     sink, once the sink has taken the tweets before that line; blank lines

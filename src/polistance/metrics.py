@@ -49,9 +49,10 @@ class EvalReport:
 
 def eval_metrics(
     confusion: Sequence[Sequence[int]] | np.ndarray,
-    classes: Sequence[str] | None = None,
+    classes: Sequence[str],
 ) -> EvalReport:
-    """Score a square confusion matrix (rows true, columns predicted).
+    """Score a square integer confusion matrix (rows true, columns
+    predicted) whose rows and columns are ``classes``, in order.
 
     Precision for a class is its diagonal cell over its column sum (0 for
     an empty column), recall the diagonal over the row sum (0 for an empty
@@ -61,9 +62,7 @@ def eval_metrics(
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise MetricsError(f"confusion matrix must be square, got shape {matrix.shape}")
     if not np.issubdtype(matrix.dtype, np.integer):
-        if not np.all(matrix == matrix.astype(np.int64)):
-            raise MetricsError("confusion matrix must hold integers")
-        matrix = matrix.astype(np.int64)
+        raise MetricsError(f"confusion matrix must hold integers, got {matrix.dtype}")
     if (matrix < 0).any():
         raise MetricsError("confusion matrix must be nonnegative")
     total = int(matrix.sum())
@@ -71,12 +70,9 @@ def eval_metrics(
         raise MetricsError("confusion matrix total must be positive")
 
     size = matrix.shape[0]
-    if classes is None:
-        classes = tuple(f"C{i}" for i in range(size))
-    else:
-        classes = tuple(classes)
-        if len(classes) != size:
-            raise MetricsError("classes length must match matrix size")
+    classes = tuple(classes)
+    if len(classes) != size:
+        raise MetricsError("classes length must match matrix size")
 
     precision = []
     recall = []

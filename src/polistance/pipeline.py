@@ -65,7 +65,6 @@ from .metrics import EvalReport
 
 __all__ = [
     "METHODS",
-    "DIMENSIONS",
     "ConfigError",
     "PipelineError",
     "ProfileFold",
@@ -418,7 +417,6 @@ def run(config: RunConfig) -> RunResult:
     """Execute one configured experiment; see the module docstring."""
     digest = config_hash(config)
     timings: list[tuple[str, float]] = []
-    stage = "setup"
     try:
         stage = "config"
         inputs = (config.corpus_path, config.annotations_path, config.lexicon_path)

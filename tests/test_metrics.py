@@ -35,7 +35,7 @@ class TestEvalMetrics:
 
     def test_hand_computed_three_by_three(self):
         matrix = [[5, 2, 1], [0, 7, 3], [2, 2, 6]]
-        report = eval_metrics(matrix)
+        report = eval_metrics(matrix, ("A", "B", "C"))
         # columns: 7, 11, 10; rows: 8, 10, 10; trace 18, total 28
         assert report.precision == pytest.approx((5 / 7, 7 / 11, 6 / 10), abs=1e-12)
         assert report.recall == pytest.approx((5 / 8, 7 / 10, 6 / 10), abs=1e-12)
@@ -46,30 +46,32 @@ class TestEvalMetrics:
     def test_never_predicted_class_scores_zero(self):
         # class 2 present in truth, never predicted, never correct
         matrix = [[4, 0, 0], [0, 4, 0], [2, 2, 0]]
-        report = eval_metrics(matrix)
+        report = eval_metrics(matrix, ("A", "B", "C"))
         assert report.precision[2] == 0.0
         assert report.recall[2] == 0.0
         assert report.f_measures[2] == 0.0
 
     def test_accuracy_equals_mean_recall_only_when_balanced(self):
-        balanced = eval_metrics([[8, 2], [3, 7]])
+        balanced = eval_metrics([[8, 2], [3, 7]], ("A", "B"))
         assert balanced.accuracy == pytest.approx(
             sum(balanced.recall) / 2, abs=1e-12
         )
-        skewed = eval_metrics([[80, 20], [3, 7]])
+        skewed = eval_metrics([[80, 20], [3, 7]], ("A", "B"))
         assert skewed.accuracy != pytest.approx(sum(skewed.recall) / 2, abs=1e-6)
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(MetricsError):
-            eval_metrics([[1, 2, 3], [4, 5, 6]])
+            eval_metrics([[1, 2, 3], [4, 5, 6]], ("A", "B"))
         with pytest.raises(MetricsError):
-            eval_metrics([[1, -1], [0, 1]])
+            eval_metrics([[1, -1], [0, 1]], ("A", "B"))
         with pytest.raises(MetricsError):
-            eval_metrics([[0, 0], [0, 0]])
+            eval_metrics([[0, 0], [0, 0]], ("A", "B"))
         with pytest.raises(MetricsError):
             eval_metrics([[1, 0], [0, 1]], classes=("only",))
         with pytest.raises(MetricsError):
-            eval_metrics([[0.5, 0], [0, 1]])
+            eval_metrics([[0.5, 0], [0, 1]], ("A", "B"))
+        with pytest.raises(MetricsError, match="integers"):
+            eval_metrics([[1.0, 0], [0, 1.0]], ("A", "B"))
 
     @settings(max_examples=100)
     @given(
@@ -83,7 +85,7 @@ class TestEvalMetrics:
         total = sum(sum(row) for row in matrix)
         if total == 0:
             return
-        report = eval_metrics(matrix)
+        report = eval_metrics(matrix, ("A", "B", "C"))
         for i in range(3):
             col = sum(matrix[r][i] for r in range(3))
             row = sum(matrix[i])

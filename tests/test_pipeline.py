@@ -105,6 +105,29 @@ def test_experiment_script_writes_its_corpus_as_synth_does(tmp_path):
         "annotations.csv", "corpus.jsonl", "manifest.json"]
 
 
+def run_experiment_script(*args):
+    script = Path(__file__).parents[1] / "scripts" / "run_synthetic_experiment.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(polistance.__file__).parents[1]))
+    return subprocess.run([sys.executable, str(script), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_experiment_script_bad_corpus_flag_is_a_config_error(tmp_path):
+    done = run_experiment_script("--users", "0", "--out", str(tmp_path / "exp"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error:")
+    assert not (tmp_path / "exp").exists()
+
+
+def test_experiment_script_out_on_a_file_is_a_config_error(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep\n")
+    done = run_experiment_script("--out", str(taken))
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error:")
+    assert taken.read_bytes() == b"keep\n"
+
+
 # one value of a wrong type per RunConfig field, and bool where int is due
 WRONG_TYPES = [
     ("corpus_path", 3),
