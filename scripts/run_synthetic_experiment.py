@@ -5,8 +5,8 @@ Generates a corpus with planted party truth, then runs the text, hashtag,
 user-features, and network methods over the same data and prints one
 efficiency row per method. The corpus is made by ``polistance synth``
 with --out/data as its --out, so every flag this script does not name
-goes to synth; artifacts for each method land in their own subdirectory
-of --out.
+(its own flags take unique prefixes: --se is --seed) goes to synth;
+artifacts for each method land in their own subdirectory of --out.
 
 Typical use:
 
@@ -27,7 +27,7 @@ from polistance.pipeline import METHODS, RunConfig, run
 def parse_args(argv=None):
     """The script's own flags, and the rest for ``polistance synth``."""
     parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0], allow_abbrev=False,
+        description=__doc__.splitlines()[0],
         epilog="Every other flag is a corpus flag of `polistance synth` "
                "(see `polistance synth --help`), --preset skewed included; "
                "a bad one exits 2 and writes nothing.")
@@ -44,6 +44,12 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args, synth_flags = parse_args(argv)
+    # a failed method exits 2 or 3, as `polistance classify` does
+    return cli.run_guarded(lambda: experiment(args, synth_flags))
+
+
+def experiment(args, synth_flags):
+    """Make the corpus, run each method on it and print their table."""
     out = Path(args.out)
     data_dir = out / "data"
     status = cli.main(["synth", *synth_flags, "--seed", str(args.seed),

@@ -14,7 +14,7 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analytics import IST_OFFSET_MINUTES, analyze, write_analysis, write_csv
 from .annotation import (
@@ -25,7 +25,7 @@ from .annotation import (
     resolve_majority,
     write_annotations,
 )
-from .corpus import CorpusError, parse_corpus, write_corpus
+from .corpus import CorpusError, write_corpus
 from .features import FEATURE_NAMES, PARTIES, FeatureError, default_lexicon, write_matrix
 from .forest import ForestError
 from .graph import GraphError, InteractionFold, louvain, write_edges, write_partition
@@ -39,6 +39,7 @@ from .pipeline import (
     check_out_dir,
     load_config,
     publish,
+    read_corpus,
     render_table,
     run,
 )
@@ -95,14 +96,9 @@ def _add_command(sub, name: str, func, help: str, flags: Sequence[str] = (),
     return p
 
 
-def _read_corpus(args, tweets=None):
-    """``(tweets, profiles, counts)`` of the corpus argument, honouring
-    --strict; ``tweets`` is the sink that ``parse_corpus`` fills."""
-    strictness = "strict" if args.strict else "skip-malformed"
-    tweets, profiles, skipped = parse_corpus(args.corpus, strictness=strictness,
-                                             tweets=tweets)
-    counts = {"tweets": len(tweets), "profiles": len(profiles), "skipped_lines": skipped}
-    return tweets, profiles, counts
+def _read_corpus(args, sink):
+    """``read_corpus`` of the corpus argument into ``sink``, honouring --strict."""
+    return read_corpus(args.corpus, "strict" if args.strict else "skip-malformed", sink)
 
 
 def _tz_minutes(args) -> int:
@@ -110,7 +106,7 @@ def _tz_minutes(args) -> int:
 
 
 def _cmd_ingest(args):
-    tweets, profiles, counts = _read_corpus(args)
+    tweets, profiles, counts = _read_corpus(args, [])
     print("tweets={tweets} profiles={profiles} skipped={skipped_lines}".format(**counts))
     return counts, lambda out: write_corpus(out / "corpus.normalized.jsonl",
                                             tweets, profiles)
@@ -197,7 +193,7 @@ def _cmd_graph(args):
 
 def _cmd_analyze(args):
     tz = _tz_minutes(args)
-    tweets, _, counts = _read_corpus(args)
+    tweets, _, counts = _read_corpus(args, [])
     result = analyze(tweets, default_lexicon(), tz)
     counts["users"] = result.n_users
     print(f"analyzed {result.n_tweets} tweets of {result.n_users} users")
@@ -309,14 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+def run_guarded(command: Callable[[], int]) -> int:
+    """Call ``command`` and return its exit code. An error it raises is
+    printed to stderr and gives 2 (configuration), 3 (data or file system)
+    or 4 (internal), as the module docstring lists."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _run_command(args)
+        return command()
     except PipelineError as exc:
         if not isinstance(exc.cause, (ConfigError, *_DATA_ERRORS)):
             print(f"internal error: [{exc.stage}] {exc.cause!r}", file=sys.stderr)
@@ -332,6 +326,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return run_guarded(lambda: _run_command(args))
 
 
 if __name__ == "__main__":

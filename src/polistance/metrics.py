@@ -29,35 +29,54 @@ def f_measure(precision: float, recall: float) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-class precision/recall/F plus overall accuracy ("efficiency").
+    """A confusion matrix and its classes; every score is read from the matrix.
 
-    The confusion matrix is stored row-major as nested tuples, rows = true
-    class, columns = predicted class, aligned with ``classes``.
+    The matrix is stored row-major as nested tuples, rows = true class,
+    columns = predicted class, aligned with ``classes``. Precision for a
+    class is its diagonal cell over its column sum (0 for an empty column),
+    recall the diagonal over the row sum (0 for an empty row), F their
+    ``f_measure``, and accuracy ("efficiency") the trace over the total.
     """
 
     classes: tuple[str, ...]
     confusion: tuple[tuple[int, ...], ...]
-    precision: tuple[float, ...]
-    recall: tuple[float, ...]
-    f_measures: tuple[float, ...]
-    accuracy: float
 
     @property
     def total(self) -> int:
         return sum(sum(row) for row in self.confusion)
+
+    @property
+    def _diagonal(self) -> tuple[int, ...]:
+        return tuple(row[i] for i, row in enumerate(self.confusion))
+
+    @property
+    def precision(self) -> tuple[float, ...]:
+        return _ratios(self._diagonal, [sum(column) for column in zip(*self.confusion)])
+
+    @property
+    def recall(self) -> tuple[float, ...]:
+        return _ratios(self._diagonal, [sum(row) for row in self.confusion])
+
+    @property
+    def f_measures(self) -> tuple[float, ...]:
+        return tuple(map(f_measure, self.precision, self.recall))
+
+    @property
+    def accuracy(self) -> float:
+        return sum(self._diagonal) / self.total
+
+
+def _ratios(parts: Sequence[int], wholes: Sequence[int]) -> tuple[float, ...]:
+    return tuple(part / whole if whole else 0.0 for part, whole in zip(parts, wholes))
 
 
 def eval_metrics(
     confusion: Sequence[Sequence[int]] | np.ndarray,
     classes: Sequence[str],
 ) -> EvalReport:
-    """Score a square integer confusion matrix (rows true, columns
-    predicted) whose rows and columns are ``classes``, in order.
-
-    Precision for a class is its diagonal cell over its column sum (0 for
-    an empty column), recall the diagonal over the row sum (0 for an empty
-    row), accuracy the trace over the grand total.
-    """
+    """Check a square integer confusion matrix (rows true, columns
+    predicted) whose rows and columns are ``classes``, in order, and hold
+    it as an ``EvalReport``."""
     matrix = np.asarray(confusion)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise MetricsError(f"confusion matrix must be square, got shape {matrix.shape}")
@@ -65,36 +84,12 @@ def eval_metrics(
         raise MetricsError(f"confusion matrix must hold integers, got {matrix.dtype}")
     if (matrix < 0).any():
         raise MetricsError("confusion matrix must be nonnegative")
-    total = int(matrix.sum())
-    if total == 0:
+    if int(matrix.sum()) == 0:
         raise MetricsError("confusion matrix total must be positive")
-
-    size = matrix.shape[0]
     classes = tuple(classes)
-    if len(classes) != size:
+    if len(classes) != matrix.shape[0]:
         raise MetricsError("classes length must match matrix size")
-
-    precision = []
-    recall = []
-    f_scores = []
-    for i in range(size):
-        column = int(matrix[:, i].sum())
-        row = int(matrix[i, :].sum())
-        diag = int(matrix[i, i])
-        p = diag / column if column else 0.0
-        r = diag / row if row else 0.0
-        precision.append(p)
-        recall.append(r)
-        f_scores.append(f_measure(p, r))
-
-    return EvalReport(
-        classes=classes,
-        confusion=tuple(tuple(int(v) for v in row) for row in matrix),
-        precision=tuple(precision),
-        recall=tuple(recall),
-        f_measures=tuple(f_scores),
-        accuracy=int(np.trace(matrix)) / total,
-    )
+    return EvalReport(classes, tuple(tuple(int(v) for v in row) for row in matrix))
 
 
 def confusion_from_pairs(

@@ -23,7 +23,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -75,6 +75,7 @@ __all__ = [
     "config_hash",
     "load_config",
     "publish",
+    "read_corpus",
     "render_structured",
     "render_table",
     "run",
@@ -202,18 +203,16 @@ def config_hash(config: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class RunResult:
-    """What a finished run knows about itself."""
+    """What a finished run knows about itself, beside the config it ran."""
 
-    method: str
-    dimension: str
+    config: RunConfig
     report: EvalReport
     n_instances: int
     n_attributes: int
     classifier: str
     config_digest: str
-    rng_seed: int
+    counts: Mapping[str, int]
     coverage: float | None = None
-    counts: Mapping[str, int] | None = None
 
 
 def render_table(result: RunResult) -> str:
@@ -242,15 +241,15 @@ def render_table(result: RunResult) -> str:
         )
     lines.append("")
     lines.append(f"config: {result.config_digest}")
-    lines.append(f"seed: {result.rng_seed}")
+    lines.append(f"seed: {result.config.rng_seed}")
     return "\n".join(lines) + "\n"
 
 
 def render_structured(result: RunResult) -> str:
     """Machine-readable result: one canonical json document."""
     payload = {
-        "method": result.method,
-        "dimension": result.dimension,
+        "method": result.config.method,
+        "dimension": result.config.dimension,
         "instances": result.n_instances,
         "attributes": result.n_attributes,
         "classifier": result.classifier,
@@ -267,10 +266,24 @@ def render_structured(result: RunResult) -> str:
         },
         "coverage": result.coverage,
         "config": result.config_digest,
-        "seed": result.rng_seed,
-        "counts": dict(result.counts or {}),
+        "seed": result.config.rng_seed,
+        "counts": dict(result.counts),
     }
     return canonical_dumps(payload) + "\n"
+
+
+def read_corpus(path: str | Path, strictness: str,
+                sink: Any) -> tuple[Any, list[UserProfile], dict[str, int]]:
+    """Parse the corpus at ``path`` into ``sink``; return the sink, the
+    profiles, and the ``tweets``, ``profiles`` and ``skipped_lines`` counts
+    that every command reports.
+
+    ``parse_corpus`` is looked up as this module's global on each call,
+    where the benchmark's tracer wraps it.
+    """
+    sink, profiles, skipped = parse_corpus(path, strictness=strictness, tweets=sink)
+    counts = {"tweets": len(sink), "profiles": len(profiles), "skipped_lines": skipped}
+    return sink, profiles, counts
 
 
 def _truth_map(annotations, dimension: str) -> dict[str, str]:
@@ -437,9 +450,7 @@ def run(config: RunConfig) -> RunResult:
             sink = ProfileFold(lexicon)
         else:
             sink = TermBagFold(config.method)
-        _, profiles, skipped = parse_corpus(
-            config.corpus_path, strictness=config.strictness, tweets=sink
-        )
+        _, profiles, counts = read_corpus(config.corpus_path, config.strictness, sink)
         timings.append(("ingest", time.perf_counter() - t0))
 
         stage = "annotate"
@@ -452,13 +463,7 @@ def run(config: RunConfig) -> RunResult:
                 "majority resolution"
             )
         timings.append(("annotate", time.perf_counter() - t0))
-
-        counts = {
-            "tweets": len(sink),
-            "profiles": len(profiles),
-            "skipped_lines": skipped,
-            "annotated_users": len(truth),
-        }
+        counts["annotated_users"] = len(truth)
 
         if config.method == "network":
             stage = "graph"
@@ -509,18 +514,8 @@ def run(config: RunConfig) -> RunResult:
             classifier = f"random forest ({config.n_trees} trees)"
             coverage = None
 
-        result = RunResult(
-            method=config.method,
-            dimension=config.dimension,
-            report=report,
-            n_instances=n_instances,
-            n_attributes=n_attributes,
-            classifier=classifier,
-            config_digest=digest,
-            rng_seed=config.rng_seed,
-            coverage=coverage,
-            counts=counts,
-        )
+        result = RunResult(config, report, n_instances, n_attributes, classifier,
+                           digest, counts, coverage)
 
         stage = "report"
         t0 = time.perf_counter()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metrics_reference as ref
 from polistance.metrics import (
     EvalReport,
     MetricsError,
@@ -97,6 +98,31 @@ class TestEvalMetrics:
             assert report.f_measures[i] == pytest.approx(expected_f, abs=1e-15)
         assert report.accuracy == sum(matrix[i][i] for i in range(3)) / total
         assert isinstance(report, EvalReport)
+
+
+@st.composite
+def confusions(draw):
+    """A square nonnegative integer matrix with a positive total, some of
+    whose rows and columns are emptied."""
+    size = draw(st.integers(1, 5))
+    matrix = np.array(draw(st.lists(st.integers(0, 1000), min_size=size * size,
+                                    max_size=size * size)), dtype=np.int64)
+    matrix = matrix.reshape(size, size)
+    matrix[draw(st.lists(st.integers(0, size - 1), max_size=size)), :] = 0
+    matrix[:, draw(st.lists(st.integers(0, size - 1), max_size=size))] = 0
+    if matrix.sum() == 0:
+        matrix[draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))] = 1
+    return matrix
+
+
+@settings(max_examples=300)
+@given(confusions())
+def test_scores_equal_the_frozen_loop(matrix):
+    """Every score read from the report's matrix equals, float for float,
+    the one the old scoring loop stored (tests/metrics_reference.py)."""
+    report = eval_metrics(matrix, [f"C{i}" for i in range(len(matrix))])
+    assert (report.precision, report.recall, report.f_measures,
+            report.accuracy) == ref.scores(matrix)
 
 
 class TestConfusionFromPairs:

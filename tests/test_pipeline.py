@@ -25,7 +25,7 @@ from polistance.features import (
     default_lexicon,
 )
 from polistance.forest import cross_validate
-from polistance.graph import build_interaction_graph
+from polistance.graph import InteractionFold, build_interaction_graph
 from polistance.metrics import eval_metrics
 from polistance.pipeline import (
     METHODS,
@@ -37,6 +37,7 @@ from polistance.pipeline import (
     TermBagFold,
     config_hash,
     load_config,
+    read_corpus,
     render_structured,
     render_table,
     run,
@@ -126,6 +127,28 @@ def test_experiment_script_out_on_a_file_is_a_config_error(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("config error:")
     assert taken.read_bytes() == b"keep\n"
+
+
+def test_experiment_script_takes_a_prefix_of_its_own_flag(tmp_path):
+    """``--se 5`` is the script's ``--seed 5``, which seeds the corpus, and
+    not a synth flag that the script's default seed would override."""
+    corpora = {}
+    for name, flags in (("se", ["--se", "5"]), ("seed", ["--seed", "5"]), ("default", [])):
+        done = run_experiment_script("--users", "4", "--tweets", "5", "--cv-k", "2",
+                                     "--methods", "network", *flags,
+                                     "--out", str(tmp_path / name))
+        assert done.returncode == 0, done.stderr
+        corpora[name] = (tmp_path / name / "data" / "corpus.jsonl").read_bytes()
+    assert corpora["se"] == corpora["seed"] != corpora["default"]
+
+
+def test_experiment_script_failed_method_exits_as_classify_does(tmp_path):
+    # 10 folds cannot be drawn from 4 users per party
+    done = run_experiment_script("--users", "4", "--tweets", "5", "--methods", "text",
+                                 "--out", str(tmp_path / "exp"))
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: [classify] class")
+    assert "Traceback" not in done.stderr
 
 
 # one value of a wrong type per RunConfig field, and bool where int is due
@@ -563,14 +586,13 @@ class TestReportRendering:
         confusion = ((40, 6, 4), (5, 40, 5), (5, 5, 40))
         report = eval_metrics(confusion, ("AAP", "BJP", "CONG"))
         return RunResult(
-            method="text",
-            dimension="pro",
+            config=RunConfig("corpus.jsonl", "annotations.csv", "out"),
             report=report,
             n_instances=150,
             n_attributes=90,
             classifier="random forest (100 trees)",
             config_digest="d" * 64,
-            rng_seed=0,
+            counts={},
         )
 
     def test_efficiency_line_format(self):
@@ -582,9 +604,9 @@ class TestReportRendering:
     def test_zero_class_prints_zeros(self):
         report = eval_metrics(((3, 0), (2, 0)), ("AAP", "BJP"))
         result = RunResult(
-            method="text", dimension="pro", report=report,
+            config=RunConfig("corpus.jsonl", "annotations.csv", "out"), report=report,
             n_instances=5, n_attributes=4, classifier="random forest (5 trees)",
-            config_digest="e" * 64, rng_seed=0,
+            config_digest="e" * 64, counts={},
         )
         lines = render_table(result).splitlines()
         bjp_row = next(line for line in lines if line.startswith("BJP"))
@@ -621,6 +643,20 @@ class TestFeaturize:
                 TermBagFold(method)
             assert str(caught.value) == (
                 f"a term-bag fold takes text or hashtag, not {method!r}")
+
+
+def test_read_corpus_counts_are_the_same_for_every_sink(small_inputs, tmp_path):
+    """Every command's counts come from one reader, so a list and each
+    method's fold count the same corpus alike, and every line is counted."""
+    lines = (small_inputs / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    bad = [b"\n", b"{broken\n", b"[1, 2]\n", lines[0], b'{"kind": "retweet"}\n']
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_bytes(b"".join(lines[:5] + bad + lines[5:]))
+    sinks = [[], InteractionFold(), TermBagFold("text"), ProfileFold(default_lexicon())]
+    counts = [read_corpus(corpus, "skip-malformed", sink)[2] for sink in sinks]
+    assert all(each == counts[0] for each in counts)
+    assert counts[0]["skipped_lines"] == len(bad)
+    assert sum(counts[0].values()) == len(lines) + len(bad)
 
 
 def fold_of(method):
