@@ -11,7 +11,6 @@ by n); exports record that choice.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -19,15 +18,15 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import CorpusError, Tweet, canonical_dumps, format_timestamp, tokenize
-from .features import PARTIES, PartyLexicon
+from .features import PARTIES, PartyLexicon, write_csv
 
 __all__ = [
     "IST_OFFSET_MINUTES",
     "STDDEV_KIND",
     "Analysis",
+    "AnalysisFold",
     "analyze",
     "write_analysis",
-    "write_csv",
 ]
 
 IST_OFFSET_MINUTES = 330
@@ -71,6 +70,102 @@ def _top(counts: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:_TOP_K])
 
 
+class AnalysisFold:
+    """The statistics of ``analyze``, taken one tweet at a time.
+
+    A sink for ``parse_corpus``: ``append`` folds a tweet in, ``len`` counts
+    the tweets seen, and ``result()`` gives their ``Analysis``. A tweet whose
+    local time, or the start of its local day or week, has no utc
+    ``datetime`` at this offset is a ``CorpusError``, which ``result()``
+    raises for the first such tweet. So the parse finishes first, and under
+    ``--strict`` a malformed line wins over an earlier such tweet.
+    """
+
+    def __init__(self, lexicon: PartyLexicon,
+                 tz_offset_minutes: int = IST_OFFSET_MINUTES) -> None:
+        self._offset = tz_offset_minutes
+        self._zone = timezone(timedelta(minutes=tz_offset_minutes))
+        self._party_terms = [(party, lexicon.terms(party)) for party in PARTIES]
+        self._per_day: dict[date, int] = {}
+        self._grid = [[0] * 24 for _ in range(7)]
+        self._per_party: dict[str, dict[date, int]] = {party: {} for party in PARTIES}
+        self._tags_per_week: dict[date, dict[str, int]] = {}
+        self._per_author: dict[str, int] = {}
+        self._tweets = 0
+        self._out_of_range: str | None = None  # the first such tweet's id
+
+    def _start(self, day: date) -> datetime:
+        return datetime(day.year, day.month, day.day, tzinfo=self._zone)
+
+    def append(self, tweet: Tweet) -> None:
+        self._tweets += 1
+        if self._out_of_range is not None:
+            return
+        try:
+            local = tweet.created_at.astimezone(self._zone)
+            day = local.date()
+            if day not in self._per_day:
+                # the start of a new day's week is the earliest bucket start it adds
+                self._start(_week(day)).astimezone(timezone.utc)
+        except OverflowError:
+            self._out_of_range = tweet.tweet_id
+            return
+        self._per_day[day] = self._per_day.get(day, 0) + 1
+        self._grid[(day.weekday() + 1) % 7][local.hour] += 1  # Monday- to Sunday-based
+        name = tweet.author_screen_name
+        self._per_author[name] = self._per_author.get(name, 0) + 1
+        week = _week(day)
+        tokens = set(tokenize(tweet.text))
+        tags = set(tweet.hashtags)
+        for party, terms in self._party_terms:
+            if tokens & terms.keywords or tags & terms.hashtags:
+                counts = self._per_party[party]
+                counts[week] = counts.get(week, 0) + 1
+        if tweet.hashtags:
+            counts = self._tags_per_week.setdefault(week, {})
+            for tag in tweet.hashtags:
+                counts[tag] = counts.get(tag, 0) + 1
+
+    def __len__(self) -> int:
+        return self._tweets
+
+    def result(self) -> Analysis:
+        if self._out_of_range is not None:
+            raise CorpusError(
+                f"tweet {self._out_of_range} at {self._zone}: its local time or the "
+                "start of its local day or week is outside the datetime range")
+        per_day, start = self._per_day, self._start
+
+        def filled(counts: Mapping[date, int], lo: date, hi: date, step: int) -> Series:
+            days = (lo + timedelta(days=k) for k in range(0, (hi - lo).days + 1, step))
+            return tuple((start(day), counts.get(day, 0)) for day in days)
+
+        volume: Series = ()
+        mentions: dict[str, Series] = dict.fromkeys(PARTIES, ())
+        mean = stddev = None
+        if per_day:
+            first, last = min(per_day), max(per_day)
+            volume = filled(per_day, first, last, 1)
+            mentions = {party: filled(counts, _week(first), _week(last), 7)
+                        for party, counts in self._per_party.items()}
+            values = [value for _, value in volume]
+            mean = math.fsum(values) / len(values)
+            stddev = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+        return Analysis(
+            tz_offset_minutes=self._offset,
+            n_tweets=sum(per_day.values()),
+            volume=volume,
+            day_hour=tuple(tuple(row) for row in self._grid),
+            mentions=mentions,
+            top_hashtags=tuple((start(week), _top(self._tags_per_week[week]))
+                               for week in sorted(self._tags_per_week)),
+            n_users=len(self._per_author),
+            top_tweeters=_top(self._per_author),
+            volume_mean=mean,
+            volume_stddev=stddev,
+        )
+
+
 def analyze(
     tweets: Iterable[Tweet],
     lexicon: PartyLexicon,
@@ -84,84 +179,14 @@ def analyze(
     or the start of its local day or week, has no utc ``datetime`` at this
     offset is a ``CorpusError``, raised before anything is written.
     """
-    zone = timezone(timedelta(minutes=tz_offset_minutes))
-
-    def start(day: date) -> datetime:
-        return datetime(day.year, day.month, day.day, tzinfo=zone)
-
-    party_terms = [(party, lexicon.terms(party)) for party in PARTIES]
-    per_day: dict[date, int] = {}
-    grid = [[0] * 24 for _ in range(7)]
-    per_party: dict[str, dict[date, int]] = {party: {} for party in PARTIES}
-    tags_per_week: dict[date, dict[str, int]] = {}
-    per_author: dict[str, int] = {}
+    fold = AnalysisFold(lexicon, tz_offset_minutes)
     for tweet in tweets:
-        try:
-            local = tweet.created_at.astimezone(zone)
-            day = local.date()
-            if day not in per_day:
-                # the start of a new day's week is the earliest bucket start it adds
-                start(_week(day)).astimezone(timezone.utc)
-        except OverflowError:
-            raise CorpusError(
-                f"tweet {tweet.tweet_id} at {zone}: its local time or the start of its "
-                "local day or week is outside the datetime range") from None
-        per_day[day] = per_day.get(day, 0) + 1
-        grid[(day.weekday() + 1) % 7][local.hour] += 1  # Monday-based -> Sunday-based
-        name = tweet.author_screen_name
-        per_author[name] = per_author.get(name, 0) + 1
-        week = _week(day)
-        tokens = set(tokenize(tweet.text))
-        tags = set(tweet.hashtags)
-        for party, terms in party_terms:
-            if tokens & terms.keywords or tags & terms.hashtags:
-                counts = per_party[party]
-                counts[week] = counts.get(week, 0) + 1
-        if tweet.hashtags:
-            counts = tags_per_week.setdefault(week, {})
-            for tag in tweet.hashtags:
-                counts[tag] = counts.get(tag, 0) + 1
-
-    def filled(counts: Mapping[date, int], lo: date, hi: date, step: int) -> Series:
-        days = (lo + timedelta(days=k) for k in range(0, (hi - lo).days + 1, step))
-        return tuple((start(day), counts.get(day, 0)) for day in days)
-
-    volume: Series = ()
-    mentions: dict[str, Series] = dict.fromkeys(PARTIES, ())
-    mean = stddev = None
-    if per_day:
-        first, last = min(per_day), max(per_day)
-        volume = filled(per_day, first, last, 1)
-        mentions = {party: filled(per_party[party], _week(first), _week(last), 7)
-                    for party in PARTIES}
-        values = [value for _, value in volume]
-        mean = math.fsum(values) / len(values)
-        stddev = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
-    return Analysis(
-        tz_offset_minutes=tz_offset_minutes,
-        n_tweets=sum(per_day.values()),
-        volume=volume,
-        day_hour=tuple(tuple(row) for row in grid),
-        mentions=mentions,
-        top_hashtags=tuple((start(week), _top(tags_per_week[week]))
-                           for week in sorted(tags_per_week)),
-        n_users=len(per_author),
-        top_tweeters=_top(per_author),
-        volume_mean=mean,
-        volume_stddev=stddev,
-    )
+        fold.append(tweet)
+    return fold.result()
 
 
 def _utc_stamp(bucket: datetime) -> str:
     return format_timestamp(bucket.astimezone(timezone.utc))
-
-
-def write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    """A header row, then ``rows``, in the csv module's default dialect."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def write_analysis(result: Analysis, out_dir: str | Path) -> None:

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .analytics import IST_OFFSET_MINUTES, analyze, write_analysis, write_csv
+from .analytics import IST_OFFSET_MINUTES, AnalysisFold, write_analysis
 from .annotation import (
     DIMENSIONS,
     AnnotationError,
@@ -26,16 +26,16 @@ from .annotation import (
     write_annotations,
 )
 from .corpus import CorpusError, write_corpus
-from .features import FEATURE_NAMES, PARTIES, FeatureError, default_lexicon, write_matrix
+from .features import PARTIES, FeatureError, default_lexicon, write_csv
 from .forest import ForestError
-from .graph import GraphError, InteractionFold, louvain, write_edges, write_partition
+from .graph import GraphError
 from .metrics import MetricsError
 from .pipeline import (
+    FOLDS,
     METHODS,
     ConfigError,
+    NetworkFold,
     PipelineError,
-    ProfileFold,
-    TermBagFold,
     check_out_dir,
     load_config,
     publish,
@@ -125,21 +125,10 @@ def _cmd_agree(args):
 
 
 def _cmd_featurize(args):
-    vectors = args.method == "user-features"
-    fold, profiles, counts = _read_corpus(
-        args, ProfileFold(default_lexicon()) if vectors else TermBagFold(args.method))
-    features = fold.vectors(profiles) if vectors else fold.matrix()
-    if vectors and not features:
-        raise FeatureError("no users with a profile; feature table would be empty")
-    counts["users"], counts["columns"] = (
-        (len(features), len(FEATURE_NAMES)) if vectors else features.shape)
+    fold, profiles, counts = _read_corpus(args, FOLDS[args.method](default_lexicon(), 0))
+    counts.update(fold.table(profiles))
     print(f"{args.method} features: {counts['users']} users x {counts['columns']}")
-    if vectors:
-        return counts, lambda out: write_csv(
-            out / "features.csv", ["user_id", *FEATURE_NAMES],
-            ([name, *vector] for name, vector in features.items()))
-    return counts, lambda out: write_matrix(
-        features, out / "matrix.triplets", out / "vocabulary.tsv", out / "users.txt")
+    return counts, fold.write
 
 
 def _config_overrides(args) -> dict:
@@ -172,29 +161,19 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_graph(args):
-    fold, _, counts = _read_corpus(args, InteractionFold())
-    graph = fold.graph(weighted=args.weighted)
     seed = args.seed if args.seed is not None else 0
-    partition = louvain(graph, rng_seed=seed)
-    counts.update(nodes=len(graph.nodes), edges=graph.m,
-                  communities=partition.n_communities)
-    print(
-        f"nodes={len(graph.nodes)} edges={graph.m} "
-        f"communities={partition.n_communities} "
-        f"modularity={partition.modularity_q:.6f}"
-    )
-
-    def write(out: Path) -> None:
-        write_edges(graph, out / "graph.edges")
-        write_partition(partition, out / "partition.txt")
-
-    return counts, write
+    fold, profiles, counts = _read_corpus(
+        args, NetworkFold(default_lexicon(), seed, weighted=args.weighted))
+    counts.update(fold.table(profiles))
+    print("nodes={nodes} edges={edges} communities={communities} ".format(**counts)
+          + f"modularity={fold.partition.modularity_q:.6f}")
+    return counts, fold.write
 
 
 def _cmd_analyze(args):
-    tz = _tz_minutes(args)
-    tweets, _, counts = _read_corpus(args, [])
-    result = analyze(tweets, default_lexicon(), tz)
+    fold, _, counts = _read_corpus(args,
+                                   AnalysisFold(default_lexicon(), _tz_minutes(args)))
+    result = fold.result()
     counts["users"] = result.n_users
     print(f"analyzed {result.n_tweets} tweets of {result.n_users} users")
     return counts, lambda out: write_analysis(result, out)

@@ -22,8 +22,8 @@ timestamps) so that writing a parsed corpus and re-parsing it is lossless.
 name, hashtag and mention, so repeated names share one string object.
 It hands each valid tweet, in file order, to a sink: by default a list,
 or any object with ``append`` and ``__len__`` that the caller passes, such
-as a fold that keeps only the counts it needs (``graph.InteractionFold``,
-``pipeline.TermBagFold``, ``pipeline.ProfileFold``). So no run holds every
+as a method's fold in ``pipeline.FOLDS`` or ``analytics.AnalysisFold``,
+each of which keeps only the counts it needs. So no run holds every
 tweet at once; what it keeps per tweet is ``_TweetIds``, the duplicate
 check's ledger of tweet ids.
 Each field first tries its common shape: a line that is exactly one JSON

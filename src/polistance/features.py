@@ -19,18 +19,19 @@ left with no kept term after pruning gets no row (but still counts in |U|).
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# pipeline.ProfileFold does the tokenizing; tokenize stays a module global
-# for the benchmark's tracer (perfbench/tracer.py), which wraps it here
+# the pipeline folds do the tokenizing; tokenize stays a module global for
+# the benchmark's tracer (perfbench/tracer.py), which wraps it here
 from .corpus import UserProfile, tokenize  # noqa: F401
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "default_lexicon",
     "idf",
     "user_feature_vector",
+    "write_csv",
     "write_matrix",
 ]
 
@@ -326,7 +328,8 @@ def user_feature_vector(
 
     ``counts`` are the last six, as ``pipeline.ProfileFold`` counts them:
     occurrences of each party's keywords over all the user's tweet tokens,
-    then of its hashtags. Each following bit is 0 or 1.
+    then of its hashtags. Each following bit is 0 or 1. ``featurize`` and a
+    user-features ``classify`` write these rows to ``features.csv``.
     """
     def follows(party: str) -> int:
         return int(bool(profile.following & lexicon.terms(party).seed_accounts))
@@ -362,3 +365,11 @@ def write_matrix(
     with open(users_path, "w", encoding="utf-8", newline="\n") as handle:
         for user_id in matrix.user_ids:
             handle.write(user_id + "\n")
+
+
+def write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """A header row, then ``rows``, in the csv module's default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)

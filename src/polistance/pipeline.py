@@ -10,10 +10,12 @@ have succeeded, through ``publish``: the one path by which every command
 writes its ``--out`` directory. A failed stage is named and leaves the
 previous run's files as they were.
 
-Ingest hands each tweet, as it is parsed, to the fold its method reads:
-the network method's ``graph.InteractionFold``, the text and hashtag
-methods' ``TermBagFold``, or the user-features method's ``ProfileFold``.
-Each keeps only the counts its method needs, so no run holds the tweets.
+Each method is one fold, ``FOLDS[method]``, that keeps only what its
+method needs of each tweet as ingest parses it, so no run holds the
+tweets. ``run()`` and the ``featurize`` and ``graph`` commands call its
+``table``, ``write`` and ``evaluate``. Each function the benchmark's
+tracer (perfbench/tracer.py) wraps here is looked up as this module's
+global on each call.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .corpus import (
     tokenize,
 )
 from .features import (
+    FEATURE_NAMES,
     PARTIES,
     FeatureError,
     FeatureMatrix,
@@ -46,6 +49,7 @@ from .features import (
     build_text_matrix,
     default_lexicon,
     user_feature_vector,
+    write_csv,
     write_matrix,
 )
 from .forest import CV_MODES, balance_classes, cross_validate
@@ -64,8 +68,10 @@ from .graph import (
 from .metrics import EvalReport
 
 __all__ = [
+    "FOLDS",
     "METHODS",
     "ConfigError",
+    "NetworkFold",
     "PipelineError",
     "ProfileFold",
     "RunConfig",
@@ -80,8 +86,6 @@ __all__ = [
     "render_table",
     "run",
 ]
-
-METHODS = ("text", "hashtag", "user-features", "network")
 
 _REQUIRED_KEYS = ("corpus_path", "annotations_path", "out_dir")
 # every file a command may write besides manifest.json, by command (synth,
@@ -276,11 +280,7 @@ def read_corpus(path: str | Path, strictness: str,
                 sink: Any) -> tuple[Any, list[UserProfile], dict[str, int]]:
     """Parse the corpus at ``path`` into ``sink``; return the sink, the
     profiles, and the ``tweets``, ``profiles`` and ``skipped_lines`` counts
-    that every command reports.
-
-    ``parse_corpus`` is looked up as this module's global on each call,
-    where the benchmark's tracer wraps it.
-    """
+    that every command reports."""
     sink, profiles, skipped = parse_corpus(path, strictness=strictness, tweets=sink)
     counts = {"tweets": len(sink), "profiles": len(profiles), "skipped_lines": skipped}
     return sink, profiles, counts
@@ -288,23 +288,40 @@ def read_corpus(path: str | Path, strictness: str,
 
 def _truth_map(annotations, dimension: str) -> dict[str, str]:
     """Majority-resolved party per user, undecidable users dropped."""
-    resolved = resolve_majority(annotations)
-    out = {}
-    for user in resolved:
-        label = user.pro if dimension == "pro" else user.anti
-        if label != CANT_SAY:
-            out[user.user_id] = label
-    return out
+    return {user.user_id: label for user in resolve_majority(annotations)
+            if (label := getattr(user, dimension)) != CANT_SAY}
 
 
-class TermBagFold:
+class _ForestFold:
+    """What the text, hashtag and user-features folds share: the tweet count,
+    and a random forest cross-validated on the table's labelled rows."""
+
+    def __len__(self) -> int:
+        return self._tweets
+
+    def evaluate(self, profiles: list[UserProfile], truth: Mapping[str, str],
+                 config: RunConfig, enter: Callable[[str], None]) -> dict[str, Any]:
+        """The ``RunResult`` fields of the method's score."""
+        enter("featurize")
+        self.table(profiles)
+        rows, labels = self._labelled(truth)
+        enter("classify")
+        if config.balance:
+            rows, labels = balance_classes(rows, labels, rng_seed=config.rng_seed)
+        report = cross_validate(rows, labels, n_trees=config.n_trees, k=config.cv_k,
+                                mode=config.cv_mode, rng_seed=config.rng_seed)
+        return dict(report=report, n_instances=len(labels), n_attributes=rows.shape[1],
+                    classifier=f"random forest ({config.n_trees} trees)")
+
+
+class TermBagFold(_ForestFold):
     """Each author's term counts for the text or hashtag method, taken one
     tweet at a time.
 
     A sink for ``parse_corpus``: ``append`` folds a tweet in, ``len`` counts
-    the tweets seen, and ``matrix()`` gives the TF-IDF matrix. Every author
-    gets a Counter at their first tweet, so authors keep first-tweet order
-    and each Counter its first-seen term order.
+    the tweets seen, and ``matrix()`` gives the TF-IDF matrix, the table.
+    Every author gets a Counter at their first tweet, so authors keep
+    first-tweet order and each Counter its first-seen term order.
     """
 
     def __init__(self, method: str) -> None:
@@ -316,30 +333,39 @@ class TermBagFold:
 
     def append(self, tweet: Tweet) -> None:
         self._tweets += 1
-        # tokenize and build_*_matrix are looked up as this module's globals
-        # on each call, where the benchmark's tracer wraps them
         terms = tokenize(tweet.text) if self._text else tweet.hashtags
         bag = self._bags[tweet.author_screen_name]
         if terms:
             bag.update(terms)
-
-    def __len__(self) -> int:
-        return self._tweets
 
     def matrix(self) -> FeatureMatrix:
         """The matrix of every author with at least one term that survives
         support pruning (the others are dropped)."""
         return (build_text_matrix if self._text else build_hashtag_matrix)(self._bags)
 
+    def table(self, profiles: list[UserProfile]) -> dict[str, int]:
+        self._matrix = self.matrix()
+        return dict(zip(("users", "columns"), self._matrix.shape))
 
-class ProfileFold:
+    def _labelled(self, truth: Mapping[str, str]):
+        rows, labels = _rows_for_users(self._matrix, truth)
+        if not labels:
+            raise FeatureError("no matrix user carries a label")
+        return rows, labels
+
+    def write(self, out: Path) -> None:
+        write_matrix(self._matrix, out / "matrix.triplets", out / "vocabulary.tsv",
+                     out / "users.txt")
+
+
+class ProfileFold(_ForestFold):
     """Each author's six party counts for the user-features method, taken
     one tweet at a time.
 
     A sink for ``parse_corpus`` like ``TermBagFold``: ``append`` adds the
     tweet's keyword and hashtag hits to its author's counts (a term listed
     under two parties adds to both), ``len`` counts the tweets seen, and
-    ``vectors(profiles)`` gives each profile's 11 features.
+    ``vectors(profiles)`` gives each profile's 11 features, the table.
     """
 
     def __init__(self, lexicon: PartyLexicon) -> None:
@@ -358,17 +384,12 @@ class ProfileFold:
     def append(self, tweet: Tweet) -> None:
         self._tweets += 1
         counts = self._counts[tweet.author_screen_name]
-        # tokenize and user_feature_vector are looked up as this module's
-        # globals on each call, where the benchmark's tracer wraps them
         for token in tokenize(tweet.text):
             for slot in self._words.get(token, ()):
                 counts[slot] += 1
         for tag in tweet.hashtags:
             for slot in self._tags.get(tag, ()):
                 counts[slot] += 1
-
-    def __len__(self) -> int:
-        return self._tweets
 
     def vectors(self, profiles: Iterable[UserProfile]) -> dict[str, tuple[int, ...]]:
         """Each profile's vector, keyed by screen name in sorted order; an
@@ -378,6 +399,64 @@ class ProfileFold:
                 profile, self._counts.get(profile.screen_name, (0,) * 6), self._lexicon)
             for profile in sorted(profiles, key=lambda p: p.screen_name)
         }
+
+    def table(self, profiles: list[UserProfile]) -> dict[str, int]:
+        self._vectors = self.vectors(profiles)
+        if not self._vectors:
+            raise FeatureError("no users with a profile; feature table would be empty")
+        return {"users": len(self._vectors), "columns": len(FEATURE_NAMES)}
+
+    def _labelled(self, truth: Mapping[str, str]):
+        names = [name for name in self._vectors if name in truth]
+        if not names:
+            raise FeatureError("no profiled user carries a label")
+        return (np.array([self._vectors[name] for name in names], dtype=np.float64),
+                [truth[name] for name in names])
+
+    def write(self, out: Path) -> None:
+        write_csv(out / "features.csv", ["user_id", *FEATURE_NAMES],
+                  ([name, *vector] for name, vector in self._vectors.items()))
+
+
+class NetworkFold(InteractionFold):
+    """The network method's fold: its table is the interaction graph and
+    the graph's Louvain partition at ``rng_seed``, and its score labels
+    each community by the lexicon's seed accounts."""
+
+    def __init__(self, lexicon: PartyLexicon, rng_seed: int = 0, weighted: bool = False):
+        super().__init__()
+        self._lexicon, self._rng_seed, self._weighted = lexicon, rng_seed, weighted
+
+    def table(self, profiles: list[UserProfile]) -> dict[str, int]:
+        self._graph = self.graph(self._weighted)
+        self.partition = louvain(self._graph, rng_seed=self._rng_seed)
+        return {"nodes": len(self._graph.nodes), "edges": self._graph.m,
+                "communities": self.partition.n_communities}
+
+    def evaluate(self, profiles: list[UserProfile], truth: Mapping[str, str],
+                 config: RunConfig, enter: Callable[[str], None]) -> dict[str, Any]:
+        enter("graph")
+        counts = self.table(profiles)
+        labeling = label_communities(self.partition, self._lexicon.seed_party_map())
+        scored = community_classify(self.partition, labeling, truth)
+        # community membership is the lone feature
+        return dict(report=scored.report, n_instances=scored.report.total,
+                    n_attributes=1, coverage=scored.coverage,
+                    classifier=f"louvain communities ({counts['communities']} found)")
+
+    def write(self, out: Path) -> None:
+        write_edges(self._graph, out / "graph.edges")
+        write_partition(self.partition, out / "partition.txt")
+
+
+# each method's fold, made from the run's lexicon and seed
+FOLDS: dict[str, Callable[[PartyLexicon, int], Any]] = {
+    "text": lambda lexicon, rng_seed: TermBagFold("text"),
+    "hashtag": lambda lexicon, rng_seed: TermBagFold("hashtag"),
+    "user-features": lambda lexicon, rng_seed: ProfileFold(lexicon),
+    "network": NetworkFold,
+}
+METHODS = tuple(FOLDS)
 
 
 def _rows_for_users(matrix, truth: Mapping[str, str]):
@@ -429,9 +508,18 @@ def publish(out_dir: str | Path, command: str, counts: Mapping[str, int],
 def run(config: RunConfig) -> RunResult:
     """Execute one configured experiment; see the module docstring."""
     digest = config_hash(config)
-    timings: list[tuple[str, float]] = []
+    stages: list[dict[str, Any]] = []
+    stage, t0 = "config", 0.0
+
+    def enter(name: str) -> None:
+        """End the stage under way (the config stage is not timed); start ``name``."""
+        nonlocal stage, t0
+        now = time.perf_counter()
+        if stage != "config":
+            stages.append({"name": stage, "seconds": now - t0})
+        stage, t0 = name, now
+
     try:
-        stage = "config"
         inputs = (config.corpus_path, config.annotations_path, config.lexicon_path)
         for label, path in zip(("corpus_path", "annotations_path", "lexicon_path"),
                                inputs):
@@ -442,92 +530,23 @@ def run(config: RunConfig) -> RunResult:
         check_out_dir(config.out_dir, inputs)
         lexicon = config.lexicon()
 
-        stage = "ingest"
-        t0 = time.perf_counter()
-        if config.method == "network":
-            sink = InteractionFold()
-        elif config.method == "user-features":
-            sink = ProfileFold(lexicon)
-        else:
-            sink = TermBagFold(config.method)
-        _, profiles, counts = read_corpus(config.corpus_path, config.strictness, sink)
-        timings.append(("ingest", time.perf_counter() - t0))
-
-        stage = "annotate"
-        t0 = time.perf_counter()
+        enter("ingest")
+        fold = FOLDS[config.method](lexicon, config.rng_seed)
+        fold, profiles, counts = read_corpus(config.corpus_path, config.strictness, fold)
+        enter("annotate")
         # the rows are dropped once resolved, not held through the later stages
         truth = _truth_map(read_annotations(config.annotations_path), config.dimension)
         if not truth:
-            raise ConfigError(
-                f"no user keeps a decided {config.dimension!r} label after "
-                "majority resolution"
-            )
-        timings.append(("annotate", time.perf_counter() - t0))
+            raise ConfigError(f"no user keeps a decided {config.dimension!r} label "
+                              "after majority resolution")
         counts["annotated_users"] = len(truth)
 
-        if config.method == "network":
-            stage = "graph"
-            t0 = time.perf_counter()
-            graph = sink.graph()
-            partition = louvain(graph, rng_seed=config.rng_seed)
-            labeling = label_communities(partition, lexicon.seed_party_map())
-            evaluation = community_classify(partition, labeling, truth)
-            timings.append(("graph", time.perf_counter() - t0))
-            report = evaluation.report
-            n_instances = report.total
-            n_attributes = 1  # community membership is the lone feature
-            classifier = f"louvain communities ({partition.n_communities} found)"
-            coverage = evaluation.coverage
-        else:
-            stage = "featurize"
-            t0 = time.perf_counter()
-            if config.method == "user-features":
-                labelled = [p for p in profiles if p.screen_name in truth]
-                vectors = sink.vectors(labelled)
-                if not vectors:
-                    raise FeatureError("no profiled user carries a label")
-                rows = np.array(list(vectors.values()), dtype=np.float64)
-                labels = [truth[name] for name in vectors]
-            else:
-                matrix = sink.matrix()
-                rows, labels = _rows_for_users(matrix, truth)
-                if len(labels) == 0:
-                    raise FeatureError("no matrix user carries a label")
-            n_attributes = rows.shape[1]
-            timings.append(("featurize", time.perf_counter() - t0))
-
-            stage = "classify"
-            t0 = time.perf_counter()
-            if config.balance:
-                rows, labels = balance_classes(rows, labels,
-                                               rng_seed=config.rng_seed)
-            report = cross_validate(
-                rows,
-                labels,
-                n_trees=config.n_trees,
-                k=config.cv_k,
-                mode=config.cv_mode,
-                rng_seed=config.rng_seed,
-            )
-            timings.append(("classify", time.perf_counter() - t0))
-            n_instances = len(labels)
-            classifier = f"random forest ({config.n_trees} trees)"
-            coverage = None
-
-        result = RunResult(config, report, n_instances, n_attributes, classifier,
-                           digest, counts, coverage)
-
-        stage = "report"
-        t0 = time.perf_counter()
-        stages = [{"name": name, "seconds": seconds} for name, seconds in timings]
+        result = RunResult(config=config, config_digest=digest, counts=counts,
+                           **fold.evaluate(profiles, truth, config, enter))
+        enter("report")
 
         def write(out: Path) -> None:
-            if config.method == "network":
-                write_edges(graph, out / "graph.edges")
-                write_partition(partition, out / "partition.txt")
-            elif config.method != "user-features":
-                write_matrix(matrix, out / "matrix.triplets", out / "vocabulary.tsv",
-                             out / "users.txt")
+            fold.write(out)
             (out / "report.txt").write_text(render_table(result), encoding="utf-8")
             (out / "report.json").write_text(render_structured(result), encoding="utf-8")
             # timed before publish writes the manifest that records it

@@ -552,6 +552,42 @@ class TestFeaturize:
         assert len(rows[0]) == 12  # id column plus 11 features
         assert len(rows) > 1
 
+    def test_features_csv_matches_classify(self, workspace, tmp_path, capsys):
+        """A user-features classify writes the table it trained on, and with
+        the default lexicon it is featurize's features.csv byte for byte."""
+        assert main(["featurize", corpus_of(workspace), "--method", "user-features",
+                     "--out", str(tmp_path / "feat")]) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / "run"),
+            "method": "user-features", "n_trees": 5, "cv_k": 4,
+        }))
+        assert main(["classify", "--config", str(config)]) == 0
+        assert ((tmp_path / "feat" / "features.csv").read_bytes()
+                == (tmp_path / "run" / "features.csv").read_bytes())
+        assert "features.csv" in manifest_of(tmp_path / "run")["artifact_hashes"]
+
+    def test_user_features_classify_without_profiles_fails_as_featurize(
+            self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "tweets.jsonl"
+        corpus.write_text(json.dumps({
+            "kind": "tweet", "tweet_id": "1", "author_id": "2",
+            "author_screen_name": "aap_0", "created_at": "2014-04-01T00:00:00Z",
+            "text": "vote bjp",
+        }) + "\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": str(corpus),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / "run"), "method": "user-features",
+        }))
+        assert main(["classify", "--config", str(config)]) == 3
+        assert ("error: [featurize] no users with a profile; feature table would be "
+                "empty\n") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("method", sorted(FEATURIZE_GOLDEN))
     def test_golden_digests(self, method, default_corpus, tmp_path, capsys):
         assert main(["featurize", default_corpus, "--method", method,
@@ -577,6 +613,22 @@ class TestGraphCommand:
     def test_golden_digests(self, flags, default_corpus, tmp_path, capsys):
         assert main(["graph", default_corpus, *flags, "--out", str(tmp_path)]) == 0
         assert published_digests(tmp_path) == GRAPH_GOLDEN[flags]
+
+    def test_graph_files_match_network_classify(self, workspace, tmp_path, capsys):
+        """graph and a network classify build one NetworkFold's table, so
+        one corpus and seed give the same graph and partition files."""
+        assert main(["graph", corpus_of(workspace), "--seed", "3",
+                     "--out", str(tmp_path / "graph")]) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / "run"), "method": "network", "rng_seed": 3,
+        }))
+        assert main(["classify", "--config", str(config)]) == 0
+        for name in ("graph.edges", "partition.txt"):
+            assert ((tmp_path / "graph" / name).read_bytes()
+                    == (tmp_path / "run" / name).read_bytes())
 
 
 class TestAnalyzeCommand:
@@ -659,6 +711,24 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(corpus), f"--tz={tz}", "--out", str(out_dir)]) == 3
         err = capsys.readouterr().err
         assert "data error: tweet 77 at UTC" + tz in err
+        assert not out_dir.exists()
+
+    def test_strict_malformed_line_wins_over_an_earlier_out_of_range_tweet(
+            self, tmp_path, capsys):
+        # the parse finishes before the first out-of-range tweet is raised,
+        # so under --strict the later malformed line is the error
+        corpus = tmp_path / "two.jsonl"
+        corpus.write_text(json.dumps({
+            "kind": "tweet", "tweet_id": "77", "author_id": "1",
+            "author_screen_name": "a", "created_at": "9999-12-31T23:59:59Z",
+            "text": "hi",
+        }) + "\n{broken\n", encoding="utf-8")
+        out_dir = tmp_path / "an"
+        assert main(["analyze", str(corpus), "--strict", "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert f"{corpus}:2: invalid JSON" in err and "tweet 77" not in err
+        assert main(["analyze", str(corpus), "--out", str(out_dir)]) == 3
+        assert "data error: tweet 77 at UTC+05:30" in capsys.readouterr().err
         assert not out_dir.exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for run orchestration, config handling, and report rendering."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -657,6 +658,41 @@ def test_read_corpus_counts_are_the_same_for_every_sink(small_inputs, tmp_path):
     assert all(each == counts[0] for each in counts)
     assert counts[0]["skipped_lines"] == len(bad)
     assert sum(counts[0].values()) == len(lines) + len(bad)
+
+
+def tracer_targets():
+    """``TARGETS`` of the benchmark's tracer, read from its source."""
+    source = (Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text("utf-8")
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py has no TARGETS")
+
+
+def test_runs_call_every_pipeline_global_the_tracer_wraps(small_inputs, tmp_path,
+                                                           monkeypatch):
+    """The tracer replaces each name at pipeline's module global, so a fold
+    that bound one when its class was defined would never be traced. Each
+    name but build_interaction_graph, which no run calls, must be called
+    through that global by a run of some method."""
+    names = sorted({attribute for module, attribute, _ in tracer_targets()
+                    if module == "polistance.pipeline"} - {"build_interaction_graph"})
+    assert {"run", "build_text_matrix", "louvain", "write_edges"} <= set(names)
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(polistance.pipeline, name,
+                            counting(name, getattr(polistance.pipeline, name)))
+    for method in METHODS:
+        polistance.pipeline.run(base_config(small_inputs, tmp_path / method,
+                                            method=method, n_trees=3, cv_k=2))
+    assert [name for name in names if calls[name] == 0] == []
 
 
 def fold_of(method):
