@@ -35,7 +35,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -138,9 +138,9 @@ class InteractionFold:
     """Retweet and mention pairs, taken one tweet at a time.
 
     A sink for ``parse_corpus``: ``append`` folds a tweet in, ``len`` counts
-    the tweets seen, and ``graph()`` gives their graph. Each name is looked
-    up in one dict and each event is kept as two C ints, never as a Python
-    pair, so no tweet is held.
+    the tweets seen, and ``build_interaction_graph(fold)`` gives their graph.
+    Each name is looked up in one dict and each event is kept as two C ints,
+    never as a Python pair, so no tweet is held.
     """
 
     __slots__ = ("_index", "_authors", "_targets", "_tweets")
@@ -165,37 +165,22 @@ class InteractionFold:
     def __len__(self) -> int:
         return self._tweets
 
-    def graph(self, weighted: bool = False) -> InteractionGraph:
-        """The simple undirected graph of the pairs so far. With ``weighted``
-        an edge weighs its number of events instead of 1."""
-        index = self._index
-        # renumber the first-seen ids so that ids follow sorted names
-        nodes = tuple(sorted(index))
-        rank = np.empty(len(nodes), dtype=np.int64)
-        rank[[index[node] for node in nodes]] = np.arange(len(nodes))
-        a = rank[np.frombuffer(self._authors, dtype=np.intc)]
-        b = rank[np.frombuffer(self._targets, dtype=np.intc)]
-        keys, counts = np.unique(np.minimum(a, b) * len(nodes) + np.maximum(a, b),
-                                 return_counts=True)
-        weights = counts.astype(np.float64) if weighted else np.ones(keys.size)
-        return InteractionGraph.from_keys(nodes, keys, weights)
 
-
-def build_interaction_graph(
-    tweets: Iterable[Tweet],
-    weighted: bool = False,
-) -> InteractionGraph:
-    """Collect retweet and mention pairs into a simple undirected graph.
-
-    Both interaction kinds contribute the same edges; self-interactions
-    are skipped. With ``weighted`` the edge weight counts interaction
-    events instead of collapsing to 1. The tweets are read once, through
-    an ``InteractionFold``.
-    """
-    fold = InteractionFold()
-    for tweet in tweets:
-        fold.append(tweet)
-    return fold.graph(weighted)
+def build_interaction_graph(fold: InteractionFold,
+                            weighted: bool = False) -> InteractionGraph:
+    """The simple undirected graph of the fold's retweet and mention pairs.
+    With ``weighted`` an edge weighs its number of events instead of 1."""
+    index = fold._index
+    # renumber the first-seen ids so that ids follow sorted names
+    nodes = tuple(sorted(index))
+    rank = np.empty(len(nodes), dtype=np.int64)
+    rank[[index[node] for node in nodes]] = np.arange(len(nodes))
+    a = rank[np.frombuffer(fold._authors, dtype=np.intc)]
+    b = rank[np.frombuffer(fold._targets, dtype=np.intc)]
+    keys, counts = np.unique(np.minimum(a, b) * len(nodes) + np.maximum(a, b),
+                             return_counts=True)
+    weights = counts.astype(np.float64) if weighted else np.ones(keys.size)
+    return InteractionGraph.from_keys(nodes, keys, weights)
 
 
 @dataclass(frozen=True)
@@ -556,8 +541,9 @@ def community_classify(
 
 
 def write_edges(graph: InteractionGraph, path: str | Path) -> None:
-    """One "nodeA nodeB" line per edge, sorted, lowercase; weight appended
-    only for weighted graphs."""
+    """One "nodeA nodeB" line per edge, sorted, lowercase; the weight is
+    appended to every line when some edge weighs other than 1, so a weighted
+    graph whose every pair occurred once is written as two columns."""
     weighted = bool(np.any(graph.weights != 1.0))
     nodes = graph.nodes
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -13,9 +13,10 @@ previous run's files as they were.
 Each method is one fold, ``FOLDS[method]``, that keeps only what its
 method needs of each tweet as ingest parses it, so no run holds the
 tweets. ``run()`` and the ``featurize`` and ``graph`` commands call its
-``table``, ``write`` and ``evaluate``. Each function the benchmark's
-tracer (perfbench/tracer.py) wraps here is looked up as this module's
-global on each call.
+``table``, ``write`` and ``evaluate``; the network fold's table is
+``graph.build_interaction_graph(fold)`` and its Louvain partition. Each
+function the benchmark's tracer (perfbench/tracer.py) wraps here is
+looked up as this module's global on each call.
 """
 
 from __future__ import annotations
@@ -53,12 +54,9 @@ from .features import (
     write_matrix,
 )
 from .forest import CV_MODES, balance_classes, cross_validate
-# a network run folds its graph through InteractionFold and no longer
-# calls build_interaction_graph; the name stays a module global for the
-# benchmark's tracer (perfbench/tracer.py), which wraps it here
 from .graph import (
     InteractionFold,
-    build_interaction_graph,  # noqa: F401
+    build_interaction_graph,
     community_classify,
     label_communities,
     louvain,
@@ -419,16 +417,16 @@ class ProfileFold(_ForestFold):
 
 
 class NetworkFold(InteractionFold):
-    """The network method's fold: its table is the interaction graph and
-    the graph's Louvain partition at ``rng_seed``, and its score labels
-    each community by the lexicon's seed accounts."""
+    """The network method's fold: its table is ``build_interaction_graph``
+    of its pairs and the graph's Louvain partition at ``rng_seed``, and its
+    score labels each community by the lexicon's seed accounts."""
 
     def __init__(self, lexicon: PartyLexicon, rng_seed: int = 0, weighted: bool = False):
         super().__init__()
         self._lexicon, self._rng_seed, self._weighted = lexicon, rng_seed, weighted
 
     def table(self, profiles: list[UserProfile]) -> dict[str, int]:
-        self._graph = self.graph(self._weighted)
+        self._graph = build_interaction_graph(self, self._weighted)
         self.partition = louvain(self._graph, rng_seed=self._rng_seed)
         return {"nodes": len(self._graph.nodes), "edges": self._graph.m,
                 "communities": self.partition.n_communities}
@@ -466,10 +464,12 @@ def _rows_for_users(matrix, truth: Mapping[str, str]):
 
 def check_out_dir(out_dir: str | Path, inputs: Iterable[str | Path | None]) -> None:
     """Raise ConfigError, before any work, if ``publish`` could not write
-    ``out_dir``: a file stands at it or above it, or it holds one of the
-    ``inputs`` (None ignored) under a name that ``publish`` removes."""
+    ``out_dir``: a file or a dangling link stands at it or above it, or it
+    holds one of the ``inputs`` (None ignored) under a name that
+    ``publish`` removes."""
     out = Path(out_dir)
-    standing = next(path for path in (out, *out.parents) if path.exists())
+    standing = next(path for path in (out, *out.parents)
+                    if path.exists() or path.is_symlink())
     if not standing.is_dir():
         raise ConfigError(
             f"cannot create output directory {out}: {standing} is not a directory"
@@ -478,6 +478,17 @@ def check_out_dir(out_dir: str | Path, inputs: Iterable[str | Path | None]) -> N
     for held in (out / name for name in ("manifest.json", *_ARTIFACTS)):
         if held.exists() and any(held.samefile(path) for path in inputs):
             raise ConfigError(f"output directory {out} holds the input {held}")
+
+
+def _sha256(path: Path) -> str:
+    """The file's sha256, read 64 KiB at a time so no artifact is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        # each block counts toward a run's peak memory: 1 MiB blocks broke
+        # the tests' per-tweet bounds on runs of 9,000 tweets
+        while block := handle.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def publish(out_dir: str | Path, command: str, counts: Mapping[str, int],
@@ -497,8 +508,7 @@ def publish(out_dir: str | Path, command: str, counts: Mapping[str, int],
     for name in ("manifest.json", *_ARTIFACTS):
         (out / name).unlink(missing_ok=True)
     write(out)
-    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-              for name in _ARTIFACTS if (out / name).exists()}
+    hashes = {name: _sha256(out / name) for name in _ARTIFACTS if (out / name).exists()}
     manifest = dict(fields, artifact_hashes=hashes, command=command,
                     counts=dict(counts), version=__version__)
     (out / "manifest.json").write_text(canonical_dumps(manifest) + "\n", encoding="utf-8")

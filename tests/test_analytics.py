@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polistance.analytics import IST_OFFSET_MINUTES, analyze, write_analysis
-from polistance.corpus import Tweet
+from polistance.analytics import IST_OFFSET_MINUTES, AnalysisFold, analyze, write_analysis
+from polistance.corpus import CorpusError, Tweet
 from polistance.features import default_lexicon
 
 UTC = timezone.utc
@@ -125,6 +125,19 @@ class TestVolumeSeries:
         assert result.volume == ()
         assert result.volume_mean is None and result.volume_stddev is None
         assert all(series == () for series in result.mentions.values())
+
+    def test_first_out_of_range_tweet_is_the_one_named(self):
+        # at +05:30 both the last second of year 9999 and the noon of year 1
+        # fall outside the datetime range; every tweet is still counted
+        fold = AnalysisFold(default_lexicon())
+        for t in (tweet(1, datetime(2014, 4, 7, tzinfo=UTC)),
+                  tweet(2, datetime(9999, 12, 31, 23, 59, 59, tzinfo=UTC)),
+                  tweet(3, datetime(1, 1, 1, 12, tzinfo=UTC)),
+                  tweet(4, datetime(2014, 4, 8, tzinfo=UTC))):
+            fold.append(t)
+        assert len(fold) == 4
+        with pytest.raises(CorpusError, match="^tweet 2 at UTC"):
+            fold.result()
 
     def test_interior_gaps_are_zero_filled(self):
         t0 = datetime(2014, 4, 7, 5, 0, tzinfo=UTC)

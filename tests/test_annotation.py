@@ -189,6 +189,14 @@ class TestMeanPairwise:
         with pytest.raises(AnnotationError):
             mean_pairwise_kappa([], "sideways")
 
+    def test_user_labeled_twice_by_one_annotator_rejected(self):
+        rows = annotation_rows({"a": {"u1": "AAP", "u2": "BJP"},
+                                "b": {"u1": "AAP", "u2": "CONG"}})
+        rows.append(Annotation("u2", "b", "BJP", "BJP"))
+        with pytest.raises(AnnotationError) as caught:
+            mean_pairwise_kappa(rows, "pro")
+        assert str(caught.value) == "annotator 'b' labeled user 'u2' twice"
+
 
 class TestMajority:
     def test_two_of_three(self):
@@ -324,6 +332,28 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(AnnotationError):
             read_annotations(tmp_path / "none.csv")
+
+    def test_empty_file_rejected_by_name(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_bytes(b"")
+        with pytest.raises(AnnotationError) as caught:
+            read_annotations(path)
+        assert str(caught.value) == f"{path}: empty annotations file"
+
+    def test_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text("user_id,annotator_id,pro,anti\nu1,a,AAP,BJP\n\nu2,a,BJP,CONG\n",
+                        encoding="utf-8")
+        assert read_annotations(path) == [Annotation("u1", "a", "AAP", "BJP"),
+                                          Annotation("u2", "a", "BJP", "CONG")]
+
+    def test_wrong_field_count_rejected_by_line(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text("user_id,annotator_id,pro,anti\nu1,a,AAP,BJP\n\nu2,a,BJP\n",
+                        encoding="utf-8")
+        with pytest.raises(AnnotationError) as caught:
+            read_annotations(path)
+        assert str(caught.value) == f"{path}:4: expected 4 fields, got 3"
 
     def test_non_utf8_file_rejected_by_name(self, tmp_path):
         path = tmp_path / "ann.csv"

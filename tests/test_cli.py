@@ -304,6 +304,34 @@ class TestExitCodes:
         assert taken.read_text() == "keep\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json", "taken"]
 
+    @pytest.mark.parametrize("out", ["link", "link/run"], ids=["at", "under"])
+    @pytest.mark.parametrize("command", ["classify", "graph"])
+    def test_out_at_or_under_a_dangling_link_is_config_error(
+            self, command, out, tmp_path, workspace, capsys):
+        # a dangling link does not exist() but is no directory either: the
+        # run must fail before any stage, not when it comes to write
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "nowhere")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / out),
+            "method": "network",
+        }))
+        argv = (["classify", "--config", str(config)] if command == "classify"
+                else ["graph", corpus_of(workspace), "--out", str(tmp_path / out)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (f"cannot create output directory {tmp_path / out}: "
+                f"{link} is not a directory") in captured.err
+        if command == "classify":
+            assert captured.err.startswith("error: [config] ")
+        else:
+            assert captured.out == ""
+        assert link.is_symlink() and not link.exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link", "run.json"]
+
     def test_classify_with_string_lexicon_bucket_is_data_error(self, tmp_path, workspace,
                                                                capsys):
         lexicon = tmp_path / "lexicon.json"
@@ -342,6 +370,26 @@ class TestExitCodes:
         }))
         assert main(["classify", "--config", str(config)]) == 3
         assert f"error: [featurize] {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_classify_with_no_decided_label_is_config_error(self, tmp_path, workspace,
+                                                             capsys):
+        # two annotators who split every user leave no majority to train on
+        rows = Path(annotations_of(workspace)).read_text().splitlines()[1:]
+        users = sorted({row.split(",")[0] for row in rows})
+        annotations = tmp_path / "split.csv"
+        annotations.write_text("user_id,annotator_id,pro,anti\n" + "".join(
+            f"{user},a1,AAP,BJP\n{user},a2,BJP,BJP\n" for user in users))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": str(annotations),
+            "out_dir": str(tmp_path / "out"),
+            "method": "network",
+        }))
+        assert main(["classify", "--config", str(config)]) == 2
+        assert ("error: [annotate] no user keeps a decided 'pro' label after majority "
+                "resolution\n") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fault, code, message", [
@@ -820,6 +868,25 @@ class TestClassifyCommand:
         other = json.loads((tmp_path / "b" / "report.json").read_text())
         assert base["config"] != other["config"]
         assert other["seed"] == 7
+
+    def test_method_dimension_and_strict_override_the_config(self, workspace, tmp_path,
+                                                              capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus_path": corpus_of(workspace),
+            "annotations_path": annotations_of(workspace),
+            "out_dir": str(tmp_path / "unused"),
+            "method": "text", "dimension": "pro", "cv_k": 2,
+        }))
+        out = tmp_path / "run"
+        assert main(["classify", "--config", str(config), "--method", "network",
+                     "--dimension", "anti", "--strict", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["method"], report["dimension"]) == ("network", "anti")
+        ran = manifest_of(out)["config"]
+        assert (ran["method"], ran["dimension"], ran["strictness"]) == (
+            "network", "anti", "strict")
+        assert not (tmp_path / "unused").exists()
 
     @pytest.mark.parametrize("method", sorted(REPORT_GOLDEN))
     def test_forest_report_golden_digest(self, method, default_corpus, tmp_path,

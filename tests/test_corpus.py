@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus_reference
+from interactions import graph_of
 from polistance import corpus
 from polistance.features import PARTIES
 from polistance.graph import InteractionFold, build_interaction_graph
@@ -684,8 +685,8 @@ class TestTweetSink:
     def test_fold_graph_is_the_graph_of_the_listed_tweets(self, path, weighted):
         listed, _, _ = parse_corpus(path)
         fold, _, _ = parse_corpus(path, tweets=InteractionFold())
-        folded = fold.graph(weighted=weighted)
-        assert folded == build_interaction_graph(listed, weighted=weighted)
+        folded = build_interaction_graph(fold, weighted)
+        assert folded == graph_of(listed, weighted)
         pairs = {(folded.nodes[a], folded.nodes[b]): w for a, b, w in
                  zip(folded.heads.tolist(), folded.tails.tolist(),
                      folded.weights.tolist())}

@@ -436,6 +436,19 @@ class TestLexicon:
         assert str(caught.value).startswith(
             f"{path}: party {party!r} bucket {bucket!r} must be a list of strings")
 
+    @pytest.mark.parametrize("raw, message", [
+        (["AAP", "BJP", "CONG"], "lexicon must be an object keyed by party"),
+        ({"AAP": {}, "BJP": ["modi"], "CONG": {}}, "party 'BJP' must map to an object"),
+        ({"AAP": {"keyword": ["aap"]}, "BJP": {}, "CONG": {}},
+         "unknown bucket ['keyword'] in 'AAP'"),
+    ], ids=["top-level", "party", "bucket"])
+    def test_malformed_shape_rejected_by_name(self, raw, message, tmp_path):
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(FeatureError) as caught:
+            PartyLexicon.from_file(path)
+        assert str(caught.value) == f"{path}: {message}"
+
     def test_entry_error_names_file_and_party(self, tmp_path):
         path = tmp_path / "lexicon.json"
         path.write_text(json.dumps({"AAP": {}, "BJP": {}, "CONG": {"keywords": ["Rahul"]}}),

@@ -343,6 +343,23 @@ class TestBalance:
         assert first[1] == second[1]
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [balance_classes, cross_validate])
+    def test_row_and_label_counts_must_match(self, call):
+        with pytest.raises(ForestError, match="^3 rows but 2 labels$"):
+            call(np.zeros((3, 1)), ["A", "B"])
+
+    def test_balancing_zero_rows_rejected(self):
+        with pytest.raises(ForestError, match="^no rows to balance$"):
+            balance_classes(np.zeros((0, 2)), [])
+
+    @pytest.mark.parametrize("call", [train_forest, balance_classes, cross_validate])
+    def test_one_dimensional_rows_rejected(self, call):
+        with pytest.raises(ForestError,
+                           match=r"^rows must be 2-dimensional, got shape \(4,\)$"):
+            call([1.0, 2.0, 3.0, 4.0], ["A", "B", "A", "B"])
+
+
 class TestStratifiedFolds:
     def test_proportions_deviate_below_one_item(self):
         labels = ["A"] * 47 + ["B"] * 23 + ["C"] * 10

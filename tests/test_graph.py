@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import neighbor_lists_reference
+from interactions import graph_of
 import polistance.graph as graph_module
 from polistance.corpus import Tweet
 from polistance.graph import (
@@ -87,7 +88,7 @@ def oracle_q(graph: InteractionGraph, assignment) -> float:
 
 def planted(seed, sizes, p_in, p_out, weighted=False):
     """A planted-partition graph; ``weighted`` gives integer weights 1-4,
-    like the event counts of ``build_interaction_graph(weighted=True)``."""
+    like the event counts of a weighted ``build_interaction_graph``."""
     graph, blocks = planted_partition_graph(sizes, p_in, p_out, rng_seed=seed)
     if weighted:
         counts = np.random.default_rng(seed).integers(1, 5, graph.m)
@@ -378,7 +379,7 @@ class TestBaseLevelShares:
         for t in (tweet(1, "b", retweet_of="a"), tweet(2, "c", mentions=["a", "b"]),
                   tweet(3, "a", mentions=["c", "d"]), tweet(4, "b", retweet_of="a")):
             fold.append(t)
-        self.assert_shares(fold.graph(weighted))
+        self.assert_shares(build_interaction_graph(fold, weighted))
 
     def test_constructed_pairs_are_sorted_and_summed(self):
         pairs = [("d", "b"), ("a", "c"), ("b", "d"), ("c", "c"), ("c", "a"),
@@ -411,17 +412,17 @@ class TestBuildInteractionGraph:
             tweet(1, "alice", retweet_of="bob"),
             tweet(2, "carol", mentions=["alice", "dan"]),
         ]
-        g = build_interaction_graph(tweets)
+        g = graph_of(tweets)
         assert name_pairs(g) == [("alice", "bob"), ("alice", "carol"), ("carol", "dan")]
         assert g.weights.tolist() == [1.0, 1.0, 1.0]
 
     def test_self_interaction_skipped(self):
-        g = build_interaction_graph([tweet(1, "alice", mentions=["alice"])])
+        g = graph_of([tweet(1, "alice", mentions=["alice"])])
         assert g.m == 0 and g.nodes == ()
 
     def test_duplicate_interactions_collapse(self):
         tweets = [tweet(i, "alice", retweet_of="bob") for i in range(5)]
-        g = build_interaction_graph(tweets)
+        g = graph_of(tweets)
         assert name_pairs(g) == [("alice", "bob")]
         assert g.weights.tolist() == [1.0]
 
@@ -431,12 +432,12 @@ class TestBuildInteractionGraph:
             tweet(2, "b", mentions=["c"]),
             tweet(3, "c", mentions=["a", "b"]),
         ]
-        assert build_interaction_graph(tweets * 2) == build_interaction_graph(tweets)
+        assert graph_of(tweets * 2) == graph_of(tweets)
 
     def test_weighted_mode_counts_events(self):
         tweets = [tweet(i, "alice", retweet_of="bob") for i in range(3)]
         tweets.append(tweet(10, "bob", mentions=["alice"]))
-        g = build_interaction_graph(tweets, weighted=True)
+        g = graph_of(tweets, weighted=True)
         assert name_pairs(g) == [("alice", "bob")]
         assert g.weights.tolist() == [4.0]
 
@@ -464,7 +465,7 @@ class TestBuildInteractionGraph:
                 if other != t.author_screen_name:
                     expected.add(frozenset((t.author_screen_name, other)))
 
-        g = build_interaction_graph(tweets)
+        g = graph_of(tweets)
         pairs = name_pairs(g)
         assert {frozenset(e) for e in pairs} == expected
         assert g.m == len(expected)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -26,7 +27,7 @@ from polistance.features import (
     default_lexicon,
 )
 from polistance.forest import cross_validate
-from polistance.graph import InteractionFold, build_interaction_graph
+from polistance.graph import InteractionFold
 from polistance.metrics import eval_metrics
 from polistance.pipeline import (
     METHODS,
@@ -38,6 +39,7 @@ from polistance.pipeline import (
     TermBagFold,
     config_hash,
     load_config,
+    publish,
     read_corpus,
     render_structured,
     render_table,
@@ -581,6 +583,29 @@ class TestRunFailures:
         assert not (out / "manifest.json").exists()
 
 
+def test_publish_hashes_an_artifact_without_holding_it(tmp_path):
+    # a 32 MiB artifact, written 64 KiB at a time; read whole to be hashed,
+    # it made publish peak at its own size
+    piece = bytes(range(256)) * 256
+    expected = hashlib.sha256()
+    for _ in range(512):
+        expected.update(piece)
+
+    def write(out):
+        with open(out / "corpus.normalized.jsonl", "wb") as handle:
+            for _ in range(512):
+                handle.write(piece)
+
+    tracemalloc.start()
+    try:
+        hashes = publish(tmp_path / "out", "ingest", {}, write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashes == {"corpus.normalized.jsonl": expected.hexdigest()}
+    assert peak < 1 << 20
+
+
 class TestReportRendering:
     @staticmethod
     def result_fixture():
@@ -673,10 +698,9 @@ def test_runs_call_every_pipeline_global_the_tracer_wraps(small_inputs, tmp_path
                                                            monkeypatch):
     """The tracer replaces each name at pipeline's module global, so a fold
     that bound one when its class was defined would never be traced. Each
-    name but build_interaction_graph, which no run calls, must be called
-    through that global by a run of some method."""
+    name must be called through that global by a run of some method."""
     names = sorted({attribute for module, attribute, _ in tracer_targets()
-                    if module == "polistance.pipeline"} - {"build_interaction_graph"})
+                    if module == "polistance.pipeline"})
     assert {"run", "build_text_matrix", "louvain", "write_edges"} <= set(names)
     calls = Counter()
 
@@ -727,13 +751,6 @@ class TestSinglePass:
     def test_analyze(self, tweets, tz):
         lexicon = default_lexicon()
         assert analyze(iter(tweets), lexicon, tz) == analyze(tweets, lexicon, tz)
-
-    def test_build_interaction_graph(self, tweets):
-        once = build_interaction_graph(iter(tweets))
-        listed = build_interaction_graph(tweets)
-        assert once.nodes == listed.nodes
-        for name in ("heads", "tails", "weights"):
-            assert np.array_equal(getattr(once, name), getattr(listed, name))
 
     def test_authors_keep_first_tweet_order(self):
         # u0's first tweet has no token, yet u0 still comes first, as when

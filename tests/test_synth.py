@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth_reference
+from interactions import graph_of
 from polistance.annotation import resolve_majority, write_annotations
 from polistance.corpus import extract_entities, parse_corpus, write_corpus
 from polistance.features import PARTIES, default_lexicon
-from polistance.graph import build_interaction_graph
 from polistance.synth import (
     SynthError,
     SyntheticSpec,
@@ -127,7 +127,7 @@ class TestGenerateCorpus:
             rng_seed=3,
         )
         data = generate_corpus(spec)
-        graph = build_interaction_graph(data.tweets)
+        graph = graph_of(data.tweets)
 
         adjacency = defaultdict(set)
         for a, b in name_pairs(graph):
