@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .corpus import CorpusError, Tweet, canonical_dumps, format_timestamp, tokenize
 from .features import PARTIES, PartyLexicon, write_csv
@@ -25,7 +25,6 @@ __all__ = [
     "STDDEV_KIND",
     "Analysis",
     "AnalysisFold",
-    "analyze",
     "write_analysis",
 ]
 
@@ -71,14 +70,18 @@ def _top(counts: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
 
 
 class AnalysisFold:
-    """The statistics of ``analyze``, taken one tweet at a time.
+    """Volume, day-hour, party mentions, top hashtags and tweeters, taken
+    one tweet at a time.
 
     A sink for ``parse_corpus``: ``append`` folds a tweet in, ``len`` counts
-    the tweets seen, and ``result()`` gives their ``Analysis``. A tweet whose
-    local time, or the start of its local day or week, has no utc
-    ``datetime`` at this offset is a ``CorpusError``, which ``result()``
-    raises for the first such tweet. So the parse finishes first, and under
-    ``--strict`` a malformed line wins over an earlier such tweet.
+    the tweets seen, and ``result()`` gives their ``Analysis``. A tweet
+    counts toward a party when any of its tokens matches the party's
+    keywords or any of its hashtags matches the party's hashtags; one tweet
+    may count toward several parties. A tweet whose local time, or the start
+    of its local day or week, has no utc ``datetime`` at this offset is a
+    ``CorpusError``, which ``result()`` raises for the first such tweet. So
+    the parse finishes first, and under ``--strict`` a malformed line wins
+    over an earlier such tweet.
     """
 
     def __init__(self, lexicon: PartyLexicon,
@@ -164,25 +167,6 @@ class AnalysisFold:
             volume_mean=mean,
             volume_stddev=stddev,
         )
-
-
-def analyze(
-    tweets: Iterable[Tweet],
-    lexicon: PartyLexicon,
-    tz_offset_minutes: int = IST_OFFSET_MINUTES,
-) -> Analysis:
-    """Volume, day-hour, party mentions, top hashtags and tweeters in one pass.
-
-    A tweet counts toward a party when any of its tokens matches the
-    party's keywords or any of its hashtags matches the party's hashtags;
-    one tweet may count toward several parties. A tweet whose local time,
-    or the start of its local day or week, has no utc ``datetime`` at this
-    offset is a ``CorpusError``, raised before anything is written.
-    """
-    fold = AnalysisFold(lexicon, tz_offset_minutes)
-    for tweet in tweets:
-        fold.append(tweet)
-    return fold.result()
 
 
 def _utc_stamp(bucket: datetime) -> str:

@@ -213,9 +213,12 @@ def resolve_majority(annotations: Sequence[Annotation]) -> list[LabeledUser]:
 
 
 def read_annotations(path: str | Path) -> list[Annotation]:
-    """Read annotations from CSV with header user_id,annotator_id,pro,anti."""
+    """Read annotations from CSV with header user_id,annotator_id,pro,anti.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
+    """
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise AnnotationError(f"cannot read annotations {path}: {exc}") from exc
     reader = csv.reader(handle)

@@ -132,18 +132,10 @@ def _cmd_featurize(args):
 
 
 def _config_overrides(args) -> dict:
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.strict:
-        overrides["strictness"] = "strict"
-    if args.method is not None:
-        overrides["method"] = args.method
-    if args.dimension is not None:
-        overrides["dimension"] = args.dimension
-    return overrides
+    overrides = {"rng_seed": args.seed, "out_dir": args.out,
+                 "strictness": "strict" if args.strict else None,
+                 "method": args.method, "dimension": args.dimension}
+    return {key: value for key, value in overrides.items() if value is not None}
 
 
 def _cmd_classify(args) -> int:
@@ -302,7 +294,7 @@ def run_guarded(command: Callable[[], int]) -> int:
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
 

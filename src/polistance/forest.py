@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import EvalReport, confusion_from_pairs, eval_metrics
+from .metrics import EvalReport
 
 __all__ = [
     "ForestError",
@@ -697,4 +697,4 @@ def cross_validate(
                                      range(len(splits)))
     truth = [label for split_truth, _ in results for label in split_truth]
     predicted = [label for _, split_predicted in results for label in split_predicted]
-    return eval_metrics(*confusion_from_pairs(truth, predicted, sorted(set(labels))))
+    return EvalReport.from_pairs(truth, predicted, sorted(set(labels)))

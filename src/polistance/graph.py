@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Tweet
-from .metrics import EvalReport, confusion_from_pairs, eval_metrics
+from .metrics import EvalReport
 
 __all__ = [
     "CommunityEval",
@@ -531,9 +531,8 @@ def community_classify(
     if not pairs:
         raise GraphError("no truth user falls in a labeled community")
 
-    matrix, classes = confusion_from_pairs(*zip(*pairs))
     return CommunityEval(
-        report=eval_metrics(matrix, classes),
+        report=EvalReport.from_pairs(*zip(*pairs)),
         coverage=len(pairs) / len(truth),
         n_missing=n_missing,
         n_unlabeled=n_unlabeled,

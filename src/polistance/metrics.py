@@ -2,22 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "EvalReport",
     "MetricsError",
-    "confusion_from_pairs",
-    "eval_metrics",
     "f_measure",
 ]
 
 
 class MetricsError(ValueError):
-    """Raised for malformed confusion matrices or label sequences."""
+    """Raised for label sequences that cannot be tallied into a report."""
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -40,6 +37,28 @@ class EvalReport:
 
     classes: tuple[str, ...]
     confusion: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_pairs(
+        cls,
+        truth: Sequence[str],
+        predicted: Sequence[str],
+        classes: Sequence[str] | None = None,
+    ) -> EvalReport:
+        """Tally (true, predicted) label pairs into a report.
+
+        Classes default to the sorted union of labels seen on either side.
+        """
+        if len(truth) != len(predicted):
+            raise MetricsError("truth and predicted must have equal length")
+        if not truth:
+            raise MetricsError("no label pairs to score")
+        classes = tuple(sorted(set(truth) | set(predicted)) if classes is None else classes)
+        counts = Counter(zip(truth, predicted))
+        for t, p in counts:
+            if t not in classes or p not in classes:
+                raise MetricsError(f"label pair ({t!r}, {p!r}) outside classes {classes}")
+        return cls(classes, tuple(tuple(counts[t, p] for p in classes) for t in classes))
 
     @property
     def total(self) -> int:
@@ -68,48 +87,3 @@ class EvalReport:
 
 def _ratios(parts: Sequence[int], wholes: Sequence[int]) -> tuple[float, ...]:
     return tuple(part / whole if whole else 0.0 for part, whole in zip(parts, wholes))
-
-
-def eval_metrics(
-    confusion: Sequence[Sequence[int]] | np.ndarray,
-    classes: Sequence[str],
-) -> EvalReport:
-    """Check a square integer confusion matrix (rows true, columns
-    predicted) whose rows and columns are ``classes``, in order, and hold
-    it as an ``EvalReport``."""
-    matrix = np.asarray(confusion)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise MetricsError(f"confusion matrix must be square, got shape {matrix.shape}")
-    if not np.issubdtype(matrix.dtype, np.integer):
-        raise MetricsError(f"confusion matrix must hold integers, got {matrix.dtype}")
-    if (matrix < 0).any():
-        raise MetricsError("confusion matrix must be nonnegative")
-    if int(matrix.sum()) == 0:
-        raise MetricsError("confusion matrix total must be positive")
-    classes = tuple(classes)
-    if len(classes) != matrix.shape[0]:
-        raise MetricsError("classes length must match matrix size")
-    return EvalReport(classes, tuple(tuple(int(v) for v in row) for row in matrix))
-
-
-def confusion_from_pairs(
-    truth: Sequence[str],
-    predicted: Sequence[str],
-    classes: Sequence[str] | None = None,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Tally (true, predicted) label pairs into a matrix.
-
-    Classes default to the sorted union of labels seen on either side.
-    """
-    if len(truth) != len(predicted):
-        raise MetricsError("truth and predicted must have equal length")
-    if classes is None:
-        classes = sorted(set(truth) | set(predicted))
-    classes = tuple(classes)
-    index = {cls: i for i, cls in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(truth, predicted):
-        if t not in index or p not in index:
-            raise MetricsError(f"label pair ({t!r}, {p!r}) outside classes {classes}")
-        matrix[index[t], index[p]] += 1
-    return matrix, classes

@@ -23,7 +23,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from forest_dump import forest_to_dict
-from polistance.analytics import analyze
+from polistance.analytics import AnalysisFold
 from polistance.annotation import LABELS, agreement_stats, kappa_from_agreement
 from polistance.cli import main
 from polistance.features import build_text_matrix, default_lexicon
@@ -394,7 +394,10 @@ class TestAnalyticsConservation:
         )
         tweets = corpus.tweets
         for tz_offset in (330, 0, -345):
-            result = analyze(tweets, default_lexicon(), tz_offset)
+            fold = AnalysisFold(default_lexicon(), tz_offset)
+            for tweet in tweets:
+                fold.append(tweet)
+            result = fold.result()
             assert sum(value for _, value in result.volume) == len(tweets)
             assert sum(map(sum, result.day_hour)) == len(tweets)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polistance.analytics import IST_OFFSET_MINUTES, AnalysisFold, analyze, write_analysis
+from polistance.analytics import IST_OFFSET_MINUTES, AnalysisFold, write_analysis
 from polistance.corpus import CorpusError, Tweet
 from polistance.features import default_lexicon
 
@@ -30,8 +30,11 @@ def tweet(tid, when, author="someone", text="", hashtags=()):
     )
 
 
-def analysis(tweets, tz_offset_minutes=IST_OFFSET_MINUTES):
-    return analyze(tweets, default_lexicon(), tz_offset_minutes)
+def analysis(tweets, tz_offset_minutes=IST_OFFSET_MINUTES, lexicon=None):
+    fold = AnalysisFold(lexicon or default_lexicon(), tz_offset_minutes)
+    for t in tweets:
+        fold.append(t)
+    return fold.result()
 
 
 def values(series):
@@ -251,7 +254,7 @@ class TestPartyMentions:
                   text=snippets[int(rng.integers(len(snippets)))])
             for i, h in enumerate(rng.integers(0, 600, size=1000))
         ]
-        mentions = analyze(tweets, lexicon).mentions
+        mentions = analysis(tweets, lexicon=lexicon).mentions
         for party in ("AAP", "BJP", "CONG"):
             keywords = lexicon.terms(party).keywords
             expected = sum(

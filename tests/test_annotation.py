@@ -49,6 +49,10 @@ class TestKappa:
     def test_stated_agreement_values(self):
         assert kappa_from_agreement(0.732, 0.375) == pytest.approx(0.5712, abs=1e-3)
 
+    def test_chance_agreement_of_one_is_degenerate(self):
+        with pytest.raises(DegenerateAgreementError, match="kappa undefined"):
+            kappa_from_agreement(1.0, 1.0)
+
     def test_perfect_agreement(self):
         labels = {"u1": "AAP", "u2": "BJP", "u3": "CONG"}
         stats = agreement_stats(labels, dict(labels))
@@ -208,6 +212,10 @@ class TestMajority:
     def test_even_tie(self):
         assert majority_label(["AAP", "AAP", "BJP", "BJP"]) == CANT_SAY
 
+    def test_no_labels_rejected(self):
+        with pytest.raises(AnnotationError, match="no labels to resolve"):
+            majority_label([])
+
     def test_resolution_groups_and_sorts(self):
         rows = [
             Annotation("u2", "a", "BJP", "AAP"),
@@ -293,6 +301,12 @@ class TestCsv:
         ]
         write_annotations(path, rows)
         assert read_annotations(path) == rows
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        path = tmp_path / "ann.csv"
+        path.write_bytes(b"\xef\xbb\xbfuser_id,annotator_id,pro,anti\nu1,a,AAP,BJP\n")
+        assert read_annotations(path) == [Annotation("u1", "a", "AAP", "BJP")]
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "ann.csv"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from polistance import __version__, pipeline
-from polistance.cli import main, parse_tz
+from polistance.cli import main, parse_tz, run_guarded
 from polistance.forest import ForestError
 from polistance.pipeline import ConfigError
 
@@ -202,6 +202,15 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_config_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_unexpected_exception_is_internal_error(self, capsys):
+        def broken():
+            raise KeyError("boom")
+
+        assert run_guarded(broken) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: KeyError('boom')\n"
+        assert "Traceback" not in err
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "absent.jsonl")]) == 3
@@ -488,6 +497,18 @@ class TestAgree:
             rows = list(csv.reader(handle))
         assert rows[0] == ["user_id", "pro", "anti"]
         assert len(rows) == 1 + 24
+
+    def test_byte_order_mark_is_dropped(self, workspace, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start the file with one
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(annotations_of(workspace)).read_bytes())
+        assert main(["agree", annotations_of(workspace), "--out", str(tmp_path / "a")]) == 0
+        plain = capsys.readouterr().out
+        assert main(["agree", str(bom), "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == plain.replace(str(tmp_path / "a"),
+                                                        str(tmp_path / "b"))
+        resolved = [(tmp_path / name / "resolved.csv").read_bytes() for name in "ab"]
+        assert resolved[0] == resolved[1]
 
     def test_non_utf8_annotations_are_a_data_error(self, workspace, tmp_path, capsys):
         latin1 = tmp_path / "latin1.csv"

@@ -188,6 +188,10 @@ class TestTimestamps:
             "0999-05-31T21:30:00Z"
         )
 
+    def test_format_rejects_a_naive_datetime(self):
+        with pytest.raises(ValueError, match="naive datetime"):
+            format_timestamp(datetime(2014, 3, 7, 15, 4, 5))
+
 
 TEXTS = st.text(alphabet=st.sampled_from("ab\"\\/\n\x00\x7fé€मो😀\u2028")) | st.text()
 JSON_SCALARS = (

@@ -145,6 +145,10 @@ class TestTextMatrix:
         with pytest.raises(FeatureError):
             build_text_matrix({"u1": Counter()}, min_user_support=1)
 
+    def test_support_below_one_rejected(self):
+        with pytest.raises(FeatureError, match="min_user_support must be >= 1"):
+            build_text_matrix(counts_of({"u1": ["a"]}), min_user_support=0)
+
     def test_user_with_every_term_pruned_dropped_but_counted_in_idf(self):
         term_lists = {"u1": ["a"], "u2": ["a", "b"], "u3": ["c"], "u4": ["d", "d"]}
         matrix = build_text_matrix(counts_of(term_lists), min_user_support=2)

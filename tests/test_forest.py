@@ -29,7 +29,7 @@ from polistance.forest import (
     predict_many,
     train_forest,
 )
-from polistance.metrics import confusion_from_pairs
+from polistance.metrics import EvalReport
 
 
 # Heavy ties: few distinct values. 1 + 2**-52 and 1 + 2**-51 are adjacent
@@ -416,13 +416,13 @@ class TestSplits:
         classes = ["A", "B", "C"]
         streams = _StreamCache()
         per_split = [
-            confusion_from_pairs(*_split_predictions(rows, labels, split, 6, 2, streams),
-                                 classes)[0]
+            EvalReport.from_pairs(*_split_predictions(rows, labels, split, 6, 2, streams),
+                                  classes).confusion
             for split in _splits(labels, 3, mode, 2)
         ]
         report = cross_validate(rows, labels, n_trees=6, k=3, mode=mode, rng_seed=2)
         assert len(per_split) == 3
-        assert report.confusion == tuple(map(tuple, sum(per_split).tolist()))
+        assert report.confusion == tuple(map(tuple, np.sum(per_split, axis=0).tolist()))
 
     @pytest.mark.parametrize("labels, mode, message", [
         (["A"] * 6 + ["B"], "kfold", "class 'B' has 1 rows; stratified k=2 needs >= 2"),

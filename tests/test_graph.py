@@ -592,6 +592,11 @@ class TestConstructor:
         with pytest.raises(GraphError, match=message):
             InteractionGraph(nodes=("a", "b"), edges=edges, weights=weights)
 
+    def test_never_equals_another_type(self):
+        g = InteractionGraph(nodes=("a",), edges=(), weights=())
+        assert g != "x"
+        assert not g == "x"
+
 
 class TestPlantedStorage:
     """The louvain-planted workload's graph shape at a tenth of its blocks."""

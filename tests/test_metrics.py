@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metrics_reference as ref
-from polistance.metrics import (
-    EvalReport,
-    MetricsError,
-    confusion_from_pairs,
-    eval_metrics,
-    f_measure,
-)
+from polistance.metrics import EvalReport, MetricsError, f_measure
 
 
 class TestFMeasure:
@@ -28,15 +22,14 @@ class TestFMeasure:
 
 class TestEvalMetrics:
     def test_perfect_diagonal(self):
-        report = eval_metrics(np.diag([10, 10, 10]), ("AAP", "BJP", "CONG"))
+        report = EvalReport(("AAP", "BJP", "CONG"), ((10, 0, 0), (0, 10, 0), (0, 0, 10)))
         assert report.precision == (1.0, 1.0, 1.0)
         assert report.recall == (1.0, 1.0, 1.0)
         assert report.f_measures == (1.0, 1.0, 1.0)
         assert report.accuracy == 1.0
 
     def test_hand_computed_three_by_three(self):
-        matrix = [[5, 2, 1], [0, 7, 3], [2, 2, 6]]
-        report = eval_metrics(matrix, ("A", "B", "C"))
+        report = EvalReport(("A", "B", "C"), ((5, 2, 1), (0, 7, 3), (2, 2, 6)))
         # columns: 7, 11, 10; rows: 8, 10, 10; trace 18, total 28
         assert report.precision == pytest.approx((5 / 7, 7 / 11, 6 / 10), abs=1e-12)
         assert report.recall == pytest.approx((5 / 8, 7 / 10, 6 / 10), abs=1e-12)
@@ -46,33 +39,18 @@ class TestEvalMetrics:
 
     def test_never_predicted_class_scores_zero(self):
         # class 2 present in truth, never predicted, never correct
-        matrix = [[4, 0, 0], [0, 4, 0], [2, 2, 0]]
-        report = eval_metrics(matrix, ("A", "B", "C"))
+        report = EvalReport(("A", "B", "C"), ((4, 0, 0), (0, 4, 0), (2, 2, 0)))
         assert report.precision[2] == 0.0
         assert report.recall[2] == 0.0
         assert report.f_measures[2] == 0.0
 
     def test_accuracy_equals_mean_recall_only_when_balanced(self):
-        balanced = eval_metrics([[8, 2], [3, 7]], ("A", "B"))
+        balanced = EvalReport(("A", "B"), ((8, 2), (3, 7)))
         assert balanced.accuracy == pytest.approx(
             sum(balanced.recall) / 2, abs=1e-12
         )
-        skewed = eval_metrics([[80, 20], [3, 7]], ("A", "B"))
+        skewed = EvalReport(("A", "B"), ((80, 20), (3, 7)))
         assert skewed.accuracy != pytest.approx(sum(skewed.recall) / 2, abs=1e-6)
-
-    def test_rejects_bad_matrices(self):
-        with pytest.raises(MetricsError):
-            eval_metrics([[1, 2, 3], [4, 5, 6]], ("A", "B"))
-        with pytest.raises(MetricsError):
-            eval_metrics([[1, -1], [0, 1]], ("A", "B"))
-        with pytest.raises(MetricsError):
-            eval_metrics([[0, 0], [0, 0]], ("A", "B"))
-        with pytest.raises(MetricsError):
-            eval_metrics([[1, 0], [0, 1]], classes=("only",))
-        with pytest.raises(MetricsError):
-            eval_metrics([[0.5, 0], [0, 1]], ("A", "B"))
-        with pytest.raises(MetricsError, match="integers"):
-            eval_metrics([[1.0, 0], [0, 1.0]], ("A", "B"))
 
     @settings(max_examples=100)
     @given(
@@ -86,7 +64,7 @@ class TestEvalMetrics:
         total = sum(sum(row) for row in matrix)
         if total == 0:
             return
-        report = eval_metrics(matrix, ("A", "B", "C"))
+        report = EvalReport(("A", "B", "C"), tuple(map(tuple, matrix)))
         for i in range(3):
             col = sum(matrix[r][i] for r in range(3))
             row = sum(matrix[i])
@@ -120,31 +98,45 @@ def confusions(draw):
 def test_scores_equal_the_frozen_loop(matrix):
     """Every score read from the report's matrix equals, float for float,
     the one the old scoring loop stored (tests/metrics_reference.py)."""
-    report = eval_metrics(matrix, [f"C{i}" for i in range(len(matrix))])
+    report = EvalReport(tuple(f"C{i}" for i in range(len(matrix))),
+                        tuple(tuple(map(int, row)) for row in matrix))
     assert (report.precision, report.recall, report.f_measures,
             report.accuracy) == ref.scores(matrix)
 
 
-class TestConfusionFromPairs:
+class TestFromPairs:
     def test_row_sums_are_true_counts(self):
         truth = ["AAP", "BJP", "BJP", "CONG", "AAP", "AAP"]
         predicted = ["AAP", "AAP", "BJP", "CONG", "BJP", "AAP"]
-        matrix, classes = confusion_from_pairs(truth, predicted)
-        assert classes == ("AAP", "BJP", "CONG")
-        assert matrix.sum(axis=1).tolist() == [3, 2, 1]
-        assert matrix.sum() == len(truth)
+        report = EvalReport.from_pairs(truth, predicted)
+        assert report.classes == ("AAP", "BJP", "CONG")
+        assert report.confusion == ((2, 1, 0), (1, 1, 0), (0, 0, 1))
+        assert all(type(cell) is int for row in report.confusion for cell in row)
+        assert [sum(row) for row in report.confusion] == [3, 2, 1]
+        assert report.total == len(truth)
+
+    def test_classes_default_to_labels_of_either_side(self):
+        report = EvalReport.from_pairs(["B"], ["A"])
+        assert report.classes == ("A", "B")
+        assert report.confusion == ((0, 0), (1, 0))
 
     def test_explicit_class_order(self):
-        matrix, classes = confusion_from_pairs(
-            ["B"], ["A"], classes=("B", "A")
-        )
-        assert classes == ("B", "A")
-        assert matrix[0, 1] == 1
+        # a class that no pair names keeps a zero row and column
+        report = EvalReport.from_pairs(["B"], ["A"], classes=["B", "A", "C"])
+        assert report.classes == ("B", "A", "C")
+        assert report.confusion == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(MetricsError):
-            confusion_from_pairs(["A"], ["Z"], classes=("A", "B"))
+        with pytest.raises(MetricsError, match=r"\('A', 'Z'\) outside classes"):
+            EvalReport.from_pairs(["A"], ["Z"], classes=("A", "B"))
+        with pytest.raises(MetricsError, match=r"\('Z', 'A'\) outside classes"):
+            EvalReport.from_pairs(["Z"], ["A"], classes=("A", "B"))
 
     def test_length_mismatch(self):
-        with pytest.raises(MetricsError):
-            confusion_from_pairs(["A"], [])
+        with pytest.raises(MetricsError, match="equal length"):
+            EvalReport.from_pairs(["A"], [])
+
+    @pytest.mark.parametrize("classes", [None, ("A", "B")])
+    def test_no_pairs(self, classes):
+        with pytest.raises(MetricsError, match="no label pairs"):
+            EvalReport.from_pairs([], [], classes)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import polistance
-from polistance.analytics import analyze
 from polistance.cli import main
 from polistance.corpus import Tweet, parse_corpus, tokenize
 from polistance.features import (
@@ -28,7 +27,7 @@ from polistance.features import (
 )
 from polistance.forest import cross_validate
 from polistance.graph import InteractionFold
-from polistance.metrics import eval_metrics
+from polistance.metrics import EvalReport
 from polistance.pipeline import (
     METHODS,
     ConfigError,
@@ -46,7 +45,7 @@ from polistance.pipeline import (
     run,
 )
 from polistance.pipeline import _rows_for_users
-from polistance.synth import SyntheticSpec, generate_corpus, write_synthetic
+from polistance.synth import SyntheticSpec, write_synthetic
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -278,6 +277,13 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
+
+    def test_unknown_override_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"corpus_path": "a", "annotations_path": "b",
+                                    "out_dir": "c"}))
+        with pytest.raises(ConfigError, match="bogus"):
+            load_config(path, bogus=1)
 
 
 class TestConfigHash:
@@ -609,8 +615,7 @@ def test_publish_hashes_an_artifact_without_holding_it(tmp_path):
 class TestReportRendering:
     @staticmethod
     def result_fixture():
-        confusion = ((40, 6, 4), (5, 40, 5), (5, 5, 40))
-        report = eval_metrics(confusion, ("AAP", "BJP", "CONG"))
+        report = EvalReport(("AAP", "BJP", "CONG"), ((40, 6, 4), (5, 40, 5), (5, 5, 40)))
         return RunResult(
             config=RunConfig("corpus.jsonl", "annotations.csv", "out"),
             report=report,
@@ -628,7 +633,7 @@ class TestReportRendering:
         assert "Attributes: 90" in text
 
     def test_zero_class_prints_zeros(self):
-        report = eval_metrics(((3, 0), (2, 0)), ("AAP", "BJP"))
+        report = EvalReport(("AAP", "BJP"), ((3, 0), (2, 0)))
         result = RunResult(
             config=RunConfig("corpus.jsonl", "annotations.csv", "out"), report=report,
             n_instances=5, n_attributes=4, classifier="random forest (5 trees)",
@@ -724,12 +729,7 @@ def fold_of(method):
 
 
 class TestSinglePass:
-    """Each tweet consumer reads its tweets once: a fold as ``parse_corpus``
-    hands them over, the others from an iterator."""
-
-    @pytest.fixture(scope="class")
-    def tweets(self):
-        return generate_corpus(SyntheticSpec()).tweets
+    """Each fold reads its tweets once, as ``parse_corpus`` hands them over."""
 
     @pytest.mark.parametrize("method", ["text", "hashtag", "user-features"])
     def test_featurize(self, small_inputs, method):
@@ -746,11 +746,6 @@ class TestSinglePass:
             assert streamed.vectors(profiles) == listed.vectors(profiles)
         else:
             assert streamed.matrix() == listed.matrix()
-
-    @pytest.mark.parametrize("tz", [330, 0, -345])
-    def test_analyze(self, tweets, tz):
-        lexicon = default_lexicon()
-        assert analyze(iter(tweets), lexicon, tz) == analyze(tweets, lexicon, tz)
 
     def test_authors_keep_first_tweet_order(self):
         # u0's first tweet has no token, yet u0 still comes first, as when

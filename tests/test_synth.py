@@ -267,6 +267,14 @@ class TestPlantedPartition:
             intra[membership[a]] += 1
         assert intra == {0: 6, 1: 6}
 
+    def test_one_node_block_has_only_cross_edges(self):
+        graph, membership = planted_partition_graph([1, 4], 1.0, 1.0)
+        assert membership == {"n0": 0, "n1": 1, "n2": 1, "n3": 1, "n4": 1}
+        pairs = name_pairs(graph)
+        assert [pair for pair in pairs if "n0" in pair] == [
+            ("n0", "n1"), ("n0", "n2"), ("n0", "n3"), ("n0", "n4")]
+        assert len(pairs) == 4 + 6
+
     def test_p_out_zero_has_no_cross_edges(self):
         graph, membership = planted_partition_graph([10, 10], 0.4, 0.0,
                                                     rng_seed=2)
