@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .metrics import EvalReport
+from .workers import worker_count as _worker_count
 
 __all__ = [
     "ForestError",
@@ -593,20 +592,6 @@ def _block_predictions(
             for i in block]
 
 
-def _worker_count(n_splits: int) -> int:
-    """Processes to run n_splits splits in: one per CPU this process may run
-    on, at most one a split. 1 means in-process, as where fork or CPU
-    affinity is missing; in a daemonic process, which may have no children;
-    and in a process with other threads, since a forked child gets only the
-    calling thread, and a lock another thread held stays held there."""
-    if (not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-            or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_splits)
-
-
 # a worker's (matrix, labels, splits, n_trees, rng_seed), inherited at fork
 _inherited: tuple = ()
 
@@ -675,9 +660,10 @@ def cross_validate(
 
     The splits run in forked worker processes, one per CPU in this
     process's affinity mask and at most one a split, or in split order in
-    this process when that is one CPU. No worker outlives the call, and an
-    error raised in one reaches the caller unchanged. The report is the
-    same for any worker count.
+    this process when that is one CPU or ``workers.worker_count`` finds
+    forking unsafe, as ``corpus.parse_corpus`` does. No worker outlives
+    the call, and an error raised in one reaches the caller unchanged. The
+    report is the same for any worker count.
     """
     matrix = _as_matrix(rows)
     if len(labels) != len(matrix):

@@ -165,6 +165,50 @@ class InteractionFold:
     def __len__(self) -> int:
         return self._tweets
 
+    def mark(self) -> int:
+        """The number of pairs held: where the next tweet's pairs begin."""
+        return len(self._authors)
+
+    def take(self) -> tuple[str, tuple[array, array]]:
+        """Empty this fold, filled in a forked worker, and return what it
+        held as ``merge`` takes it: the names in first-seen order, one a
+        line (no name holds whitespace), and the buffers of the pairs' name
+        ids."""
+        held = "\n".join(self._index), (self._authors, self._targets)
+        self._index, self._authors, self._targets = {}, array("i"), array("i")
+        self._tweets = 0
+        return held
+
+    def merge(self, names: str, buffers: Sequence[bytes], ends: np.ndarray,
+              dropped: Sequence[int]) -> None:
+        """Fold in the tweets that another fold's ``take`` returned, as
+        ``append`` took them there, but those at the indices in
+        ``dropped``. Tweet ``i`` holds the pairs from ``ends[i - 1]`` (0 for
+        the first) to ``ends[i]``, its ``mark()`` after it; pairs past the
+        last end are left out. Names keep the first-seen order that
+        appending the kept tweets here would give."""
+        kept = int(ends[-1]) if len(ends) else 0
+        authors, targets = (np.frombuffer(buffer, dtype=np.intc)[:kept] for buffer in buffers)
+        if dropped:
+            keep = np.ones(kept, dtype=bool)
+            for i in dropped:
+                keep[(ends[i - 1] if i else 0):ends[i]] = False
+            authors, targets = authors[keep], targets[keep]
+            # a dropped tweet may have been the first to name someone
+            ids, first = np.unique(np.column_stack((authors, targets)), return_index=True)
+            order = ids[np.argsort(first)].tolist()
+        else:
+            # ids count up in first-seen order, so the kept ones are a prefix
+            order = range(max(authors.max(), targets.max()) + 1 if kept else 0)
+        names = names.split("\n")
+        index = self._index
+        ids = np.zeros(len(names), dtype=np.intc)
+        ids[order] = [index.setdefault(names[local], len(index)) for local in order]
+        # the mapped ids go in as a view of their bytes, not a bytes copy
+        self._authors.frombytes(ids[authors].data.cast("B"))
+        self._targets.frombytes(ids[targets].data.cast("B"))
+        self._tweets += len(ends) - len(dropped)
+
 
 def build_interaction_graph(fold: InteractionFold,
                             weighted: bool = False) -> InteractionGraph:

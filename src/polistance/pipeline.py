@@ -14,9 +14,13 @@ Each method is one fold, ``FOLDS[method]``, that keeps only what its
 method needs of each tweet as ingest parses it, so no run holds the
 tweets. ``run()`` and the ``featurize`` and ``graph`` commands call its
 ``table``, ``write`` and ``evaluate``; the network fold's table is
-``graph.build_interaction_graph(fold)`` and its Louvain partition. Each
-function the benchmark's tracer (perfbench/tracer.py) wraps here is
-looked up as this module's global on each call.
+``graph.build_interaction_graph(fold)`` and its Louvain partition. The
+network fold is the one sink ``parse_corpus`` can fill from forked workers
+over byte ranges, for a corpus of 1 MiB or more on more than one CPU; the
+other folds take every tweet in this process. Each function the
+benchmark's tracer (perfbench/tracer.py) wraps here is looked up as this
+module's global on each call, so ``parse_corpus``'s span covers the
+workers too.
 """
 
 from __future__ import annotations

@@ -1,13 +1,20 @@
 """Tests for corpus ingestion, tokenization, and entity extraction."""
 
 import builtins
+import contextlib
 import dataclasses
 import json
+import multiprocessing
+import os
 import random
 import re
+import signal
+import threading
+import time
 import tracemalloc
 import unicodedata
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,9 +23,9 @@ from hypothesis import strategies as st
 import corpus_reference
 from interactions import graph_of
 from polistance import corpus
-from polistance.features import PARTIES
+from polistance.features import PARTIES, default_lexicon
 from polistance.graph import InteractionFold, build_interaction_graph
-from polistance.pipeline import TermBagFold
+from polistance.pipeline import FOLDS, TermBagFold
 from polistance.synth import SyntheticSpec, write_synthetic
 from polistance.corpus import (
     DEFAULT_STOPWORDS,
@@ -700,6 +707,327 @@ class TestTweetSink:
                     ("alice", "eve"): 1.0, ("bob", "carol"): 1.0,
                     ("dave", "eve"): 1.0}
         assert pairs == (expected if weighted else dict.fromkeys(expected, 1.0))
+
+
+# tweet ids that repeat across a small corpus, canonical and odd ones, in
+# and out of order; screen names likewise
+RANGE_IDS = ["1", "2", "3", "5", "8", "13", "07", "٧", str(2 ** 63), "9" * 19]
+RANGE_NAMES = ["Alice", "bob", "carol", "Dave", "eve"]
+# the benchmark's five bad-line kinds, and a repeated profile
+BAD_KINDS = ["bad-json", "bad-utf8", "unknown-kind", "duplicate-id", "blank",
+             "duplicate-profile"]
+
+
+def range_tweet(tweet_id, author, others, retweet):
+    record = dict(TWEET, tweet_id=tweet_id, author_screen_name=author,
+                  mentions=others)
+    if retweet is not None:
+        record["retweet_of"] = retweet
+    return json.dumps(record).encode()
+
+
+def range_profile(name):
+    return json.dumps({"kind": "profile", "user_id": name.lower(), "screen_name": name,
+                       "followers_count": 1, "friends_count": 2,
+                       "statuses_count": 3}).encode()
+
+
+RANGE_TWEETS = st.builds(range_tweet, st.sampled_from(RANGE_IDS),
+                         st.sampled_from(RANGE_NAMES),
+                         st.lists(st.sampled_from(RANGE_NAMES), max_size=3),
+                         st.none() | st.sampled_from(RANGE_NAMES))
+BAD_LINES = st.sampled_from(BAD_KINDS).map(lambda kind: (kind, None))
+RANGE_LINES = (RANGE_TWEETS.map(lambda line: ("tweet", line))
+               | st.sampled_from(RANGE_NAMES).map(lambda n: ("profile", range_profile(n)))
+               | BAD_LINES)
+
+
+# what a bad line is made from when no tweet (or profile) line comes before it
+FIRST_SOURCES = {"tweet": range_tweet("21", "zed", [], "Alice"),
+                 "profile": range_profile("zed")}
+
+
+def range_corpus_lines(kinds):
+    """The lines of (kind, line) pairs; a bad line of a kind other than
+    blank is made from the nearest tweet (or profile) line before it, as
+    the benchmark makes them, or from one of ``FIRST_SOURCES``."""
+    lines = []
+    last = dict(FIRST_SOURCES)
+    for kind, line in kinds:
+        if kind in last:
+            last[kind] = line
+        elif kind == "bad-json":
+            line = last["tweet"][: len(last["tweet"]) // 2]
+        elif kind == "bad-utf8":
+            line = last["tweet"][:10] + b"\xff\xfe" + last["tweet"][10:]
+        elif kind == "unknown-kind":
+            line = last["tweet"].replace(b'"kind": "tweet"', b'"kind": "retweet"')
+        elif kind == "duplicate-id":
+            line = last["tweet"]
+        elif kind == "duplicate-profile":
+            line = last["profile"]
+        else:
+            line = b" "
+        lines.append(line)
+    return lines
+
+
+def write_padded(path, lines, width):
+    """Write ``lines``, each padded with spaces to ``width`` bytes with its
+    newline, so that where ``corpus._cuts`` cuts the file is known."""
+    path.write_bytes(b"".join(line.ljust(width - 1) + b"\n" for line in lines))
+
+
+def fold_state(fold):
+    """Everything a fold holds, and the bytes of both graphs it builds."""
+    graphs = [build_interaction_graph(fold, weighted) for weighted in (False, True)]
+    return (list(fold._index), fold._authors.tobytes(), fold._targets.tobytes(),
+            len(fold), [(g.nodes, g.heads.tobytes(), g.tails.tobytes(),
+                         g.weights.tobytes()) for g in graphs])
+
+
+def parse_both_ways(path, strictness, workers):
+    """(fold state, profiles, skipped) or the strict message with the fold
+    state at the raise, from the serial parse and from ``workers`` forked
+    workers."""
+    outcomes = []
+    for parse in (lambda fold: parse_corpus(path, strictness, fold),
+                  lambda fold: corpus._parse_in_workers(path, strictness == "strict",
+                                                        fold, workers)):
+        fold = InteractionFold()
+        try:
+            _, profiles, skipped = parse(fold)
+        except CorpusError as exc:
+            outcomes.append((str(exc), fold_state(fold)))
+        else:
+            outcomes.append((fold_state(fold), profiles, skipped))
+        assert multiprocessing.active_children() == []
+    return outcomes
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Turn a wait longer than ``seconds`` into a failure, not a hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestParseInWorkers:
+    """A corpus parsed in forked workers over byte ranges gives the serial
+    parse's fold, profiles, skip count and strict message."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds=st.lists(RANGE_LINES, min_size=2, max_size=24),
+           workers=st.integers(1, 3), per_worker=st.integers(1, 2),
+           edges=st.lists(st.tuples(BAD_LINES, BAD_LINES), min_size=5, max_size=5))
+    def test_same_result_as_the_serial_parse(self, tmp_path_factory, kinds, workers,
+                                             per_worker, edges):
+        # every line padded to one width (a bad line is at most two bytes
+        # longer than the line it is made from), so that where the ranges
+        # are cut is known before the lines around each cut are put there
+        width = 3 + max(len(line) for line in [*FIRST_SOURCES.values(), *(
+            line for _, line in kinds if line is not None)])
+        path = tmp_path_factory.mktemp("ranges") / "c.jsonl"
+        write_padded(path, [b""] * len(kinds), width)
+        ranges = workers * per_worker
+        starts = [cut // width for cut in corpus._cuts(path, ranges)[1:-1]]
+        for start, (before, after) in zip(starts, edges):
+            kinds[start - 1], kinds[start] = before, after
+        write_padded(path, range_corpus_lines(kinds), width)
+        assert corpus._cuts(path, ranges)[1:-1] == [start * width for start in starts]
+        with mock.patch.object(corpus, "_RANGES_PER_WORKER", per_worker):
+            for strictness in STRICTNESS:
+                serial, in_workers = parse_both_ways(path, strictness, workers)
+                assert in_workers == serial
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("bad", [3, 5, 6, 7, 9],
+                             ids=["bad-json", "bad-utf8", "unknown-kind",
+                                  "duplicate-id", "lone-surrogate"])
+    def test_strict_message_numbers_the_line_in_the_file(self, tmp_path, workers, bad):
+        lines = sink_corpus_lines()
+        filler = [range_tweet(str(100 + i), "Alice", ["bob"], None) for i in range(12)]
+        path = tmp_path / "c.jsonl"
+        # the bad line is the last, in the last range; a duplicate repeats
+        # t3, from the first
+        path.write_bytes(b"\n".join(lines[:3] + [lines[4]] + filler + [lines[bad]]) + b"\n")
+        serial, in_workers = parse_both_ways(path, "strict", workers)
+        assert serial[0].startswith(f"{path}:17: ")
+        assert in_workers == serial
+
+    def test_a_repeat_in_a_later_range_is_dropped_with_its_pairs(self, tmp_path):
+        lines = sink_corpus_lines()
+        path = tmp_path / "c.jsonl"
+        # the second half repeats every record of the first
+        path.write_bytes(b"\n".join(lines + lines) + b"\n")
+        serial, in_workers = parse_both_ways(path, "skip-malformed", 2)
+        assert in_workers == serial
+        assert serial[2] == 6 + len(lines)
+
+    @pytest.mark.parametrize("strictness", STRICTNESS)
+    def test_a_repeat_of_a_middle_range_is_caught_in_the_last(self, tmp_path, monkeypatch,
+                                                              strictness):
+        lines = [range_tweet(str(100 + i), "Alice", ["bob"], None) for i in range(5)]
+        lines.append(range_tweet("104", "zed", ["yan"], None))
+        path = tmp_path / "c.jsonl"
+        width = 1 + max(map(len, lines))
+        write_padded(path, lines, width)
+        assert [cut // width for cut in corpus._cuts(path, 3)] == [0, 3, 5, 6]
+        monkeypatch.setattr(corpus, "_RANGES_PER_WORKER", 1)
+        serial, in_workers = parse_both_ways(path, strictness, 3)
+        assert in_workers == serial
+
+    def test_a_repeat_before_a_bad_line_of_its_range_is_the_strict_error(
+            self, tmp_path, monkeypatch):
+        lines = [range_tweet(str(100 + i), "Alice", ["bob"], None) for i in range(3)]
+        # the second range repeats t100, then holds a line of bad JSON
+        lines += [lines[0], lines[1][:20]]
+        path = tmp_path / "c.jsonl"
+        width = 1 + max(map(len, lines))
+        write_padded(path, lines, width)
+        assert [cut // width for cut in corpus._cuts(path, 2)] == [0, 3, 5]
+        monkeypatch.setattr(corpus, "_RANGES_PER_WORKER", 1)
+        serial, in_workers = parse_both_ways(path, "strict", 2)
+        assert serial[0] == f"{path}:4: duplicate tweet_id '100'"
+        assert in_workers == serial
+
+    @pytest.mark.parametrize("strictness", STRICTNESS)
+    def test_ranges_that_arrive_out_of_order_merge_in_file_order(
+            self, tmp_path, monkeypatch, strictness):
+        lines = sink_corpus_lines()
+        path = tmp_path / "c.jsonl"
+        # the second copy repeats every record of the first; under strict
+        # its first line is the error
+        path.write_bytes(b"\n".join(lines * 2) + b"\n")
+        range_lines = corpus._range_lines
+
+        def first_range_last(handle, size):
+            if handle.tell() == 0:
+                time.sleep(0.3)
+            return range_lines(handle, size)
+
+        monkeypatch.setattr(corpus, "_range_lines", first_range_last)
+        serial, in_workers = parse_both_ways(path, strictness, 2)
+        assert in_workers == serial
+
+    def test_a_worker_that_exits_fails_the_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(sink_corpus_lines()) + b"\n")
+        parent = os.getpid()
+        parse_lines = corpus._parse_lines
+
+        def die_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return parse_lines(*args)
+
+        monkeypatch.setattr(corpus, "_parse_lines", die_in_a_worker)
+        with time_limit(60), pytest.raises(RuntimeError, match="exited with code 3"):
+            corpus._parse_in_workers(path, False, InteractionFold(), 2)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(sink_corpus_lines()) + b"\n")
+
+        def fail(*args):
+            raise MemoryError("no room for this range")
+
+        monkeypatch.setattr(corpus, "_parse_lines", fail)
+        with time_limit(60), pytest.raises(MemoryError, match="no room for this range"):
+            corpus._parse_in_workers(path, False, InteractionFold(), 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_each_worker_runs_on_one_cpu_of_its_own(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(sink_corpus_lines() * 2) + b"\n")
+        mask = os.sched_getaffinity(0)
+        pin = os.sched_setaffinity
+
+        def recording(pid, cpus):
+            pin(pid, cpus)
+            with open(tmp_path / "cpus", "a") as seen:
+                seen.write(f"{os.getpid()} {pid} {sorted(os.sched_getaffinity(0))}\n")
+
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        corpus._parse_in_workers(path, False, InteractionFold(), 2)
+        seen = [line.split(" ", 2) for line in (tmp_path / "cpus").read_text().splitlines()]
+        assert len({who for who, _, _ in seen}) == 2
+        assert str(os.getpid()) not in {who for who, _, _ in seen}
+        assert sorted((pid, cpus) for _, pid, cpus in seen) == [
+            ("0", f"[{cpu}]") for cpu in sorted(mask)[:2]]
+        assert os.sched_getaffinity(0) == mask
+
+
+class TestWhenTheParseForks:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The worker counts parse_corpus forks for, on a mask of two CPUs
+        and a corpus counted large from 100 bytes."""
+        calls = []
+
+        def recording(path, strict, tweets, workers):
+            calls.append(workers)
+            return tweets, [], 0
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(corpus, "_PARALLEL_BYTES", 100)
+        monkeypatch.setattr(corpus, "_parse_in_workers", recording)
+        return calls
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(sink_corpus_lines()) + b"\n")
+        return path
+
+    @pytest.mark.parametrize("make", SINKS.values(), ids=SINKS)
+    def test_only_an_empty_merging_sink_forks(self, forks, path, make):
+        parse_corpus(path, tweets=make())
+        assert forks == ([2] if make is InteractionFold else [])
+        full = InteractionFold()
+        full.append(parse_corpus(path)[0][0])
+        parse_corpus(path, tweets=full)
+        assert forks == ([2] if make is InteractionFold else [])
+
+    def test_a_small_corpus_parses_serially(self, forks, path, monkeypatch):
+        monkeypatch.setattr(corpus, "_PARALLEL_BYTES", path.stat().st_size + 1)
+        parse_corpus(path, tweets=InteractionFold())
+        assert forks == []
+
+    def test_a_caller_with_another_thread_parses_serially(self, forks, path):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            fold, profiles, skipped = parse_corpus(path, tweets=InteractionFold())
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert forks == []
+        assert (len(fold), len(profiles), skipped) == (5, 2, 6)
+
+    @pytest.mark.parametrize("make", [InteractionFold,
+                                      lambda: FOLDS["network"](default_lexicon(), 0)],
+                             ids=["interaction-fold", "network-fold"])
+    def test_a_large_corpus_gives_the_serial_result(self, tmp_path, monkeypatch, make):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(sink_corpus_lines() * 3) + b"\n")
+        serial = parse_both_ways(path, "skip-malformed", 1)[0]
+        monkeypatch.setattr(corpus, "_PARALLEL_BYTES", 100)
+        fold, profiles, skipped = parse_corpus(path, tweets=make())
+        assert (fold_state(fold), profiles, skipped) == serial
+        assert multiprocessing.active_children() == []
 
 
 # canonical decimal ids, 19-digit ones among them, and a few spellings that

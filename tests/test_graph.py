@@ -3,13 +3,14 @@
 import hashlib
 import math
 import tracemalloc
+from array import array
 from collections import Counter
 from datetime import datetime, timezone
 from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import neighbor_lists_reference
@@ -470,6 +471,54 @@ class TestBuildInteractionGraph:
         assert {frozenset(e) for e in pairs} == expected
         assert g.m == len(expected)
         assert pairs == sorted(pairs)
+
+
+
+FOLD_NAMES = st.sampled_from(["alice", "bob", "carol", "dan", "eve", "fay"])
+FOLD_TWEETS = st.lists(st.builds(
+    lambda author, others, retweet: tweet(0, author, retweet_of=retweet, mentions=others),
+    FOLD_NAMES, st.lists(FOLD_NAMES, max_size=3), st.none() | FOLD_NAMES), max_size=12)
+
+
+def fold_of(tweets, fold=None):
+    fold = InteractionFold() if fold is None else fold
+    for t in tweets:
+        fold.append(t)
+    return fold
+
+
+@st.composite
+def merged_parts(draw):
+    """A worker's tweets, how many of them a merge takes, and which of
+    those it drops."""
+    tweets = draw(FOLD_TWEETS)
+    taken = draw(st.integers(0, len(tweets)))
+    return tweets, taken, sorted(draw(st.sets(st.integers(0, taken - 1))) if taken else ())
+
+
+class TestFoldMerge:
+    """``merge`` takes another fold's part as appending its kept tweets would."""
+
+    @settings(max_examples=300)
+    @given(before=FOLD_TWEETS, part=merged_parts())
+    # the dropped tweet named alice first, so carol comes before her
+    @example(before=[], part=([tweet(0, "alice", mentions=["bob"]),
+                               tweet(0, "carol", mentions=["alice"])], 2, [0]))
+    def test_merge_equals_appending_the_kept_tweets(self, before, part):
+        tweets, taken, dropped = part
+        worker, ends = InteractionFold(), []
+        for t in tweets:
+            worker.append(t)
+            ends.append(worker.mark())
+        names, buffers = worker.take()
+        assert (len(worker), worker.mark(), worker.take()) == (0, 0, ("", (array("i"), array("i"))))
+        merged = fold_of(before)
+        merged.merge(names, [bytes(buffer) for buffer in buffers],
+                     np.array(ends[:taken], dtype=np.intc), dropped)
+        expected = fold_of([t for i, t in enumerate(tweets[:taken]) if i not in dropped],
+                           fold_of(before))
+        assert (list(merged._index), merged._authors, merged._targets, len(merged)) == (
+            list(expected._index), expected._authors, expected._targets, len(expected))
 
 
 KNOWN = {"a": "AAP", "e": "BJP"}
