@@ -30,13 +30,16 @@ A sink that also offers ``mark``, ``take`` and ``merge``, as only
 ``graph.InteractionFold`` does, takes a corpus of ``_PARALLEL_BYTES`` or
 more from forked workers when ``workers.worker_count`` finds forking safe
 and more than one CPU. The file is cut at newlines into byte ranges; each
-worker, pinned to a CPU of its own, parses the next range that no worker
-has taken with the serial parse's loop (``_parse_lines``) and hands back
-what its sink took, with each tweet's id key, line and pair end, as raw
-buffers. The parent merges the ranges in file order and drops a record
-whose tweet id or screen name an earlier range holds, so the sink, the
-profiles, the skip count and every strict error are the serial parse's.
-Lists and every other sink are parsed serially.
+worker of ``workers.in_order``'s pool, pinned to a CPU of its own, parses
+the next range that no worker has taken with the serial parse's loop
+(``_parse_lines``) and hands back what its sink took, with each tweet's
+id key and pair end, as raw buffers. The parent merges the ranges in file
+order and drops a record whose tweet id or screen name an earlier range
+holds, so the sink, the profiles and the skip count are the serial
+parse's. Under ``strict``, a range with a malformed line or such a repeat
+makes the parent empty the sink and read the file again serially, so
+every strict error comes from the serial loop alone. Lists and every
+other sink are parsed serially.
 Each field first tries its common shape: a line that is exactly one JSON
 value, a non-empty string id, a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp, a
 name spelling that the same field accepted on an earlier line. Any other
@@ -48,7 +51,6 @@ rejection and its message come from the one helper.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
 import sys
@@ -57,14 +59,13 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from multiprocessing import connection
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .workers import worker_count
+from .workers import in_order, worker_count
 
 __all__ = [
     "CorpusError",
@@ -458,11 +459,9 @@ class _TweetIds:
 
 
 class _RangeLog:
-    """What a forked worker notes of each record it takes from its range,
-    beside its sink: per tweet its id key, its line and the sink's
-    ``mark()`` after it; per profile its line. The parent reads these to
-    drop a record that an earlier range holds, and to number a line within
-    the whole file.
+    """What a forked worker notes of each tweet it takes from its range,
+    beside its sink: its id key and the sink's ``mark()`` after it. The
+    parent reads these to drop a tweet that an earlier range holds.
 
     ``keys`` holds each key that fits an int64, and -1, which no canonical
     id is, for any other key; ``odd`` holds those others as (tweet index,
@@ -470,17 +469,13 @@ class _RangeLog:
     tweet.
     """
 
-    __slots__ = ("keys", "odd", "lines", "ends", "profile_lines", "tweet")
+    __slots__ = ("keys", "odd", "ends", "tweet")
 
     def __init__(self, sink: Any) -> None:
-        keys, lines, ends = self.keys, self.lines, self.ends = (
-            array("q"), array("i"), array("i"))
-        odd: list[tuple[int, int | str]] = []
-        self.odd, self.profile_lines = odd, []
-        add_key, add_line, add_end, mark = keys.append, lines.append, ends.append, sink.mark
+        keys, ends, odd = self.keys, self.ends, self.odd = array("q"), array("i"), []
+        add_key, add_end, mark = keys.append, ends.append, sink.mark
 
-        def tweet(lineno: int, key: int | str) -> None:
-            add_line(lineno)
+        def tweet(key: int | str) -> None:
             add_end(mark())
             try:
                 add_key(key)
@@ -497,18 +492,17 @@ def _parse_lines(
     tweets: Any,
     profiles: list[UserProfile],
     log: _RangeLog | None = None,
-) -> tuple[int, int, tuple[int, str] | None]:
+) -> tuple[int, tuple[int, str] | None]:
     """Parse ``lines``, numbered from 1: append each valid tweet to
     ``tweets`` and each valid profile to ``profiles``, and count every other
-    line as skipped. Return (lines read, skipped, error). Under ``strict``
-    the loop stops at the first malformed line, and error is its (number,
-    message); otherwise it is None. ``log``, when given, notes each record
-    taken. The serial parse and every worker's range run this one loop."""
+    line as skipped. Return (skipped, error). Under ``strict`` the loop
+    stops at the first malformed line, and error is its (number, message);
+    otherwise it is None. ``log``, when given, notes each tweet taken. The
+    serial parse and every worker's range run this one loop."""
     skipped = 0
     seen_tweet_ids = _TweetIds()
     seen_screen_names: set[str] = set()
     names = _Names()
-    lineno = 0
     # a last line without "\n" is still a line; a trailing "\n" opens none
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
@@ -541,26 +535,24 @@ def _parse_lines(
                     raise _Malformed(f"duplicate tweet_id {tweet.tweet_id!r}")
                 tweets.append(tweet)
                 if log is not None:
-                    log.tweet(lineno, seen_tweet_ids.last)
+                    log.tweet(seen_tweet_ids.last)
             elif kind == "profile":
                 profile = _parse_profile(obj, names)
                 if profile.screen_name in seen_screen_names:
                     raise _Malformed(f"duplicate profile {profile.screen_name!r}")
                 seen_screen_names.add(profile.screen_name)
                 profiles.append(profile)
-                if log is not None:
-                    log.profile_lines.append(lineno)
             else:
                 raise _Malformed(f"unknown kind {kind!r}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             if strict:
-                return lineno, skipped, (lineno, f"invalid JSON: {exc}")
+                return skipped, (lineno, f"invalid JSON: {exc}")
             skipped += 1
         except _Malformed as exc:
             if strict:
-                return lineno, skipped, (lineno, str(exc))
+                return skipped, (lineno, str(exc))
             skipped += 1
-    return lineno, skipped, None
+    return skipped, None
 
 
 # A sink that offers ``merge`` takes a corpus of this many bytes or more in
@@ -596,8 +588,11 @@ def parse_corpus(
     ``graph.InteractionFold`` does, takes a corpus of ``_PARALLEL_BYTES``
     or more from forked workers (``_parse_in_workers``): one per further
     ``_PARALLEL_BYTES``, at most one per CPU this process may run on, when
-    ``workers.worker_count`` allows forking. The result and every error
-    are the same as the serial parse's.
+    ``workers.worker_count`` allows forking. The result is the serial
+    parse's. Under ``strict``, a range that holds a malformed line, or a
+    record an earlier range holds, makes the sink be emptied (``take``) and
+    the file read again serially, which raises the serial parse's error
+    at its line with the sink as the serial parse leaves it.
     """
     if strictness not in STRICTNESS:
         raise ValueError(f"unknown strictness {strictness!r}")
@@ -611,16 +606,18 @@ def parse_corpus(
     profiles: list[UserProfile] = []
     strict = strictness == "strict"
     with handle:
-        workers = 1
         if hasattr(tweets, "merge") and not len(tweets):
             size = os.fstat(handle.fileno()).st_size
             workers = worker_count(1 + size // _PARALLEL_BYTES)
-        if workers == 1:
-            _, skipped, error = _parse_lines(handle, strict, tweets, profiles)
-            if error is not None:
-                raise CorpusError(f"{path}:{error[0]}: {error[1]}")
-            return tweets, profiles, skipped
-    return _parse_in_workers(path, strict, tweets, workers)
+            if workers > 1:
+                try:
+                    return _parse_in_workers(path, strict, tweets, workers)
+                except _Malformed:
+                    tweets.take()  # strict and bad: the serial parse names it
+        skipped, error = _parse_lines(handle, strict, tweets, profiles)
+    if error is not None:
+        raise CorpusError(f"{path}:{error[0]}: {error[1]}")
+    return tweets, profiles, skipped
 
 
 def _range_lines(handle: Any, size: int) -> Iterator[bytes]:
@@ -634,64 +631,6 @@ def _range_lines(handle: Any, size: int) -> Iterator[bytes]:
 
 # a profile as the tuple of its fields, in the order UserProfile takes them
 _profile_fields = attrgetter(*(field.name for field in fields(UserProfile)))
-
-
-def _range_worker(writer: Any, path: str | Path, cuts: Sequence[int], taken: Any,
-                  strict: bool, sink: Any, cpu: int) -> None:
-    """A forked worker's body, on CPU ``cpu`` alone. Until every range is
-    taken, it takes the next range index ``k`` from the shared count
-    ``taken``, parses the lines from byte ``cuts[k]`` to ``cuts[k + 1]``
-    into ``sink`` (the parent's empty sink as inherited at fork, emptied
-    again by its ``take``) and sends the result to ``writer``: one pickled
-    header, or what the parse raised, then the tweets' keys, lines and ends
-    and the sink's buffers, each as raw bytes, so the parent holds each
-    buffer once (``_receive``). Last comes a header of None."""
-    try:
-        os.sched_setaffinity(0, {cpu})
-        with open(path, "rb") as handle:
-            while True:
-                with taken.get_lock():
-                    k = taken.value
-                    taken.value = k + 1
-                if k >= len(cuts) - 1:
-                    break
-                handle.seek(cuts[k])
-                profiles: list[UserProfile] = []
-                log = _RangeLog(sink)
-                n_lines, skipped, error = _parse_lines(
-                    _range_lines(handle, cuts[k + 1] - cuts[k]), strict, sink, profiles, log)
-                names, buffers = sink.take()
-                writer.send((True, (k, n_lines, skipped, error, log.odd,
-                                    [_profile_fields(profile) for profile in profiles],
-                                    log.profile_lines, names, len(buffers))))
-                for buffer in (log.keys, log.lines, log.ends, *buffers):
-                    writer.send_bytes(buffer)
-    except Exception as exc:
-        writer.send((False, exc))
-        return
-    writer.send((True, None))
-
-
-def _receive(worker: Any, reader: Any) -> tuple | None:
-    """The next range ``_range_worker`` sent: its header, with the keys,
-    lines and ends as arrays, and the sink's buffers; None once the
-    worker has sent every range it took. A worker that raised makes this
-    raise the same; one that ended before its None, RuntimeError."""
-    try:
-        ok, header = reader.recv()
-        if not ok:
-            raise header
-        if header is None:
-            return None
-        *header, n_buffers = header
-        keys = np.frombuffer(reader.recv_bytes(), dtype=np.int64)
-        lines, ends = (np.frombuffer(reader.recv_bytes(), dtype=np.intc) for _ in range(2))
-        buffers = [reader.recv_bytes() for _ in range(n_buffers)]
-    except EOFError:
-        worker.join()
-        raise RuntimeError(f"a corpus parse worker exited with code {worker.exitcode} "
-                           f"before sending every range it took") from None
-    return (*header, keys, lines, ends, buffers)
 
 
 def _cuts(path: str | Path, ranges: int) -> list[int]:
@@ -721,89 +660,60 @@ _RANGES_PER_WORKER = 4
 def _parse_in_workers(path: str | Path, strict: bool, tweets: Any,
                       workers: int) -> tuple[Any, list[UserProfile], int]:
     """``parse_corpus`` of ``path`` into the empty sink ``tweets`` by
-    ``workers`` forked processes, each pinned to one CPU of this process's
-    affinity mask. The file is cut at newlines into ``_RANGES_PER_WORKER``
-    byte ranges per worker; each worker parses the next range no worker
-    has taken, with ``_parse_lines``, until none is left.
+    ``workers`` forked processes (``workers.in_order``). The file is cut at
+    newlines into ``_RANGES_PER_WORKER`` byte ranges per worker; each range
+    is parsed with ``_parse_lines`` into ``tweets`` as inherited at fork.
 
     The ranges are merged in file order. A tweet id or profile screen name
     that an earlier range holds makes its record a duplicate, dropped with
     its contribution and counted as skipped, so the first in file order
-    wins as in the serial parse. Under ``strict`` the earliest bad line in
-    file order raises the serial parse's message, once ``tweets`` holds the
-    tweets before it. No worker outlives the call; one that ends without
-    sending every range it took makes the call raise ``RuntimeError``.
+    wins as in the serial parse. Under ``strict`` a range that holds a
+    malformed line or such a duplicate raises ``_Malformed``, whatever
+    ``tweets`` has taken by then, once no worker is left.
     """
     cuts = _cuts(path, _RANGES_PER_WORKER * workers)
-    cpus = sorted(os.sched_getaffinity(0))
-    context = multiprocessing.get_context("fork")
-    taken = context.Value("i", 0)
-    processes: list[Any] = []
-    live: dict[Any, Any] = {}
-    arrived: dict[int, tuple] = {}
+
+    def part(k: int) -> tuple[tuple, tuple]:
+        profiles: list[UserProfile] = []
+        log = _RangeLog(tweets)
+        with open(path, "rb") as handle:
+            handle.seek(cuts[k])
+            skipped, error = _parse_lines(
+                _range_lines(handle, cuts[k + 1] - cuts[k]), strict, tweets, profiles, log)
+        names, buffers = tweets.take()
+        return ((skipped, error is not None, log.odd,
+                 [_profile_fields(profile) for profile in profiles], names),
+                (log.keys, log.ends, *buffers))
+
     profiles: list[UserProfile] = []
-    skipped = lineno_base = 0
+    skipped = 0
     # the keys and screen names of the records that earlier ranges took
     held_keys = np.empty(0, dtype=np.int64)
     held_odd: set[int | str] = set()
     held_names: set[str] = set()
-    try:
-        for i in range(workers):
-            reader, writer = context.Pipe(duplex=False)
-            # closed here once the worker has its copy, so that a worker
-            # that dies leaves its pipe with no writer
-            with writer:
-                worker = context.Process(
-                    target=_range_worker,
-                    args=(writer, path, cuts, taken, strict, tweets, cpus[i % len(cpus)]))
-                worker.start()
-            processes.append(worker)
-            live[reader] = worker
-        for k in range(len(cuts) - 1):
-            while k not in arrived:
-                for reader in connection.wait(list(live)):
-                    result = _receive(live[reader], reader)
-                    if result is None:
-                        live.pop(reader).join()
-                        reader.close()
-                    else:
-                        arrived[result[0]] = result[1:]
-            (n_lines, range_skipped, error, odd, profile_fields, profile_lines, names,
-             keys, lines, ends, buffers) = arrived.pop(k)
-            dropped = _held(keys, held_keys, odd, held_odd)
-            repeated = [j for j, row in enumerate(profile_fields) if row[1] in held_names]
-            if strict and (dropped or repeated or error is not None):
-                # the worker stopped at its first bad line, so every record
-                # it took, the repeated ones too, comes before that line
-                found = [(int(lines[t]), f"duplicate tweet_id {_id_text(keys, t, odd)!r}")
-                         for t in dropped[:1]]
-                found += [(profile_lines[j], f"duplicate profile {profile_fields[j][1]!r}")
-                          for j in repeated[:1]]
-                line, message = min(found) if found else error
-                tweets.merge(names, buffers, ends[:int(np.searchsorted(lines, line))], [])
-                raise CorpusError(f"{path}:{lineno_base + line}: {message}")
-            tweets.merge(names, buffers, ends, dropped)
-            repeated_set = set(repeated)
-            profiles += [UserProfile(*row) for j, row in enumerate(profile_fields)
-                         if j not in repeated_set]
-            held_names.update(row[1] for row in profile_fields)
-            skipped += range_skipped + len(dropped) + len(repeated)
-            lineno_base += n_lines
-            # ids that arrive in order make each range's keys a sorted
-            # run, which a stable sort (timsort for int64) merges in
-            # linear time
-            held_keys = np.concatenate((held_keys, keys[keys >= 0]))
-            held_keys.sort(kind="stable")
-            held_odd.update(key for _, key in odd)
-    except BaseException:
-        for worker in processes:
-            worker.terminate()
-        raise
-    finally:
-        for reader in live:
-            reader.close()
-        for worker in processes:
-            worker.join()
+
+    def take(header: tuple, buffers: list[bytes]) -> None:
+        nonlocal skipped, held_keys
+        range_skipped, failed, odd, profile_fields, names = header
+        keys = np.frombuffer(buffers[0], dtype=np.int64)
+        ends = np.frombuffer(buffers[1], dtype=np.intc)
+        dropped = _held(keys, held_keys, odd, held_odd)
+        repeated = [j for j, row in enumerate(profile_fields) if row[1] in held_names]
+        if strict and (failed or dropped or repeated):
+            raise _Malformed
+        tweets.merge(names, buffers[2:], ends, dropped)
+        repeated_set = set(repeated)
+        profiles.extend(UserProfile(*row) for j, row in enumerate(profile_fields)
+                        if j not in repeated_set)
+        held_names.update(row[1] for row in profile_fields)
+        skipped += range_skipped + len(dropped) + len(repeated)
+        # ids that arrive in order make each range's keys a sorted run,
+        # which a stable sort (timsort for int64) merges in linear time
+        held_keys = np.concatenate((held_keys, keys[keys >= 0]))
+        held_keys.sort(kind="stable")
+        held_odd.update(key for _, key in odd)
+
+    in_order(part, len(cuts) - 1, workers, take)
     return tweets, profiles, skipped
 
 
@@ -815,13 +725,6 @@ def _held(keys: np.ndarray, held_keys: np.ndarray, odd: list, held_odd: set) -> 
         found = np.flatnonzero(held_keys[at] == keys).tolist()
     found += [t for t, key in odd if key in held_odd]
     return sorted(found)
-
-
-def _id_text(keys: np.ndarray, t: int, odd: list) -> str:
-    """Tweet ``t``'s id as the corpus spelled it: its key's int or string."""
-    if keys[t] >= 0:
-        return str(int(keys[t]))
-    return str(dict(odd)[t])
 
 
 # json.dumps with any non-default keyword builds a new encoder per call

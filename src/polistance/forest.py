@@ -21,15 +21,15 @@ bounds the search's temporary memory. A split hands its children their rows
 and class counts from the chosen cut, so no node recounts its classes.
 
 ``cross_validate`` deals every split first (``_splits``), then maps one
-function over them (``_split_predictions``): in forked worker processes,
-one per CPU this process may run on, or in-process on one CPU. A tree's
-draws depend on (rng_seed, tree_index, n, d) alone, not on the rows'
-values, so splits that train on equally many rows replay each tree's
-stream (``_Stream``): the bootstrap and the candidate sets an earlier split
-drew are reused, and only sets past their end are drawn. Each worker takes
-one contiguous block of splits and replays within it, and the results are
-joined in split order, so every forest and report is the same for any
-worker count.
+function over them (``_split_predictions``): in ``workers.in_order``'s
+forked worker processes, one per CPU this process may run on and pinned to
+it, or in-process on one CPU. A tree's draws depend on (rng_seed,
+tree_index, n, d) alone, not on the rows' values, so splits that train on
+equally many rows replay each tree's stream (``_Stream``): the bootstrap
+and the candidate sets an earlier split drew are reused, and only sets
+past their end are drawn. Each worker takes one contiguous block of splits
+and replays within it, and the results are joined in split order, so every
+forest and report is the same for any worker count.
 
 Prediction walks all trees at once: their node arrays lie end to end, and
 every (tree, row) pair steps down one level per pass.
@@ -38,14 +38,13 @@ every (tree, row) pair steps down one level per pass.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .metrics import EvalReport
-from .workers import worker_count as _worker_count
+from .workers import in_order, worker_count as _worker_count
 
 __all__ = [
     "ForestError",
@@ -592,19 +591,6 @@ def _block_predictions(
             for i in block]
 
 
-# a worker's (matrix, labels, splits, n_trees, rng_seed), inherited at fork
-_inherited: tuple = ()
-
-
-def _inherit(*state) -> None:
-    global _inherited
-    _inherited = state
-
-
-def _inherited_block(block: list[int]) -> list[tuple[list[str], list[str]]]:
-    return _block_predictions(*_inherited, block)
-
-
 def _pooled_predictions(
     matrix: np.ndarray,
     labels: list[str],
@@ -614,24 +600,21 @@ def _pooled_predictions(
     workers: int,
 ) -> list[tuple[list[str], list[str]]]:
     """Every split's ``_split_predictions``, in split order, from ``workers``
-    forked processes that inherit the inputs rather than receive them.
+    forked processes (``workers.in_order``) that inherit the inputs rather
+    than receive them.
 
     Each worker takes one contiguous block of splits. Training sizes never
     fall along the split order (a kfold deal gives each class's fold i at
     least as many rows as fold i + 1; holdout splits are all one size), so a
     block holds neighbouring sizes and its own stream cache replays draws as
-    the in-process loop does. Every worker has ended when this returns or
-    raises; a worker that dies raises ``BrokenProcessPool`` here.
+    the in-process loop does.
     """
-    # imported here, as only a run with workers needs it: at module level
-    # it would add about 5 ms to every command's start
-    from concurrent.futures import ProcessPoolExecutor
-
-    blocks = [block.tolist() for block in np.array_split(np.arange(len(splits)), workers)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit,
-                             initargs=(matrix, labels, splits, n_trees, rng_seed)) as pool:
-        return [result for block in pool.map(_inherited_block, blocks) for result in block]
+    blocks = np.array_split(np.arange(len(splits)), workers)
+    results: list[tuple[list[str], list[str]]] = []
+    in_order(lambda k: (_block_predictions(matrix, labels, splits, n_trees, rng_seed,
+                                           blocks[k].tolist()), ()),
+             workers, workers, lambda block, _: results.extend(block))
+    return results
 
 
 def cross_validate(
@@ -659,10 +642,11 @@ def cross_validate(
     grow alone, and only draws past the earlier ones are made.
 
     The splits run in forked worker processes, one per CPU in this
-    process's affinity mask and at most one a split, or in split order in
-    this process when that is one CPU or ``workers.worker_count`` finds
-    forking unsafe, as ``corpus.parse_corpus`` does. No worker outlives
-    the call, and an error raised in one reaches the caller unchanged. The
+    process's affinity mask and at most one a split, each pinned to a CPU
+    of its own, or in split order in this process when that is one CPU or
+    ``workers.worker_count`` finds forking unsafe. No worker outlives the
+    call, an error raised in one reaches the caller unchanged, and a worker
+    that dies makes the call raise ``RuntimeError`` with its exit code. The
     report is the same for any worker count.
     """
     matrix = _as_matrix(rows)

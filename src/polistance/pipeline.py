@@ -16,8 +16,11 @@ tweets. ``run()`` and the ``featurize`` and ``graph`` commands call its
 ``table``, ``write`` and ``evaluate``; the network fold's table is
 ``graph.build_interaction_graph(fold)`` and its Louvain partition. The
 network fold is the one sink ``parse_corpus`` can fill from forked workers
-over byte ranges, for a corpus of 1 MiB or more on more than one CPU; the
-other folds take every tweet in this process. Each function the
+over byte ranges (``workers.in_order``, the pool ``cross_validate`` runs
+its splits in), for a corpus of 1 MiB or more on more than one CPU; under
+``--strict`` a bad range makes it read the file again serially, so a
+strict error is always the serial parse's. The other folds take every
+tweet in this process. Each function the
 benchmark's tracer (perfbench/tracer.py) wraps here is looked up as this
 module's global on each call, so ``parse_corpus``'s span covers the
 workers too.

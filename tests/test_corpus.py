@@ -788,19 +788,19 @@ def fold_state(fold):
 
 def parse_both_ways(path, strictness, workers):
     """(fold state, profiles, skipped) or the strict message with the fold
-    state at the raise, from the serial parse and from ``workers`` forked
-    workers."""
+    state at the raise, from ``parse_corpus`` serially and in ``workers``
+    forked workers."""
     outcomes = []
-    for parse in (lambda fold: parse_corpus(path, strictness, fold),
-                  lambda fold: corpus._parse_in_workers(path, strictness == "strict",
-                                                        fold, workers)):
+    for forks in (False, True):
         fold = InteractionFold()
-        try:
-            _, profiles, skipped = parse(fold)
-        except CorpusError as exc:
-            outcomes.append((str(exc), fold_state(fold)))
-        else:
-            outcomes.append((fold_state(fold), profiles, skipped))
+        with mock.patch.object(corpus, "_PARALLEL_BYTES", 1 if forks else 1 << 62), \
+                mock.patch.object(corpus, "worker_count", lambda limit: min(limit, workers)):
+            try:
+                _, profiles, skipped = parse_corpus(path, strictness, fold)
+            except CorpusError as exc:
+                outcomes.append((str(exc), fold_state(fold)))
+            else:
+                outcomes.append((fold_state(fold), profiles, skipped))
         assert multiprocessing.active_children() == []
     return outcomes
 
@@ -826,7 +826,7 @@ class TestParseInWorkers:
 
     @settings(max_examples=40, deadline=None)
     @given(kinds=st.lists(RANGE_LINES, min_size=2, max_size=24),
-           workers=st.integers(1, 3), per_worker=st.integers(1, 2),
+           workers=st.integers(2, 3), per_worker=st.integers(1, 2),
            edges=st.lists(st.tuples(BAD_LINES, BAD_LINES), min_size=5, max_size=5))
     def test_same_result_as_the_serial_parse(self, tmp_path_factory, kinds, workers,
                                              per_worker, edges):
@@ -885,6 +885,22 @@ class TestParseInWorkers:
         serial, in_workers = parse_both_ways(path, strictness, 3)
         assert in_workers == serial
 
+    @pytest.mark.parametrize("strictness", STRICTNESS)
+    def test_a_profile_of_a_middle_range_repeated_in_the_last_is_caught(
+            self, tmp_path, monkeypatch, strictness):
+        lines = [range_tweet(str(100 + i), "Alice", ["bob"], None) for i in range(3)]
+        lines += [range_profile("alice"), lines[0].replace(b"100", b"103"),
+                  range_profile("ALICE")]
+        path = tmp_path / "c.jsonl"
+        width = 1 + max(map(len, lines))
+        write_padded(path, lines, width)
+        assert [cut // width for cut in corpus._cuts(path, 3)] == [0, 3, 5, 6]
+        monkeypatch.setattr(corpus, "_RANGES_PER_WORKER", 1)
+        serial, in_workers = parse_both_ways(path, strictness, 3)
+        assert in_workers == serial
+        if strictness == "strict":
+            assert serial[0] == f"{path}:6: duplicate profile 'alice'"
+
     def test_a_repeat_before_a_bad_line_of_its_range_is_the_strict_error(
             self, tmp_path, monkeypatch):
         lines = [range_tweet(str(100 + i), "Alice", ["bob"], None) for i in range(3)]
@@ -917,6 +933,51 @@ class TestParseInWorkers:
         monkeypatch.setattr(corpus, "_range_lines", first_range_last)
         serial, in_workers = parse_both_ways(path, strictness, 2)
         assert in_workers == serial
+
+    def test_a_strict_parse_whose_only_skips_are_blank_lines_reads_once(self, tmp_path,
+                                                                         monkeypatch):
+        lines = [range_tweet(str(100 + i), "Alice", ["bob"], None) for i in range(12)]
+        lines[9:9] = [b"\t"]
+        lines[3:3] = [b"", b"  "]
+        lines.append(range_profile("zed"))
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        parse_lines = corpus._parse_lines
+        calls = []
+
+        def recording(*args):
+            # a worker appends to its own copy of the list
+            calls.append(os.getpid())
+            return parse_lines(*args)
+
+        monkeypatch.setattr(corpus, "_parse_lines", recording)
+        serial, in_workers = parse_both_ways(path, "strict", 2)
+        assert serial[2] == 3
+        assert in_workers == serial
+        # the serial parse's one call, and none after the workers'
+        assert calls == [os.getpid()]
+
+    def test_a_bad_line_in_the_last_range_is_read_again_with_no_worker_left(
+            self, tmp_path, monkeypatch):
+        lines = [range_tweet(str(100 + i), "Alice", ["bob"], None) for i in range(12)]
+        lines.append(lines[-1][:20])
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        parse_lines = corpus._parse_lines
+        parent = os.getpid()
+        children = []
+
+        def recording(*args):
+            if os.getpid() == parent:
+                children.append(multiprocessing.active_children())
+            return parse_lines(*args)
+
+        monkeypatch.setattr(corpus, "_parse_lines", recording)
+        serial, in_workers = parse_both_ways(path, "strict", 2)
+        assert serial[0].startswith(f"{path}:13: invalid JSON: ")
+        assert in_workers == serial
+        # the serial parse, then the read again once every worker has ended
+        assert children == [[], []]
 
     def test_a_worker_that_exits_fails_the_parse(self, tmp_path, monkeypatch):
         path = tmp_path / "c.jsonl"

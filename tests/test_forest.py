@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import threading
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -761,8 +760,29 @@ class TestWorkers:
 
         set_workers(monkeypatch, 2)
         monkeypatch.setattr(forest, "train_forest", die)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(RuntimeError, match="exited with code 1 "):
             cross_validate(noisy_rows(12, 3, 0), ["A", "B"] * 6, n_trees=3, k=4)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_each_worker_runs_on_one_cpu_of_its_own(self, monkeypatch, tmp_path):
+        mask = os.sched_getaffinity(0)
+        pin = os.sched_setaffinity
+
+        def recording(pid, cpus):
+            pin(pid, cpus)
+            with open(tmp_path / "cpus", "a") as seen:
+                seen.write(f"{os.getpid()} {pid} {sorted(os.sched_getaffinity(0))}\n")
+
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        cross_validate(noisy_rows(12, 3, 0), ["A", "B"] * 6, n_trees=3, k=4)
+        seen = [line.split(" ", 2) for line in (tmp_path / "cpus").read_text().splitlines()]
+        assert len({who for who, _, _ in seen}) == 2
+        assert str(os.getpid()) not in {who for who, _, _ in seen}
+        assert sorted((pid, cpus) for _, pid, cpus in seen) == [
+            ("0", f"[{cpu}]") for cpu in sorted(mask)[:2]]
+        assert os.sched_getaffinity(0) == mask
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus, n_splits, expected", [
