@@ -23,13 +23,10 @@ and class counts from the chosen cut, so no node recounts its classes.
 ``cross_validate`` deals every split first (``_splits``), then maps one
 function over them (``_split_predictions``): in ``workers.in_order``'s
 forked worker processes, one per CPU this process may run on and pinned to
-it, or in-process on one CPU. A tree's draws depend on (rng_seed,
-tree_index, n, d) alone, not on the rows' values, so splits that train on
-equally many rows replay each tree's stream (``_Stream``): the bootstrap
-and the candidate sets an earlier split drew are reused, and only sets
-past their end are drawn. Each worker takes one contiguous block of splits
-and replays within it, and the results are joined in split order, so every
-forest and report is the same for any worker count.
+it, each taking the next split no worker has taken, or in-process on one
+CPU. Each split grows its forest from fresh draws, and the results are
+joined in split order, so every forest and report is the same for any
+worker count.
 
 Prediction walks all trees at once: their node arrays lie end to end, and
 every (tree, row) pair steps down one level per pass.
@@ -98,6 +95,11 @@ class Forest:
 # (8,000 pairs measured about 5% slower, 16,000 no faster); larger chunks
 # only raise peak memory.
 _CHUNK_PAIRS = 12_000
+
+# Rows of candidate ids a tree draws at once. A generator call's fixed cost
+# dwarfs a few ids: in blocks a set cost 0.8-1.4 us at d of 11 to 5,000,
+# against 8-10 us for one rng.choice a set (Python 3.11, numpy 2.4).
+_DRAW_ROWS = 64
 
 
 def _dense_ranks(matrix: np.ndarray) -> np.ndarray:
@@ -228,59 +230,20 @@ def _best_splits(
     return results
 
 
-class _Stream:
-    """Tree t's draws for a forest of n rows and d features under one seed.
-
-    The draws depend on (rng_seed, t, n, d) alone: the bootstrap, then one
-    set of candidate features per split attempt, in order. A forest asks for
-    its k-th set with ``candidates(k)``; sets drawn for an earlier forest of
-    the same shape are replayed, and only sets past their end are drawn.
-    The sets are kept sorted, one row each of a growing int32 block.
-    """
-
-    def __init__(self, rng_seed: int, t: int, n: int, d: int) -> None:
-        self._rng = np.random.default_rng((rng_seed & _SEED_MASK, t))
-        self.bootstrap = self._rng.integers(0, n, size=n).astype(np.int32)
-        self._d = d
-        self._sets = np.empty((8, math.ceil(math.sqrt(d))), dtype=np.int32)
-        self._drawn = 0
-
-    def candidates(self, k: int) -> np.ndarray:
-        if k == self._drawn:
-            if k == len(self._sets):
-                self._sets = np.concatenate([self._sets, np.empty_like(self._sets)])
-            mtry = self._sets.shape[1]
-            self._sets[k] = np.sort(self._rng.choice(self._d, size=mtry, replace=False))
-            self._drawn += 1
-        return self._sets[k]
-
-
-class _StreamCache:
-    """The trees' streams for the one (rng_seed, n, d) last asked for.
-
-    ``cross_validate`` shares one cache across each block of splits it runs
-    in one process, so folds of equal training size replay each tree's
-    draws. A new key drops the old streams.
-    """
-
-    def __init__(self) -> None:
-        self._key: tuple[int, int, int] | None = None
-        self._streams: list[_Stream] = []
-
-    def streams(self, rng_seed: int, n: int, d: int, n_trees: int) -> list[_Stream]:
-        if self._key != (rng_seed, n, d):
-            self._key, self._streams = (rng_seed, n, d), []
-        for t in range(len(self._streams), n_trees):
-            self._streams.append(_Stream(rng_seed, t, n, d))
-        return self._streams[:n_trees]
-
-
 class _Growing:
-    """One tree while it grows: its stream, depth-first stack and nodes."""
+    """One tree while it grows: its draws, depth-first stack and nodes.
 
-    def __init__(self, stream: _Stream, counts: list[int]) -> None:
-        self.stream = stream
-        self.attempts = 0  # split attempts so far, the index of the next set
+    Tree t draws from its own (rng_seed, t) generator: its bootstrap of n
+    row indices, then one set of candidate features per split attempt.
+    """
+
+    def __init__(self, rng_seed: int, t: int, y: np.ndarray, n_classes: int,
+                 d: int) -> None:
+        self._rng = np.random.default_rng((rng_seed & _SEED_MASK, t))
+        bootstrap = self._rng.integers(0, len(y), size=len(y)).astype(np.int32)
+        self._d = d
+        self._sets = np.empty((0, math.ceil(math.sqrt(d))), dtype=np.int32)
+        self._next = 0  # index of the next unused row of _sets
         self.feature: list[int] = [-1]
         self.threshold: list[float] = [0.0]
         self.left: list[int] = [-1]
@@ -289,12 +252,26 @@ class _Growing:
         # (node, rows, class counts); the left child goes on top, so nodes
         # pop in depth-first, left-before-right order
         self.stack: list[tuple[int, np.ndarray, list[int]]] = [
-            (0, stream.bootstrap, counts)
+            (0, bootstrap, np.bincount(y[bootstrap], minlength=n_classes).tolist())
         ]
 
     def candidates(self) -> np.ndarray:
-        self.attempts += 1
-        return self.stream.candidates(self.attempts - 1)
+        """The next ceil(sqrt(d)) distinct feature ids below d, ascending
+        int32, uniform over all sets of that size.
+
+        Sets come ``_DRAW_ROWS`` rows at a time: each row holds independent
+        uniform ids, sorted, and a row that repeats an id is dropped. Every
+        ordered row of distinct ids is equally likely, so a kept row is a
+        uniform set. Another block is drawn when the kept rows run out.
+        """
+        while self._next == len(self._sets):
+            rows = self._rng.integers(0, self._d, size=(_DRAW_ROWS, self._sets.shape[1]),
+                                      dtype=np.int32)
+            rows.sort(axis=1)
+            self._sets = rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)]
+            self._next = 0
+        self._next += 1
+        return self._sets[self._next - 1]
 
     def leaf(self, node: int, counts: list[int]) -> None:
         self.leaf_class[node] = counts.index(max(counts))  # smallest class index
@@ -329,21 +306,20 @@ def _grow_forest(
     matrix: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    streams: list[_Stream],
+    n_trees: int,
+    rng_seed: int,
 ) -> tuple[Tree, ...]:
     """Grow all trees in lockstep, each exactly as if grown alone.
 
     Step k pops the k-th depth-first node of every tree that still has one.
     Tree t takes its bootstrap, then one set of candidate features per
-    split attempt, from its own stream in the order it would alone. Only
+    split attempt, from its own generator in the order it would alone. Only
     the split search is shared by the step's nodes.
     """
     mtry = math.ceil(math.sqrt(matrix.shape[1]))
     ranks = _dense_ranks(matrix)
-    growing = [
-        _Growing(stream, np.bincount(y[stream.bootstrap], minlength=n_classes).tolist())
-        for stream in streams
-    ]
+    growing = [_Growing(rng_seed, t, y, n_classes, matrix.shape[1])
+               for t in range(n_trees)]
 
     def search(chunk: list[tuple]) -> None:
         splits = _best_splits(
@@ -398,8 +374,6 @@ def train_forest(
     labels: Sequence[str],
     n_trees: int = 100,
     rng_seed: int = 0,
-    *,
-    streams: _StreamCache | None = None,
 ) -> Forest:
     """Train a forest on a dense matrix (or anything ndarray-like).
 
@@ -408,10 +382,8 @@ def train_forest(
     its Gini impurity, so a leaf may hold one row, and each split draws
     ceil(sqrt(d)) candidate features. All trees grow in lockstep on the
     calling thread (see the module docstring). Training is deterministic
-    for a given (data, n_trees, rng_seed): every tree draws from its own
-    (rng_seed, tree_index) stream. ``streams`` keeps those draws for the
-    next forest of the same seed, row count and width, which replays them
-    instead of drawing again; the forest is the same with or without it.
+    for a given (data, n_trees, rng_seed): every tree draws its bootstrap
+    and candidate sets from its own (rng_seed, tree_index) generator.
     """
     if n_trees < 1:
         raise ForestError("n_trees must be >= 1")
@@ -428,10 +400,7 @@ def train_forest(
     d = matrix.shape[1]
     if d == 0:
         raise ForestError("cannot train on zero features")
-    if streams is None:
-        streams = _StreamCache()
-    trees = _grow_forest(matrix, y, len(classes),
-                         streams.streams(rng_seed, len(matrix), d, n_trees))
+    trees = _grow_forest(matrix, y, len(classes), n_trees, rng_seed)
     return Forest(classes=classes, n_features=d, trees=trees)
 
 
@@ -563,58 +532,13 @@ def _split_predictions(
     split: tuple[np.ndarray, np.ndarray],
     n_trees: int,
     rng_seed: int,
-    streams: _StreamCache,
 ) -> tuple[list[str], list[str]]:
-    """One split's test labels and their predictions, in test-row order.
-
-    The forest trains on the split's train rows; ``streams`` replays the
-    draws of an earlier split that trained on as many rows.
-    """
+    """One split's test labels and their predictions, in test-row order,
+    from a forest trained on the split's train rows."""
     train_idx, test_idx = split
     forest = train_forest(matrix[train_idx], [labels[i] for i in train_idx],
-                          n_trees, rng_seed, streams=streams)
+                          n_trees, rng_seed)
     return [labels[i] for i in test_idx], predict_many(forest, matrix[test_idx])
-
-
-def _block_predictions(
-    matrix: np.ndarray,
-    labels: list[str],
-    splits: list[tuple[np.ndarray, np.ndarray]],
-    n_trees: int,
-    rng_seed: int,
-    block: Sequence[int],
-) -> list[tuple[list[str], list[str]]]:
-    """``_split_predictions`` of the splits in ``block``, in its order, on
-    one stream cache."""
-    streams = _StreamCache()
-    return [_split_predictions(matrix, labels, splits[i], n_trees, rng_seed, streams)
-            for i in block]
-
-
-def _pooled_predictions(
-    matrix: np.ndarray,
-    labels: list[str],
-    splits: list[tuple[np.ndarray, np.ndarray]],
-    n_trees: int,
-    rng_seed: int,
-    workers: int,
-) -> list[tuple[list[str], list[str]]]:
-    """Every split's ``_split_predictions``, in split order, from ``workers``
-    forked processes (``workers.in_order``) that inherit the inputs rather
-    than receive them.
-
-    Each worker takes one contiguous block of splits. Training sizes never
-    fall along the split order (a kfold deal gives each class's fold i at
-    least as many rows as fold i + 1; holdout splits are all one size), so a
-    block holds neighbouring sizes and its own stream cache replays draws as
-    the in-process loop does.
-    """
-    blocks = np.array_split(np.arange(len(splits)), workers)
-    results: list[tuple[list[str], list[str]]] = []
-    in_order(lambda k: (_block_predictions(matrix, labels, splits, n_trees, rng_seed,
-                                           blocks[k].tolist()), ()),
-             workers, workers, lambda block, _: results.extend(block))
-    return results
 
 
 def cross_validate(
@@ -636,14 +560,13 @@ def cross_validate(
     matrices are summed in split order before computing metrics, so the
     reported accuracy is the fraction of all test predictions that were
     correct. The one ``rng_seed`` seeds the folds or holdout splits and
-    every forest's trees. Splits that train on equally many rows share each
-    tree's stream: a later one replays the bootstrap and candidate sets an
-    earlier one drew, so every forest is the one ``train_forest`` would
-    grow alone, and only draws past the earlier ones are made.
+    every forest's trees, so each split's forest is the one
+    ``train_forest`` grows on its train rows.
 
     The splits run in forked worker processes, one per CPU in this
     process's affinity mask and at most one a split, each pinned to a CPU
-    of its own, or in split order in this process when that is one CPU or
+    of its own and taking the next split that no worker has taken, or in
+    split order in this process when that is one CPU or
     ``workers.worker_count`` finds forking unsafe. No worker outlives the
     call, an error raised in one reaches the caller unchanged, and a worker
     that dies makes the call raise ``RuntimeError`` with its exit code. The
@@ -661,10 +584,15 @@ def cross_validate(
     splits = _splits(labels, k, mode, rng_seed)
     workers = _worker_count(len(splits))
     if workers > 1:
-        results = _pooled_predictions(matrix, labels, splits, n_trees, rng_seed, workers)
+        # the workers are forked, so they inherit the inputs rather than
+        # receive them
+        results: list[tuple[list[str], list[str]]] = []
+        in_order(lambda i: (_split_predictions(matrix, labels, splits[i], n_trees,
+                                               rng_seed), ()),
+                 len(splits), workers, lambda result, _: results.append(result))
     else:
-        results = _block_predictions(matrix, labels, splits, n_trees, rng_seed,
-                                     range(len(splits)))
+        results = [_split_predictions(matrix, labels, split, n_trees, rng_seed)
+                   for split in splits]
     truth = [label for split_truth, _ in results for label in split_truth]
     predicted = [label for _, split_predicted in results for label in split_predicted]
     return EvalReport.from_pairs(truth, predicted, sorted(set(labels)))

@@ -349,7 +349,7 @@ class TestForestSanity:
         dumps = [json.dumps(d, sort_keys=True) for d in (first, second)]
         assert dumps[0] == dumps[1]
         assert hashlib.sha256(dumps[0].encode()).hexdigest() == (
-            "b09a54aad86883cda76b59259c0a0eb258520232322ecd103db9927692d624c7"
+            "90271d9775886097194e1e83415ae17ca6696cb089eaa05616da7f07d4d445e6"
         )
 
 

@@ -99,8 +99,8 @@ FEATURIZE_GOLDEN = {
 # relative to the corpus directory so the config digest inside the report
 # does not depend on where the test runs
 REPORT_GOLDEN = {
-    "text": "c32d86a02fa171d6e1df5d7d9fa5a6e2e645cc983a0b94579569c65f7e0ed235",
-    "hashtag": "88bb61288b46c999075c63451cc4b0966f4254789ff30c00319847b86aa26c00",
+    "text": "68a69b41a3e58979ffede0f97b1f4f090bcf9880e4155ccdc1da5d325ca90732",
+    "hashtag": "98170a6956f2f71c7fc13184cd3a1172e95b9b825716aaba310c5867f3a953b4",
     "user-features": "09c369ff06ea7f66e09186bc7b69bc47a0f00474343867e348652aabacd7846e",
     "network": "5290e3e17430b8f116c24fd946dd14f263a7c7aa2cdf76d8b269162b0b09ac98",
 }
@@ -108,8 +108,8 @@ REPORT_GOLDEN = {
 # the same for the forest methods with "cv_mode": "repeated-holdout-66/34",
 # in which every split trains on the same number of rows
 HOLDOUT_REPORT_GOLDEN = {
-    "text": "680a88d1e0e34aacb9c58da567197c7bfbab3d313aa4d624ec3f36eec1d5fa7f",
-    "hashtag": "a12498f783c48eeba4476fe3851256f719bd7f43c56fd5fd50e3bb6b3d85ac1a",
+    "text": "263dfb828bbc9de214a8a95c3c8e6f19dbebccfa986ce6a137015c0cccaa3ad1",
+    "hashtag": "aa9e36e4a78771d9a30a7e42a2fcafecb39d9cb108acfec9a3a12e65fbee464a",
     "user-features": "65025d9fc39a3ca98e6099f743d70a20ca1a70e063eab24dc6cf54be9f1e514e",
 }
 

@@ -1,5 +1,6 @@
 """Tests for forest training, prediction, balancing, and cross-validation."""
 
+import math
 import multiprocessing
 import os
 import threading
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 import forest_reference
 from forest_dump import forest_digest, forest_to_dict
@@ -22,7 +24,6 @@ from polistance.forest import (
     _dense_ranks,
     _split_predictions,
     _splits,
-    _StreamCache,
     balance_classes,
     cross_validate,
     predict_many,
@@ -144,14 +145,14 @@ class TestTrain:
         second = train_forest(rows, labels, n_trees=16, rng_seed=5)
         assert forest_to_dict(first, 5) == forest_to_dict(second, 5)
         assert forest_digest(first, 5) == (
-            "7c9c800a800f174f8990c7762112b9b0dbdccada159effecdcee108ae88032bf"
+            "5ceab02cddee6f240e8c5825c78cb9a89605edddafd8879968dfa63afdeced97"
         )
 
     @pytest.mark.parametrize("make, seed, digest", [
         (sparse_wide, 3,
-         "06b9b06f17d02ac44cdb77ed1ecfb6a952b309c99089dc52cb58070198caeb75"),
+         "98564e84451f312010167ba326e6c1bb9caa4282859ddba8c01d55f2e9cb0f4e"),
         (tall_narrow, 4,
-         "cd1e44ecb62a2746a98f67018c494cd3b41618591f418c03ea7633fea0628b6a"),
+         "5355cf1e9d33db121f274d4c3f075df69ba20eb8795743291d8b4cad43e9266d"),
     ], ids=["sparse_wide", "tall_narrow"])
     def test_golden_forest_digest(self, make, seed, digest):
         rows, labels = make()
@@ -413,9 +414,8 @@ class TestSplits:
         rows = noisy_rows(33, 4, 8)
         labels = ["A", "B", "C"] * 11
         classes = ["A", "B", "C"]
-        streams = _StreamCache()
         per_split = [
-            EvalReport.from_pairs(*_split_predictions(rows, labels, split, 6, 2, streams),
+            EvalReport.from_pairs(*_split_predictions(rows, labels, split, 6, 2),
                                   classes).confusion
             for split in _splits(labels, 3, mode, 2)
         ]
@@ -584,6 +584,41 @@ class TestBestSplit:
         assert segmented_splits(*problem) == [(0, 1.0 + 2.0**-52)]
 
 
+# widths from a single feature to the paper's vocabulary sizes; each tree
+# draws ceil(sqrt(d)) candidate features a split
+DRAW_WIDTHS = [1, 2, 3, 5, 11, 26, 90, 5000]
+
+
+def drawn_sets(d, n_sets, rng_seed=3, t=1):
+    """``n_sets`` candidate sets, in order, from tree t of a forest of width d."""
+    tree = forest._Growing(rng_seed, t, np.zeros(4, dtype=np.int32), 1, d)
+    return np.array([tree.candidates() for _ in range(n_sets)])
+
+
+class TestCandidateDraws:
+    @pytest.mark.parametrize("d", DRAW_WIDTHS)
+    def test_each_set_is_distinct_ascending_ids_below_d(self, d):
+        sets = drawn_sets(d, 300)  # several blocks of draws
+        assert sets.dtype == np.int32
+        assert sets.shape == (300, math.ceil(math.sqrt(d)))
+        assert np.all(np.diff(sets, axis=1) > 0)
+        assert sets.min() >= 0 and sets.max() < d
+
+    @pytest.mark.parametrize("d", DRAW_WIDTHS[1:])
+    def test_feature_frequencies_are_uniform(self, d):
+        mtry = math.ceil(math.sqrt(d))
+        n_sets = max(2_000, 100 * d // mtry)  # 100 draws of each id expected
+        counts = np.bincount(drawn_sets(d, n_sets).ravel(), minlength=d)
+        assert chisquare(counts).pvalue > 0.001
+
+    def test_subset_frequencies_are_uniform(self):
+        # all 10 sets of 3 of 5 features, 400 draws of each expected
+        sets = drawn_sets(5, 4_000)
+        counts = Counter(map(tuple, sets.tolist()))
+        assert len(counts) == 10
+        assert chisquare(list(counts.values())).pvalue > 0.001
+
+
 class TestLockstepChunks:
     @pytest.mark.parametrize("chunk_pairs", [1, 150, 2_000])
     def test_chunking_leaves_forest_unchanged(self, monkeypatch, chunk_pairs):
@@ -594,7 +629,7 @@ class TestLockstepChunks:
         rows, labels = sparse_wide()
         grown = train_forest(rows, labels, n_trees=20, rng_seed=3)
         assert forest_digest(grown, 3) == (
-            "06b9b06f17d02ac44cdb77ed1ecfb6a952b309c99089dc52cb58070198caeb75"
+            "98564e84451f312010167ba326e6c1bb9caa4282859ddba8c01d55f2e9cb0f4e"
         )
 
 
@@ -616,15 +651,16 @@ def set_workers(monkeypatch, workers):
 
 
 class TestStreamReplay:
-    """Forests that share drawn streams equal forests grown alone."""
+    """Each split's forest is the one ``train_forest`` grows alone, from
+    generators of its own."""
 
     @staticmethod
     def forests_of_cv(monkeypatch, rows, labels, **kwargs):
         grown = []
         train = forest.train_forest
 
-        def recording(rows, labels, n_trees, rng_seed, **options):
-            result = train(rows, labels, n_trees, rng_seed, **options)
+        def recording(rows, labels, n_trees, rng_seed):
+            result = train(rows, labels, n_trees, rng_seed)
             grown.append((rows, labels, n_trees, rng_seed, result))
             return result
 
@@ -643,25 +679,12 @@ class TestStreamReplay:
         grown = self.forests_of_cv(monkeypatch, rows, labels, n_trees=8, k=k,
                                    mode=mode, rng_seed=6)
         sizes = [len(train_rows) for train_rows, *_ in grown]
-        assert len(sizes) == k and len(set(sizes)) < k  # some splits replay
+        assert len(sizes) == k
         if mode == "kfold":
             assert sizes == [15, 15, 16, 17]
         for train_rows, train_labels, n_trees, rng_seed, result in grown:
             alone = train_forest(train_rows, train_labels, n_trees, rng_seed)
             assert forest_to_dict(result, rng_seed) == forest_to_dict(alone, rng_seed)
-
-    @pytest.mark.parametrize("second", [
-        (noisy_rows(30, 7, 4), ["A", "B", "C"] * 10, 9, 6),
-        (noisy_rows(24, 5, 3)[:, ::-1], ["B", "A", "B"] * 8, 10, 6),
-    ], ids=["other_shape", "other_seed"])
-    def test_one_cache_across_keys(self, second):
-        first = (noisy_rows(24, 5, 3), ["A", "B", "B"] * 8, 9, 4)
-        more_trees = first[:2] + (9, 7)  # the first key again, with more trees
-        streams = forest._StreamCache()
-        for rows, labels, rng_seed, n_trees in (first, second, first, more_trees):
-            shared = train_forest(rows, labels, n_trees, rng_seed, streams=streams)
-            alone = train_forest(rows, labels, n_trees, rng_seed)
-            assert forest_to_dict(shared, rng_seed) == forest_to_dict(alone, rng_seed)
 
     def test_one_generator_per_tree_and_training_size(self, monkeypatch):
         seeds = []
@@ -674,12 +697,13 @@ class TestStreamReplay:
         set_workers(monkeypatch, 1)
         monkeypatch.setattr(np.random, "default_rng", counting)
         cross_validate(noisy_rows(21, 5, 1), UNEVEN_LABELS, n_trees=6, k=4, rng_seed=5)
-        # a tree's stream is seeded (rng_seed, t); the folds' is (rng_seed, 1009)
+        # a tree's generator is seeded (rng_seed, t); the folds' is (rng_seed, 1009)
         tree_seeds = Counter(seed for seed in seeds
                              if isinstance(seed, tuple) and len(seed) == 2
                              and seed[1] < 6)
-        # three training sizes (15, 16, 17) over four folds
-        assert tree_seeds == {(5, t): 3 for t in range(6)}
+        # one for each tree of each of the four folds' forests, though two
+        # folds train on 15 rows
+        assert tree_seeds == {(5, t): 4 for t in range(6)}
 
 
 @st.composite
@@ -704,16 +728,6 @@ class TestWorkers:
     @given(cv_problems(), st.integers(0, 2 ** 32))
     def test_same_predictions_and_report_for_any_worker_count(self, problem, rng_seed):
         rows, labels, k, mode = problem
-        splits = _splits(labels, k, mode, rng_seed)
-        # training sizes never fall along the split order, so each worker's
-        # contiguous block holds neighbouring sizes
-        sizes = [len(train) for train, _ in splits]
-        assert sizes == sorted(sizes)
-        in_order = forest._block_predictions(rows, labels, splits, 4, rng_seed,
-                                             range(len(splits)))
-        for workers in (2, 3):
-            assert forest._pooled_predictions(rows, labels, splits, 4, rng_seed,
-                                              min(workers, k)) == in_order
         reports = []
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as patch:
@@ -738,6 +752,22 @@ class TestWorkers:
         pids = (tmp_path / "pids").read_text().split()
         assert len(pids) == 4
         assert str(os.getpid()) not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_each_split_is_a_part_of_its_own(self, monkeypatch):
+        # the workers take the splits one at a time, so a worker on a slow
+        # CPU takes fewer of them
+        calls = []
+        in_order = forest.in_order
+
+        def recording(part, parts, workers, take):
+            calls.append((parts, workers))
+            in_order(part, parts, workers, take)
+
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(forest, "in_order", recording)
+        cross_validate(noisy_rows(12, 3, 0), ["A", "B"] * 6, n_trees=3, k=4)
+        assert calls == [(4, 2)]
         assert multiprocessing.active_children() == []
 
     def test_error_in_a_worker_reaches_the_caller_unchanged(self, monkeypatch):
