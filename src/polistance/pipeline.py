@@ -3,7 +3,8 @@
 A run is driven by one RunConfig and writes everything into its output
 directory. Report files are a pure function of config plus input files, so
 rerunning the same config gives byte-identical reports; wall-clock timings
-go only into the manifest, which also records a sha256 per artifact.
+go only into the manifest, which also records a sha256 per artifact and
+the path, size and sha256 of each input file.
 
 Every stage computes in memory; only the report stage writes, once all
 have succeeded, through ``publish``: the one path by which every command
@@ -93,6 +94,7 @@ __all__ = [
 ]
 
 _REQUIRED_KEYS = ("corpus_path", "annotations_path", "out_dir")
+_INPUTS = ("corpus_path", "annotations_path", "lexicon_path")
 # every file a command may write besides manifest.json, by command (synth,
 # ingest, agree, featurize, graph, analyze, classify); publish removes them all
 _ARTIFACTS = (
@@ -202,11 +204,27 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def config_hash(config: RunConfig) -> str:
+def _input_files(config: RunConfig) -> dict[str, dict[str, Any]]:
+    """Each input file the config names, keyed by its field: its ``path``,
+    ``size`` in bytes and ``sha256``. The default lexicon has no file."""
+    return {label: {"path": path, "size": Path(path).stat().st_size,
+                    "sha256": _sha256(Path(path))}
+            for label in _INPUTS if (path := getattr(config, label)) is not None}
+
+
+def config_hash(config: RunConfig,
+                inputs: Mapping[str, Mapping[str, Any]] | None = None) -> str:
     """sha256 over the canonical json form of the config without ``out_dir``,
-    so one experiment has one digest wherever it writes."""
+    each input path replaced by the sha256 of the file's bytes (the default
+    lexicon's stays null). So one experiment has one digest wherever its
+    inputs lie and wherever it writes, and an input edited in place changes
+    it. ``inputs`` is ``_input_files(config)``, read here when not given."""
+    if inputs is None:
+        inputs = _input_files(config)
     settings = asdict(config)
     del settings["out_dir"]
+    for label in _INPUTS:
+        settings[label] = inputs[label]["sha256"] if label in inputs else None
     return hashlib.sha256(canonical_dumps(settings).encode("utf-8")).hexdigest()
 
 
@@ -524,7 +542,6 @@ def publish(out_dir: str | Path, command: str, counts: Mapping[str, int],
 
 def run(config: RunConfig) -> RunResult:
     """Execute one configured experiment; see the module docstring."""
-    digest = config_hash(config)
     stages: list[dict[str, Any]] = []
     stage, t0 = "config", 0.0
 
@@ -537,14 +554,15 @@ def run(config: RunConfig) -> RunResult:
         stage, t0 = name, now
 
     try:
-        inputs = (config.corpus_path, config.annotations_path, config.lexicon_path)
-        for label, path in zip(("corpus_path", "annotations_path", "lexicon_path"),
-                               inputs):
+        paths = [getattr(config, label) for label in _INPUTS]
+        for label, path in zip(_INPUTS, paths):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"{label} does not exist: {path}")
         # the report stage writes out_dir; one that cannot take it would
         # stop that only after every other stage had run
-        check_out_dir(config.out_dir, inputs)
+        check_out_dir(config.out_dir, paths)
+        inputs = _input_files(config)
+        digest = config_hash(config, inputs)
         lexicon = config.lexicon()
 
         enter("ingest")
@@ -570,7 +588,8 @@ def run(config: RunConfig) -> RunResult:
             stages.append({"name": "report", "seconds": time.perf_counter() - t0})
 
         publish(config.out_dir, "classify", counts, write, config=asdict(config),
-                config_hash=digest, rng_seed=config.rng_seed, stages=stages)
+                config_hash=digest, inputs=inputs, rng_seed=config.rng_seed,
+                stages=stages)
         return result
     except Exception as exc:
         raise PipelineError(stage, exc) from exc

@@ -95,22 +95,21 @@ FEATURIZE_GOLDEN = {
 }
 
 # sha256 of report.json from classify of each method (the forests with 10
-# trees and 3 folds) on the default synthetic corpus, its paths given
-# relative to the corpus directory so the config digest inside the report
-# does not depend on where the test runs
+# trees and 3 folds) on the default synthetic corpus; the config digest
+# inside the report covers the inputs' bytes, not their paths
 REPORT_GOLDEN = {
-    "text": "68a69b41a3e58979ffede0f97b1f4f090bcf9880e4155ccdc1da5d325ca90732",
-    "hashtag": "98170a6956f2f71c7fc13184cd3a1172e95b9b825716aaba310c5867f3a953b4",
-    "user-features": "09c369ff06ea7f66e09186bc7b69bc47a0f00474343867e348652aabacd7846e",
-    "network": "5290e3e17430b8f116c24fd946dd14f263a7c7aa2cdf76d8b269162b0b09ac98",
+    "text": "6fe6d16739448bff237786048a7867e493ce0dc9c089a9418dc5e5b8bccd6eeb",
+    "hashtag": "1aeaf3f683f0e7e0ca0979ebbe9d4f19c027e6eca6a9d90c4ee8ea0cce986d68",
+    "user-features": "c7cc42fca8a9f30a5b5c82326ce190f7c02dc7ce8a2359ffc266d2d3e52737fb",
+    "network": "36eb71c767424eece5d2718221b9350355a0a92a0666ed1290d6e05f3c81bf75",
 }
 
 # the same for the forest methods with "cv_mode": "repeated-holdout-66/34",
 # in which every split trains on the same number of rows
 HOLDOUT_REPORT_GOLDEN = {
-    "text": "263dfb828bbc9de214a8a95c3c8e6f19dbebccfa986ce6a137015c0cccaa3ad1",
-    "hashtag": "aa9e36e4a78771d9a30a7e42a2fcafecb39d9cb108acfec9a3a12e65fbee464a",
-    "user-features": "65025d9fc39a3ca98e6099f743d70a20ca1a70e063eab24dc6cf54be9f1e514e",
+    "text": "8405425da60502c171e37b7765b131acd61d20bd755967e0199ebd87e384117f",
+    "hashtag": "7775674cecb373a8ad090a59e049eeebe86fcf09ce5edb3e09d5e427be2eac57",
+    "user-features": "92a0615f53d52fe61c4f33c81877a1d122ce170d848e2e0423e97d8ed3ab1144",
 }
 
 
@@ -845,14 +844,12 @@ class TestSynthCommand:
         assert not out_dir.exists()
 
 
-def classify_default_corpus(default_corpus, tmp_path, monkeypatch, **settings):
-    """report.json of classify on the default corpus, its paths given
-    relative to the corpus directory."""
-    monkeypatch.chdir(Path(default_corpus).parent)
+def classify_default_corpus(default_corpus, tmp_path, **settings):
+    """report.json of classify on the default corpus."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
-        "corpus_path": "corpus.jsonl",
-        "annotations_path": "annotations.csv",
+        "corpus_path": default_corpus,
+        "annotations_path": str(Path(default_corpus).parent / "annotations.csv"),
         "out_dir": str(tmp_path / "run"),
         **settings,
     }))
@@ -911,15 +908,15 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("method", sorted(REPORT_GOLDEN))
     def test_forest_report_golden_digest(self, method, default_corpus, tmp_path,
-                                         monkeypatch, capsys):
-        report = classify_default_corpus(default_corpus, tmp_path, monkeypatch,
+                                         capsys):
+        report = classify_default_corpus(default_corpus, tmp_path,
                                          method=method, n_trees=10, cv_k=3)
         assert hashlib.sha256(report).hexdigest() == REPORT_GOLDEN[method]
 
     @pytest.mark.parametrize("method", sorted(HOLDOUT_REPORT_GOLDEN))
     def test_holdout_report_golden_digest(self, method, default_corpus, tmp_path,
-                                          monkeypatch, capsys):
-        report = classify_default_corpus(default_corpus, tmp_path, monkeypatch,
+                                          capsys):
+        report = classify_default_corpus(default_corpus, tmp_path,
                                          method=method, n_trees=10, cv_k=3,
                                          cv_mode="repeated-holdout-66/34")
         assert hashlib.sha256(report).hexdigest() == HOLDOUT_REPORT_GOLDEN[method]

@@ -295,6 +295,62 @@ class TestConfigHash:
         assert config_hash(a) != config_hash(c)
         assert len(config_hash(a)) == 64
 
+    def test_one_experiment_from_two_directories_writes_the_same_report(
+            self, small_inputs, tmp_path, monkeypatch):
+        # copies of the inputs, named by other relative paths from other
+        # working directories
+        reports = []
+        for inputs, cwd in ((tmp_path / "a", tmp_path / "a"),
+                            (tmp_path / "b" / "c", tmp_path)):
+            inputs.mkdir(parents=True)
+            for name in ("corpus.jsonl", "annotations.csv"):
+                (inputs / name).write_bytes((small_inputs / name).read_bytes())
+            monkeypatch.chdir(cwd)
+            where = inputs.relative_to(cwd)
+            run(RunConfig(corpus_path=str(where / "corpus.jsonl"),
+                          annotations_path=str(where / "annotations.csv"),
+                          out_dir=str(where / "run"), method="network"))
+            reports.append((inputs / "run" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("label", ["corpus_path", "annotations_path", "lexicon_path"])
+    def test_one_changed_byte_in_any_input_changes_the_digest(self, label, small_inputs,
+                                                              tmp_path):
+        for name in ("corpus.jsonl", "annotations.csv"):
+            (tmp_path / name).write_bytes((small_inputs / name).read_bytes())
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"AAP": {"keywords": ["kejriwal"]}, "BJP": {},
+                                       "CONG": {}}), encoding="utf-8")
+        config = base_config(tmp_path, tmp_path / "run", lexicon_path=str(lexicon))
+        before = config_hash(config)
+        path = Path(getattr(config, label))
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 1
+        path.write_bytes(bytes(data))
+        assert config_hash(config) != before
+        data[len(data) // 2] ^= 1
+        path.write_bytes(bytes(data))
+        assert config_hash(config) == before
+
+    def test_manifest_records_each_input_file(self, small_inputs, tmp_path):
+        run(base_config(small_inputs, tmp_path / "net", method="network"))
+        manifest = json.loads((tmp_path / "net" / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            label: {"path": str(path), "size": path.stat().st_size,
+                    "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for label, path in (("corpus_path", small_inputs / "corpus.jsonl"),
+                                ("annotations_path", small_inputs / "annotations.csv"))
+        }
+
+    @pytest.mark.parametrize("label", ["corpus_path", "annotations_path", "lexicon_path"])
+    def test_a_missing_input_fails_before_it_is_hashed(self, label, small_inputs,
+                                                       tmp_path):
+        missing = str(tmp_path / "nope")
+        config = dataclasses.replace(base_config(small_inputs, tmp_path / "run"),
+                                     **{label: missing})
+        with pytest.raises(PipelineError, match=f"{label} does not exist: {missing}"):
+            run(config)
+
 
 class TestRunNetwork:
     def test_separable_corpus_is_perfect(self, small_inputs, tmp_path):
