@@ -207,9 +207,15 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
 def _input_files(config: RunConfig) -> dict[str, dict[str, Any]]:
     """Each input file the config names, keyed by its field: its ``path``,
     ``size`` in bytes and ``sha256``. The default lexicon has no file."""
-    return {label: {"path": path, "size": Path(path).stat().st_size,
-                    "sha256": _sha256(Path(path))}
-            for label in _INPUTS if (path := getattr(config, label)) is not None}
+    files = {}
+    for label in _INPUTS:
+        if (path := getattr(config, label)) is not None:
+            try:
+                files[label] = {"path": path, "size": Path(path).stat().st_size,
+                                "sha256": _sha256(Path(path))}
+            except OSError as exc:
+                raise OSError(f"cannot read {label} {path}: {exc.strerror}") from exc
+    return files
 
 
 def config_hash(config: RunConfig,
@@ -506,7 +512,8 @@ def check_out_dir(out_dir: str | Path, inputs: Iterable[str | Path | None]) -> N
 
 
 def _sha256(path: Path) -> str:
-    """The file's sha256, read 64 KiB at a time so no artifact is held whole."""
+    """The file's sha256, read 64 KiB at a time so no input or artifact is
+    held whole."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         # each block counts toward a run's peak memory: 1 MiB blocks broke

@@ -351,6 +351,15 @@ class TestConfigHash:
         with pytest.raises(PipelineError, match=f"{label} does not exist: {missing}"):
             run(config)
 
+    def test_an_input_that_cannot_be_hashed_is_named(self, small_inputs, tmp_path):
+        config = dataclasses.replace(base_config(small_inputs, tmp_path / "run"),
+                                     corpus_path=str(tmp_path))
+        with pytest.raises(PipelineError) as info:
+            run(config)
+        assert info.value.stage == "config"
+        assert isinstance(info.value.cause, OSError)
+        assert str(info.value.cause) == f"cannot read corpus_path {tmp_path}: Is a directory"
+
 
 class TestRunNetwork:
     def test_separable_corpus_is_perfect(self, small_inputs, tmp_path):
