@@ -2,7 +2,7 @@
 
 Trees are grown CART-style on bootstrap samples (drawn with replacement,
 sample size = row count) using Gini impurity and axis-aligned midpoint
-thresholds. Each tree consumes its own RNG stream seeded by
+thresholds. Each tree draws from its own generator, seeded by
 (rng_seed, tree_index), so a forest is bit-identical for a given seed and
 no tree's draws depend on another's. All ties break the same way every
 run: equal-gain splits prefer the lowest attribute index and threshold,
@@ -97,8 +97,8 @@ class Forest:
 _CHUNK_PAIRS = 12_000
 
 # Rows of candidate ids a tree draws at once. A generator call's fixed cost
-# dwarfs a few ids: in blocks a set cost 0.8-1.4 us at d of 11 to 5,000,
-# against 8-10 us for one rng.choice a set (Python 3.11, numpy 2.4).
+# dwarfs a few ids: in blocks a set cost 0.8-1.5 us at d of 11 to 5,000,
+# against 9-14 us for one rng.choice a set (Python 3.11, numpy 2.4, 2-vCPU VM).
 _DRAW_ROWS = 64
 
 
