@@ -97,8 +97,8 @@ class Forest:
 _CHUNK_PAIRS = 12_000
 
 # Rows of candidate ids a tree draws at once. A generator call's fixed cost
-# dwarfs a few ids: in blocks a set cost 0.8-1.5 us at d of 11 to 5,000,
-# against 9-14 us for one rng.choice a set (Python 3.11, numpy 2.4, 2-vCPU VM).
+# dwarfs a few ids: in blocks a set cost 0.7-1.9 us at d of 11 to 5,000,
+# against 7-15 us for one rng.choice a set (Python 3.11, numpy 2.4, 2-vCPU VM).
 _DRAW_ROWS = 64
 
 
